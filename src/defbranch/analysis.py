@@ -12,26 +12,34 @@ subtraction.  Each composition step multiplies the gap by the divided
 difference of the step law, so log-survival is accumulated exactly as a
 sum of logs and stays accurate at depths where the linear difference is
 pure cancellation.
+
+Readers here take one backward gap sweep and one forward ladder
+(``environments``) per horizon at most, and never re-sweep.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .environments import (
     Environment,
+    _exp,
+    _gap_sweep,
+    _ladder,
+    _log,
+    _logsumexp,
+    _mu_at,
+    _running,
     compose_coeffs,
     compose_eval,
     composed_points,
-    mu_profile,
 )
 from .laws import (
     BudgetError,
     FiniteSupport,
-    LinearFractional,
     OffspringLaw,
     PreconditionError,
 )
@@ -88,16 +96,12 @@ class AbsorptionProfile:
 
 def absorption_profile(env: Environment, n: int) -> AbsorptionProfile:
     """Absorption probabilities at horizon n by exact composition."""
-    hi, lo, logd = 1.0, 0.0, 0.0
-    for i in range(n, 0, -1):
-        law = env.law(i)
-        logd += _log(law.divided_difference(hi, lo))
-        hi, lo = law.pgf(hi), law.pgf(lo)
+    hi, lo, logd = _gap_sweep(env, 0, n, 1.0, 0.0)
     return AbsorptionProfile(
         n=n,
-        p_extinct=lo,
-        p_killed=1.0 - hi,
-        survival=float(np.exp(logd)),
+        p_extinct=float(lo[0]),
+        p_killed=1.0 - float(hi[0]),
+        survival=_exp(logd),
         log_survival=logd,
     )
 
@@ -145,7 +149,7 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
         n=n,
         p_extinct=lo,
         p_killed=1.0 - hi,
-        survival=np.exp(logd),
+        survival=_exp(logd),
         log_survival=logd,
     )
 
@@ -183,24 +187,16 @@ def moments(env: Environment, n: int) -> Moments:
 
     with t_j = f_{j,n}(1) and mu_{j,n} the partial mean products.
     """
-    t = composed_points(env, 0, n, 1.0)
-    log_ladder = 0.0
-    log_terms = np.empty(n + 1)
-    for j in range(1, n + 1):
-        law = env.law(j)
-        d1 = law.pgf(t[j], 1)
-        log_ladder += _log(d1)
-        log_terms[j] = _log(law.pgf(t[j], 2)) - _log(d1) - log_ladder
-    log_mean = log_ladder
-    log_terms[0] = -log_mean
-    log_ratio = _logsumexp(log_terms)
+    lad = _ladder(env, composed_points(env, 0, n, 1.0), second=True)
+    log_mean = float(lad.log_ladder[-1])
+    log_ratio = _logsumexp(np.concatenate(([-log_mean], lad.log_var)))
     return Moments(
         n=n,
-        mean=float(np.exp(log_mean)),
+        mean=_exp(log_mean),
         log_mean=log_mean,
-        ratio=float(np.exp(log_ratio)),
+        ratio=_exp(log_ratio),
         log_ratio=log_ratio,
-        second=float(np.exp(log_ratio + 2.0 * log_mean)),
+        second=_exp(log_ratio + 2.0 * log_mean),
         log_second=log_ratio + 2.0 * log_mean,
     )
 
@@ -248,24 +244,12 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    prof = absorption_profile(env, n)
-    t = composed_points(env, 0, n, 1.0)
-    log_mu = 0.0  # running log prod f_i'(1)
-    log_inf_mu = math.inf
-    log_ladder = 0.0  # running log prod f_j'(t_j)
-    log_terms = np.empty(n)
-    c_used = 0.0 if c is None else float(c)
-    for j in range(1, n + 1):
-        law = env.law(j)
-        log_mu += _log(law.mean)
-        log_inf_mu = min(log_inf_mu, log_mu)
-        d1 = law.pgf(t[j], 1)
-        log_ladder += _log(d1)
-        log_terms[j - 1] = _log(law.pgf(t[j], 2)) - _log(d1) - log_ladder
-        if c is None:
-            c_used = max(c_used, law.regularity().c12)
-    log_mean = log_ladder
-    log_s = _logsumexp(log_terms)  # variance part of the ratio
+    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
+    lad = _ladder(env, t, second=True, at=(1.0,), regularity=c is None)
+    log_inf_mu = float(np.min(_running(lad.at[0])[1:]))  # inf_j log prod f_i'(1)
+    c_used = lad.c12 if c is None else float(c)
+    log_mean = float(lad.log_ladder[-1])
+    log_s = _logsumexp(lad.log_var)  # variance part of the ratio
     log_inv_hi = _logsumexp(np.array([-log_mean, log_s]))
     if math.isinf(log_s) and log_s < 0:  # no variance terms at all
         log_inv_lo = -log_mean
@@ -273,7 +257,6 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
         if c_used <= 0.0:
             raise PreconditionError("variance terms present but c = 0")
         log_inv_lo = _logsumexp(np.array([-log_mean, log_s - math.log(2.0 * c_used)]))
-    log_surv = prof.log_survival
     slack = 1e-9
     holds = (
         -log_inv_hi <= log_surv + slack
@@ -282,17 +265,17 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
     )
     return SurvivalBounds(
         n=n,
-        survival=prof.survival,
+        survival=_exp(log_surv),
         log_survival=log_surv,
-        inf_mean_product=float(np.exp(log_inf_mu)),
+        inf_mean_product=_exp(log_inf_mu),
         log_inf_mean_product=log_inf_mu,
-        moment_lower=float(np.exp(-log_inv_hi)),
+        moment_lower=_exp(-log_inv_hi),
         log_moment_lower=-log_inv_hi,
-        inv_lo=float(np.exp(log_inv_lo)),
-        inv_hi=float(np.exp(log_inv_hi)),
+        inv_lo=_exp(log_inv_lo),
+        inv_hi=_exp(log_inv_hi),
         c_used=c_used,
         c_prime=max(1.0, 2.0 * c_used),
-        c_prime_empirical=float(np.exp(log_surv + log_inv_hi)),
+        c_prime_empirical=_exp(log_surv + log_inv_hi),
         holds=holds,
     )
 
@@ -576,22 +559,23 @@ def envelope_ratios(
     if not (0.0 < rho <= sigma < sigma + eps < 1.0):
         raise PreconditionError("need 0 < rho <= sigma < sigma + eps < 1")
     se = sigma + eps
-    log_mean = moments(env, n).log_mean
-    log_surv = absorption_profile(env, n).log_survival
-    at_rho = mu_profile(env, n, rho)
-    at_se = mu_profile(env, n, se)
+    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
+    lad = _ladder(env, t, at=(rho, se))
+    log_mean = float(lad.log_ladder[-1])
+    mu_rho, nu_rho = _mu_at(lad.at[0])
+    mu_se, nu_se = _mu_at(lad.at[1])
     return EnvelopeRatios(
         n=n,
         rho=rho,
         sigma_eps=se,
-        mean_over_mu_rho=float(np.exp(log_mean - at_rho.log_mu_at_s)),
-        log_mean_over_mu_rho=log_mean - at_rho.log_mu_at_s,
-        surv_nu_rho=float(np.exp(log_surv + at_rho.log_nu_at_s)),
-        log_surv_nu_rho=log_surv + at_rho.log_nu_at_s,
-        mean_over_mu_sigma_eps=float(np.exp(log_mean - at_se.log_mu_at_s)),
-        log_mean_over_mu_sigma_eps=log_mean - at_se.log_mu_at_s,
-        surv_nu_sigma_eps=float(np.exp(log_surv + at_se.log_nu_at_s)),
-        log_surv_nu_sigma_eps=log_surv + at_se.log_nu_at_s,
+        mean_over_mu_rho=_exp(log_mean - mu_rho),
+        log_mean_over_mu_rho=log_mean - mu_rho,
+        surv_nu_rho=_exp(log_surv + nu_rho),
+        log_surv_nu_rho=log_surv + nu_rho,
+        mean_over_mu_sigma_eps=_exp(log_mean - mu_se),
+        log_mean_over_mu_sigma_eps=log_mean - mu_se,
+        surv_nu_sigma_eps=_exp(log_surv + nu_se),
+        log_surv_nu_sigma_eps=log_surv + nu_se,
     )
 
 
@@ -609,8 +593,8 @@ class GrowthRates:
 def growth_rate(env: Environment, n: int) -> GrowthRates:
     if n < 1:
         raise PreconditionError("need n >= 1")
-    log_mean = moments(env, n).log_mean
-    log_surv = absorption_profile(env, n).log_survival
+    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
+    log_mean = float(_ladder(env, t).log_ladder[-1])
     return GrowthRates(
         n=n,
         mean_rate=log_mean / n,
@@ -667,50 +651,31 @@ def late_extinction_bounds(
         raise PreconditionError("need sigma in (0,1)")
     if n < 1:
         raise PreconditionError("need n >= 1")
+    big = max(2 * n, 64) if proxy_horizon is None else proxy_horizon
+    _check_upper(env, sigma, 0, big)
+    pts = composed_points(env, 0, big, 0.0)
     if proxy_horizon is None:
-        big = max(2 * n, 64)
-        prev = composed_points(env, 0, big, 0.0)[: n + 1]
         for _ in range(24):
+            _check_upper(env, sigma, big, 2 * big)
             big *= 2
-            cur = composed_points(env, 0, big, 0.0)[: n + 1]
-            if float(np.max(np.abs(cur - prev))) < cauchy_tol:
+            prev, pts = pts, composed_points(env, 0, big, 0.0)
+            if float(np.max(np.abs(pts[: n + 1] - prev[: n + 1]))) < cauchy_tol:
                 break
-            prev = cur
         else:
             raise BudgetError("extinction probabilities did not settle")
-    else:
-        big = proxy_horizon
-    for i in range(1, big + 1):
-        if env.law(i).pgf(sigma) > sigma + 1e-12:
-            raise PreconditionError(f"f(sigma) > sigma at generation {i}")
+    q = pts[: n + 1].copy()  # q[l] ~ f_{l,big}(0)
 
-    q = composed_points(env, 0, big, 0.0)[: n + 1]  # q[l] ~ f_{l,big}(0)
     t_sig = composed_points(env, 0, n, sigma)
-
-    log_up = math.log(sigma)
-    log_low = _log(1.0 - sigma)
-    for i in range(1, n + 1):
-        law = env.law(i)
-        log_up += _log(law.pgf(sigma, 1))
-        log_low += _log(law.pgf(t_sig[i], 1))
+    lad = _ladder(env, t_sig, log0=_log(1.0 - sigma), at=(sigma,))
+    log_up = float(_running(lad.at[0], math.log(sigma))[-1])
+    log_low = float(lad.log_ladder[-1])
 
     # exact tails at the proxy horizon, gap carried multiplicatively
-    x = compose_eval(env, n, big, 0.0)  # f_{n,big}(0)
     y = compose_eval(env, n, big, 1.0)
-    log_ext = _log(x)
-    log_kill = _log(1.0 - y)
-    a, b = x, 0.0
-    c, d = 1.0, y
-    for i in range(n, 0, -1):
-        law = env.law(i)
-        log_ext += _log(law.divided_difference(a, b))
-        log_kill += _log(law.divided_difference(c, d))
-        a, b = law.pgf(a), law.pgf(b)
-        c, d = law.pgf(c), law.pgf(d)
-    exact_ext = float(np.exp(log_ext))
-    exact_kill = float(np.exp(log_kill))
-    upper = float(np.exp(log_up))
-    lower = float(np.exp(log_low))
+    x = float(pts[n])  # f_{n,big}(0)
+    log_ext = _gap_sweep(env, 0, n, x, 0.0)[2]
+    log_kill = _gap_sweep(env, 0, n, 1.0, y)[2]
+    exact_ext, exact_kill, upper, lower = map(_exp, (log_ext, log_kill, log_up, log_low))
     return LateExtinctionBounds(
         sigma=sigma,
         n=n,
@@ -805,12 +770,8 @@ def conditioned_mean_bound(
     )
 
 
-def _log(x: float) -> float:
-    return math.log(x) if x > 0.0 else -math.inf
-
-
-def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v)) if v.size else -math.inf
-    if not math.isfinite(m):
-        return m
-    return m + math.log(float(np.sum(np.exp(v - m))))
+def _check_upper(env: Environment, sigma: float, k: int, n: int) -> None:
+    """Raise unless f_i(sigma) <= sigma for generations k < i <= n."""
+    for i in range(k + 1, n + 1):
+        if env.law(i).pgf(sigma) > sigma + 1e-12:
+            raise PreconditionError(f"f(sigma) > sigma at generation {i}")

@@ -494,7 +494,7 @@ def _run(cfg: dict, command: str, out_dir: str, workers: int) -> int:
     return 0
 
 
-def _fail(code: int, kind: str, exc: Exception) -> int:
+def _fail(code: int, kind: str, exc: Exception | str) -> int:
     err = {"error": kind, "message": str(exc)}
     if isinstance(exc, ConfigError) and exc.pointer:
         err["pointer"] = exc.pointer
@@ -545,6 +545,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(3, "precondition", exc)
     except BudgetError as exc:
         return _fail(4, "budget", exc)
+    except Exception as exc:
+        return _fail(1, "internal", f"{type(exc).__name__}: {exc}")
 
 
 if __name__ == "__main__":

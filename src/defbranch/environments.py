@@ -11,12 +11,17 @@ containers (constant, explicit prefix, named families), composition of
 values and first two derivatives, mean-product profiles in linear and
 log scale, and exact truncated population distributions obtained by
 composing power-series coefficients.
+
+Exact readers rest on two private passes, the backward gap sweep
+``_gap_sweep`` and the forward ladder ``_ladder`` over its points; each
+reader makes at most one of each per horizon and never re-sweeps.  Logs
+turn linear only through ``_exp``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +29,6 @@ from .laws import (
     BudgetError,
     FiniteSupport,
     InvalidLawError,
-    LinearFractional,
     OffspringLaw,
     PreconditionError,
     law_from_dict,
@@ -276,13 +280,31 @@ def composed_points(env: Environment, k: int, n: int, s) -> np.ndarray:
     the returned array holds t_{k+j}; in particular out[0] = f_{k,n}(s)
     and out[-1] = s.  Vectorized over s.
     """
+    return _gap_sweep(env, k, n, s)[0]
+
+
+def _gap_sweep(env: Environment, k: int, n: int, hi, lo: float | None = None):
+    """The backward gap sweep: (his, los, log_gap) with his[j] = f_{k+j,n}(hi),
+    los[j] = f_{k+j,n}(lo) and log_gap = log(hi - lo) plus one log divided
+    difference per step, i.e. log(f_{k,n}(hi) - f_{k,n}(lo)) without
+    cancellation.  Without lo (hi may then be an array) only the points
+    of hi are formed, and los and log_gap are None."""
     _check_window(k, n)
-    s_ = np.asarray(s, dtype=float)
-    out = np.empty((n - k + 1,) + s_.shape)
-    out[n - k] = s_
-    for i in range(n, k, -1):
-        out[i - k - 1] = env.law(i).pgf(out[i - k])
-    return out
+    h = np.asarray(hi, dtype=float)
+    his = np.empty((n - k + 1,) + h.shape)
+    his[-1] = h
+    los = log_gap = None
+    if lo is not None:
+        los = np.empty(n - k + 1)
+        los[-1] = l = lo
+        log_gap = _log(hi - lo)
+    for j in range(n - k - 1, -1, -1):
+        law = env.law(k + j + 1)
+        if los is not None:
+            log_gap += _log(law.divided_difference(h, l))
+            los[j] = l = law.pgf(l)
+        his[j] = h = law.pgf(h)
+    return his, los, log_gap
 
 
 def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
@@ -341,15 +363,15 @@ class MuProfile:
 
     @property
     def mu(self) -> float:
-        return float(np.exp(self.log_mu))
+        return _exp(self.log_mu)
 
     @property
     def mu_at_s(self) -> float:
-        return float(np.exp(self.log_mu_at_s))
+        return _exp(self.log_mu_at_s)
 
     @property
     def nu_at_s(self) -> float:
-        return float(np.exp(self.log_nu_at_s))
+        return _exp(self.log_nu_at_s)
 
     @property
     def mean(self) -> float:
@@ -364,30 +386,58 @@ def mu_profile(env: Environment, n: int, s: float = 1.0) -> MuProfile:
     exposed as exp of those sums so that overflow degrades to inf
     rather than corrupting neighbours.
     """
-    _check_window(0, n)
-    t = composed_points(env, 0, n, 1.0)  # t[i] = f_{i,n}(1)
-    log_mu = 0.0
-    log_mu_s = 0.0
-    neg_logs = np.empty(n)  # -log mu_i(s), feeding nu
-    log_ladder = np.empty(n + 1)
-    log_ladder[0] = 0.0
-    with np.errstate(divide="ignore"):
-        for i in range(1, n + 1):
-            law = env.law(i)
-            log_mu += _log(law.mean)
-            log_mu_s += _log(law.pgf(s, 1))
-            neg_logs[i - 1] = -log_mu_s
-            log_ladder[i] = log_ladder[i - 1] + _log(law.pgf(t[i], 1))
-    log_nu = _logsumexp(neg_logs) if n else -math.inf
+    lad = _ladder(env, composed_points(env, 0, n, 1.0), at=(1.0, s))
+    log_mu_s, log_nu = _mu_at(lad.at[1])
     return MuProfile(
         n=n,
         s=float(s),
-        log_mu=log_mu,
+        log_mu=_mu_at(lad.at[0])[0],
         log_mu_at_s=log_mu_s,
         log_nu_at_s=log_nu,
-        ladder=np.exp(log_ladder),
-        log_ladder=log_ladder,
+        ladder=_exp(lad.log_ladder),
+        log_ladder=lad.log_ladder,
     )
+
+
+class _Ladder(NamedTuple):
+    log_ladder: np.ndarray  # log0 + running sums of log f_j'(t_j), j = 0..n
+    log_var: np.ndarray  # log f_j''(t_j) - log f_j'(t_j) - log_ladder[j], j = 1..n
+    at: tuple[np.ndarray, ...]  # per fixed s: log f_j'(s), j = 1..n
+    c12: float  # max(0, max_j c12 of f_j)
+
+
+def _ladder(env: Environment, t: np.ndarray, *, log0: float = 0.0, second: bool = False,
+            at: Sequence[float] = (), regularity: bool = False) -> _Ladder:
+    """The forward ladder over the points t[j] = f_{j,n}(x) of a backward
+    sweep, j = 1..n in generation order.  Per generation: one law lookup
+    and one pgf call, one more with ``second`` (else log_var is empty),
+    one per entry of ``at`` and, with ``regularity``, one regularity
+    report (else c12 is 0)."""
+    n = t.shape[0] - 1
+    d1, d2 = np.empty(n), np.empty(n if second else 0)
+    ats, c12 = np.empty((len(at), n)), 0.0
+    for j in range(1, n + 1):
+        law = env.law(j)
+        d1[j - 1] = _log(law.pgf(t[j], 1))
+        if second:
+            d2[j - 1] = _log(law.pgf(t[j], 2))
+        for m, s in enumerate(at):
+            ats[m, j - 1] = _log(law.pgf(s, 1))
+        if regularity:
+            c12 = max(c12, law.regularity().c12)
+    log_ladder = _running(d1, log0)
+    return _Ladder(log_ladder, d2 - d1 - log_ladder[1:] if second else d2, tuple(ats), c12)
+
+
+def _running(terms: np.ndarray, log0: float = 0.0) -> np.ndarray:
+    """log0 followed by its running sums with ``terms``, in order."""
+    return np.cumsum(np.concatenate(([log0], terms)))
+
+
+def _mu_at(terms: np.ndarray) -> tuple[float, float]:
+    """(log mu_n(s), log nu_n(s)) from the terms log f_i'(s), i = 1..n."""
+    log_mu = _running(terms)
+    return float(log_mu[-1]), _logsumexp(-log_mu[1:])
 
 
 def _log(x: float) -> float:
@@ -395,10 +445,16 @@ def _log(x: float) -> float:
 
 
 def _logsumexp(v: np.ndarray) -> float:
-    m = float(np.max(v))
+    m = float(np.max(v)) if v.size else -math.inf
     if not math.isfinite(m):
         return m
     return m + math.log(float(np.sum(np.exp(v - m))))
+
+
+def _exp(x):
+    """Linear value of a log field; overflow goes quietly to inf."""
+    with np.errstate(over="ignore"):
+        return np.exp(x) if np.ndim(x) else float(np.exp(x))
 
 
 @dataclass(frozen=True)

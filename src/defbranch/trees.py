@@ -22,16 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .analysis import absorption_profile
-from .environments import Environment, compose_eval, composed_points
+from .environments import Environment, _exp, _gap_sweep, compose_eval
 from .laws import (
     BudgetError,
     DELTA,
-    FiniteSupport,
     LinearFractional,
     PreconditionError,
 )
@@ -342,8 +341,11 @@ def spine_dist(env: Environment, l: int, n: int) -> SpineDist:
     """Exact (D, C) distribution at spine level l for horizon n."""
     if not 1 <= l <= n:
         raise PreconditionError("need 1 <= l <= n")
-    f0 = compose_eval(env, l, n, 0.0)
-    f1 = compose_eval(env, l, n, 1.0)
+    return _spine_dist(env, l, n, compose_eval(env, l, n, 0.0), compose_eval(env, l, n, 1.0))
+
+
+def _spine_dist(env: Environment, l: int, n: int, f0: float, f1: float) -> SpineDist:
+    """spine_dist at level l from f0 = f_{l,n}(0) and f1 = f_{l,n}(1)."""
     law = env.law(l)
     dd = law.divided_difference(f1, f0)
     if dd <= 0.0:
@@ -397,15 +399,16 @@ class ConditionedSampler:
             raise PreconditionError("need n >= 1")
         if extra_depth < 0:
             raise PreconditionError("extra_depth must be >= 0")
-        if absorption_profile(env, n).survival <= 0.0:
+        # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
+        self._live_p, self._die_p, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
+        if _exp(log_surv) <= 0.0:
             raise PreconditionError("survival probability vanishes at this horizon")
         self.env = env
         self.n = n
         self.extra_depth = extra_depth
         self.budget_factor = float(budget_factor)
-        self._spines = [spine_dist(env, l, n) for l in range(1, n + 1)]
-        self._die_p = composed_points(env, 0, n, 0.0)  # f_{l,n}(0)
-        self._live_p = composed_points(env, 0, n, 1.0)  # f_{l,n}(1)
+        die, live = self._die_p.tolist(), self._live_p.tolist()
+        self._spines = [_spine_dist(env, l, n, die[l], live[l]) for l in range(1, n + 1)]
         self._shifted = [env.shift(l) for l in range(n + 1)]
 
     def sample(self, rng: np.random.Generator) -> tuple[DefectiveTree, SpineRecord]:

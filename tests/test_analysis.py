@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +119,18 @@ class TestMoments:
         m = moments(env_b, 7)
         assert m.mean == pytest.approx(math.exp(m.log_mean), rel=1e-14)
         assert m.second == pytest.approx(math.exp(m.log_second), rel=1e-13)
+
+    def test_linear_overflow_is_quiet(self, env_a):
+        # linear fields overflow to inf without a warning; the log fields
+        # carry the values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = moments(NamedFamily("example-2b"), 2000)
+            sb = survival_bounds(env_a, 2000)
+            env = envelope_ratios(env_a, THETA_A, THETA_A, 0.05, 2000)
+        assert m.mean == math.inf and math.isfinite(m.log_mean)
+        assert sb.inv_hi == math.inf and math.isfinite(sb.log_moment_lower)
+        assert math.isfinite(env.log_surv_nu_sigma_eps)
 
 
 class TestSurvivalBounds:
@@ -312,6 +326,15 @@ class TestLateExtinction:
     def test_rejects_non_invariant_sigma(self, env_a):
         with pytest.raises(PreconditionError, match="sigma"):
             late_extinction_bounds(env_a, 0.3, 4)  # f(0.3) = 0.4905 > 0.3
+
+    def test_invariance_checked_before_proxy_search(self):
+        # f(0.99) = 0.990025 > 0.99 fails at generation 1; the proxy search
+        # for this critical law would never settle
+        env = Constant(FiniteSupport([0.25, 0.5, 0.25]))
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="generation 1$"):
+            late_extinction_bounds(env, 0.99, 5)
+        assert time.perf_counter() - start < 1.0
 
     def test_explicit_proxy_horizon(self, env_a):
         le = late_extinction_bounds(env_a, THETA_A, 4, proxy_horizon=300)

@@ -99,6 +99,18 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert "degree" in err["message"]
 
+    def test_unexpected_error_is_one_json_line(self, tmp_path, capsys):
+        path, _ = write_cfg(tmp_path, "moments", {"n": "abc"})  # int("abc") fails
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": "internal",
+            "message": "ValueError: invalid literal for int() with base 10: 'abc'",
+        }
+
 
 class TestArtifacts:
     def test_rows_become_csv(self, tmp_path, capsys):
