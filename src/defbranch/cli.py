@@ -7,6 +7,12 @@ the config; every command is also exposed as its own subcommand, which
 overrides the config's command field.  ``defbranch validate`` checks a
 config (schema plus law semantics) without running anything.
 
+Commands are declared in one place, the ``_REGISTRY`` table: each entry
+gives the command's module tag, its output kind and its handler.  The
+subcommands, the artifacts' ``module`` field and the schema's
+``command`` enum are derived from that table; the schema's named-family
+``id`` enum comes from the family table in ``environments``.
+
 Exit codes: 0 success, 2 config/schema/law violations, 3 domain
 precondition failures, 4 budget exhaustion, 1 anything unexpected.
 Errors go to stderr as one JSON object.
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -30,7 +37,7 @@ import platform
 import sys
 from datetime import datetime, timezone
 from importlib import resources
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import jsonschema
 import numpy as np
@@ -45,8 +52,14 @@ from .analysis import (
     moments,
     survival_bounds,
 )
-from .environments import Environment, compose_coeffs, compose_eval, environment_from_dict
-from .laws import BudgetError, InvalidLawError, PreconditionError
+from .environments import (
+    _FAMILIES,
+    Environment,
+    compose_coeffs,
+    compose_eval,
+    environment_from_dict,
+)
+from .laws import BudgetError, InvalidLawError, PreconditionError, _plain
 from .simulate import mode_agreement, monte_carlo
 from .trees import (
     ConditionedSampler,
@@ -55,36 +68,6 @@ from .trees import (
     tree_stats,
     validate_prop4,
 )
-
-COMMANDS = (
-    "pgf",
-    "dist",
-    "moments",
-    "absorption",
-    "bounds",
-    "check",
-    "rates",
-    "simulate",
-    "agree",
-    "tree-sample",
-    "tree-validate",
-    "cond-mean",
-)
-
-_MODULE = {
-    "pgf": "environments",
-    "dist": "environments",
-    "moments": "analysis",
-    "absorption": "analysis",
-    "bounds": "analysis",
-    "check": "analysis",
-    "rates": "analysis",
-    "cond-mean": "analysis",
-    "simulate": "simulate",
-    "agree": "simulate",
-    "tree-sample": "trees",
-    "tree-validate": "trees",
-}
 
 
 class ConfigError(ValueError):
@@ -95,9 +78,13 @@ class ConfigError(ValueError):
         self.pointer = pointer
 
 
-def _schema() -> dict:
+@functools.cache
+def _validator() -> jsonschema.Draft202012Validator:
     text = resources.files("defbranch").joinpath("data/config.schema.json").read_text()
-    return json.loads(text)
+    schema = json.loads(text)
+    schema["properties"]["command"]["enum"] = list(_REGISTRY)
+    schema["$defs"]["family"]["enum"] = list(_FAMILIES)
+    return jsonschema.Draft202012Validator(schema)
 
 
 def load_config(path: str) -> dict:
@@ -109,8 +96,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.absolute_path))
+    errors = sorted(_validator().iter_errors(cfg), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
@@ -130,15 +116,18 @@ def _as_list(x) -> list:
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
-# each handler returns (payload, kind); kind "rows" may be written as CSV
-Handler = Callable[[Environment, dict, int, int], tuple[Any, str]]
+Handler = Callable[[Environment, dict, int, int], Any]
+
+
+def _pick(result, columns: tuple[str, ...]) -> dict:
+    return {c: getattr(result, c) for c in columns}
 
 
 def _cmd_pgf(env, params, seed, workers):
     n = int(_need(params, "n"))
     k = int(params.get("k", 0))
     order = int(params.get("order", 0))
-    rows = [
+    return [
         {
             "k": k,
             "n": n,
@@ -148,7 +137,6 @@ def _cmd_pgf(env, params, seed, workers):
         }
         for s in _as_list(_need(params, "s"))
     ]
-    return rows, "rows"
 
 
 def _cmd_dist(env, params, seed, workers):
@@ -159,75 +147,38 @@ def _cmd_dist(env, params, seed, workers):
         kwargs["rel_tail"] = float(params["rel_tail"])
     if "budget" in params:
         kwargs["budget"] = int(params["budget"])
-    dv = compose_coeffs(env, n, degree, **kwargs)
-    return (
-        {
-            "horizon": dv.horizon,
-            "degree": dv.degree,
-            "probs": [float(p) for p in dv.probs],
-            "delta_mass": dv.delta_mass,
-            "tail_mass": dv.tail_mass,
-            "dropped": dv.dropped,
-        },
-        "json",
-    )
+    return _plain(compose_coeffs(env, n, degree, **kwargs))
+
+
+_MOMENT_COLUMNS = ("n", "mean", "ratio", "second", "log_mean", "log_ratio", "log_second")
 
 
 def _cmd_moments(env, params, seed, workers):
-    rows = []
-    for n in _as_list(_need(params, "n")):
-        m = moments(env, int(n))
-        rows.append(
-            {
-                "n": m.n,
-                "mean": m.mean,
-                "ratio": m.ratio,
-                "second": m.second,
-                "log_mean": m.log_mean,
-                "log_ratio": m.log_ratio,
-                "log_second": m.log_second,
-            }
-        )
-    return rows, "rows"
+    return [
+        _pick(moments(env, int(n)), _MOMENT_COLUMNS) for n in _as_list(_need(params, "n"))
+    ]
 
 
 def _cmd_absorption(env, params, seed, workers):
+    # the columns are AbsorptionScan's fields, in their declared order
     n = int(_need(params, "n"))
-    scan = absorption_scan(env, n)
-    rows = [
-        {
-            "n": i,
-            "p_extinct": float(scan.p_extinct[i]),
-            "p_killed": float(scan.p_killed[i]),
-            "survival": float(scan.survival[i]),
-            "log_survival": float(scan.log_survival[i]),
-        }
-        for i in range(n + 1)
-    ]
-    return rows, "rows"
+    scan = _plain(absorption_scan(env, n))
+    scan["n"] = range(n + 1)
+    return [dict(zip(scan, row)) for row in zip(*scan.values())]
+
+
+_BOUND_COLUMNS = (
+    "n", "survival", "log_survival", "moment_lower", "inf_mean_product", "inv_lo",
+    "inv_hi", "c_used", "c_prime", "c_prime_empirical", "holds",
+)
 
 
 def _cmd_bounds(env, params, seed, workers):
     c = params.get("c")
-    rows = []
-    for n in _as_list(_need(params, "n")):
-        b = survival_bounds(env, int(n), None if c is None else float(c))
-        rows.append(
-            {
-                "n": b.n,
-                "survival": b.survival,
-                "log_survival": b.log_survival,
-                "moment_lower": b.moment_lower,
-                "inf_mean_product": b.inf_mean_product,
-                "inv_lo": b.inv_lo,
-                "inv_hi": b.inv_hi,
-                "c_used": b.c_used,
-                "c_prime": b.c_prime,
-                "c_prime_empirical": b.c_prime_empirical,
-                "holds": b.holds,
-            }
-        )
-    return rows, "rows"
+    return [
+        _pick(survival_bounds(env, int(n), None if c is None else float(c)), _BOUND_COLUMNS)
+        for n in _as_list(_need(params, "n"))
+    ]
 
 
 def _cmd_check(env, params, seed, workers):
@@ -235,54 +186,29 @@ def _cmd_check(env, params, seed, workers):
     if "horizons" in params:
         kwargs["horizons"] = [int(h) for h in params["horizons"]]
     verdicts = criteria_verdicts(env, **kwargs)
-    return (
-        {
-            "horizons": list(verdicts[0].horizons),
-            "criteria": [
-                {
-                    "criterion": v.criterion,
-                    "verdict": v.verdict,
-                    "analytic": v.analytic,
-                    "slope": v.slope,
-                    "partials": list(v.partials),
-                }
-                for v in verdicts
-            ],
-        },
-        "json",
-    )
+    return {
+        "horizons": _plain(verdicts[0].horizons),
+        "criteria": [_plain(v, skip=("horizons",)) for v in verdicts],
+    }
+
+
+_RATE_COLUMNS = ("n", "mean_rate", "survival_rate", "log_mean", "log_survival")
+_ENVELOPE_COLUMNS = (
+    "mean_over_mu_rho", "surv_nu_rho", "mean_over_mu_sigma_eps", "surv_nu_sigma_eps",
+)
 
 
 def _cmd_rates(env, params, seed, workers):
     bracket = all(k in params for k in ("rho", "sigma", "eps"))
     rows = []
     for n in _as_list(_need(params, "n")):
-        g = growth_rate(env, int(n))
-        row = {
-            "n": g.n,
-            "mean_rate": g.mean_rate,
-            "survival_rate": g.survival_rate,
-            "log_mean": g.log_mean,
-            "log_survival": g.log_survival,
-        }
+        row = _pick(growth_rate(env, int(n)), _RATE_COLUMNS)
         if bracket:
-            e = envelope_ratios(
-                env,
-                float(params["rho"]),
-                float(params["sigma"]),
-                float(params["eps"]),
-                int(n),
-            )
-            row.update(
-                {
-                    "mean_over_mu_rho": e.mean_over_mu_rho,
-                    "surv_nu_rho": e.surv_nu_rho,
-                    "mean_over_mu_sigma_eps": e.mean_over_mu_sigma_eps,
-                    "surv_nu_sigma_eps": e.surv_nu_sigma_eps,
-                }
-            )
+            rho, sigma, eps = (float(params[k]) for k in ("rho", "sigma", "eps"))
+            e = envelope_ratios(env, rho, sigma, eps, int(n))
+            row.update(_pick(e, _ENVELOPE_COLUMNS))
         rows.append(row)
-    return rows, "rows"
+    return rows
 
 
 def _cmd_simulate(env, params, seed, workers):
@@ -297,22 +223,19 @@ def _cmd_simulate(env, params, seed, workers):
         snapshot_times=params.get("snapshots", ()),
     )
     out = summary.to_dict()
-    out["snapshots"] = {
-        str(t): [int(x) for x in arr] for t, arr in summary.snapshots.items()
-    }
-    return out, "json"
+    out["snapshots"] = {str(t): _plain(arr) for t, arr in summary.snapshots.items()}
+    return out
 
 
 def _cmd_agree(env, params, seed, workers):
-    rep = mode_agreement(
+    return mode_agreement(
         env,
         int(_need(params, "horizon")),
         int(_need(params, "reps")),
         seed,
         cap=int(params.get("cap", 10**7)),
         workers=workers,
-    )
-    return rep.to_dict(), "json"
+    ).to_dict()
 
 
 def _tree_rng(seed: int, stream: int) -> np.random.Generator:
@@ -331,7 +254,7 @@ def _cmd_tree_sample(env, params, seed, workers):
         for _ in range(count):
             t, s = cs.sample(rng)
             trees.append(t)
-            spines.append({"d": list(s.d), "c": list(s.c)})
+            spines.append(_plain(s, skip=("labels",)))
     elif sampler == "rejection":
         rng = _tree_rng(seed, 12)
         for _ in range(count):
@@ -342,86 +265,68 @@ def _cmd_tree_sample(env, params, seed, workers):
             trees.append(sample_dbtve(env, rng, depth_cap=n + extra))
     else:
         raise PreconditionError(f"unknown sampler {sampler!r}")
-    stats = [tree_stats(t, n) for t in trees]
     payload = {
         "n": n,
         "sampler": sampler,
         "trees": [t.serialize() for t in trees],
-        "stats": [
-            {
-                "height": s.height,
-                "gen_sizes": list(s.gen_sizes),
-                "rank": s.rank,
-            }
-            for s in stats
-        ],
+        "stats": [_plain(tree_stats(t, n), skip=("n",)) for t in trees],
     }
     if spines:
         payload["spines"] = spines
-    return payload, "json"
+    return payload
 
 
 def _cmd_tree_validate(env, params, seed, workers):
-    rep = validate_prop4(
-        env,
-        int(_need(params, "n")),
-        samples=int(params.get("samples", 10**5)),
-        master_seed=seed,
-        max_count=params.get("max_count"),
-        budget=int(params.get("budget", 10**6)),
-        tol_floor=float(params.get("tol_floor", 0.01)),
+    return _plain(
+        validate_prop4(
+            env,
+            int(_need(params, "n")),
+            samples=int(params.get("samples", 10**5)),
+            master_seed=seed,
+            max_count=params.get("max_count"),
+            budget=int(params.get("budget", 10**6)),
+            tol_floor=float(params.get("tol_floor", 0.01)),
+        )
     )
-    return (
-        {
-            "n": rep.n,
-            "samples": rep.samples,
-            "atom_count": rep.atom_count,
-            "threshold": rep.threshold,
-            "tv_construction_exact": rep.tv_construction_exact,
-            "tv_rejection_exact": rep.tv_rejection_exact,
-            "tv_construction_rejection": rep.tv_construction_rejection,
-            "exact_survival": rep.exact_survival,
-            "complete_enumeration": rep.complete_enumeration,
-            "passed": rep.passed,
-        },
-        "json",
-    )
+
+
+_COND_MEAN_COLUMNS = (
+    "n", "exact", "bound", "alpha", "beta", "c", "degree_used", "cond_tail", "holds",
+)
 
 
 def _cmd_cond_mean(env, params, seed, workers):
     degree = params.get("degree")
-    rows = []
-    for n in _as_list(_need(params, "n")):
-        r = conditioned_mean_bound(env, int(n), None if degree is None else int(degree))
-        rows.append(
-            {
-                "n": r.n,
-                "exact": r.exact,
-                "bound": r.bound,
-                "alpha": r.alpha,
-                "beta": r.beta,
-                "c": r.c,
-                "degree_used": r.degree_used,
-                "cond_tail": r.cond_tail,
-                "holds": r.holds,
-            }
+    return [
+        _pick(
+            conditioned_mean_bound(env, int(n), None if degree is None else int(degree)),
+            _COND_MEAN_COLUMNS,
         )
-    return rows, "rows"
+        for n in _as_list(_need(params, "n"))
+    ]
 
 
-_HANDLERS: dict[str, Handler] = {
-    "pgf": _cmd_pgf,
-    "dist": _cmd_dist,
-    "moments": _cmd_moments,
-    "absorption": _cmd_absorption,
-    "bounds": _cmd_bounds,
-    "check": _cmd_check,
-    "rates": _cmd_rates,
-    "simulate": _cmd_simulate,
-    "agree": _cmd_agree,
-    "tree-sample": _cmd_tree_sample,
-    "tree-validate": _cmd_tree_validate,
-    "cond-mean": _cmd_cond_mean,
+class _Command(NamedTuple):
+    module: str  # the artifact's "module" field
+    kind: str  # "rows" (written as CSV unless the config asks for JSON) or "json"
+    handler: Handler  # (env, params, seed, workers) -> payload
+
+
+# Handlers look the library functions up in this module's globals at call
+# time, so rebinding those names (as a tracer does) reaches every command.
+_REGISTRY: dict[str, _Command] = {
+    "pgf": _Command("environments", "rows", _cmd_pgf),
+    "dist": _Command("environments", "json", _cmd_dist),
+    "moments": _Command("analysis", "rows", _cmd_moments),
+    "absorption": _Command("analysis", "rows", _cmd_absorption),
+    "bounds": _Command("analysis", "rows", _cmd_bounds),
+    "check": _Command("analysis", "json", _cmd_check),
+    "rates": _Command("analysis", "rows", _cmd_rates),
+    "simulate": _Command("simulate", "json", _cmd_simulate),
+    "agree": _Command("simulate", "json", _cmd_agree),
+    "tree-sample": _Command("trees", "json", _cmd_tree_sample),
+    "tree-validate": _Command("trees", "json", _cmd_tree_validate),
+    "cond-mean": _Command("analysis", "rows", _cmd_cond_mean),
 }
 
 
@@ -443,7 +348,7 @@ def _write_rows_csv(path: str, command: str, rows: list[dict]) -> None:
     writer.writeheader()
     for row in rows:
         writer.writerow(
-            {"module": _MODULE[command], "operation": command, **row}
+            {"module": _REGISTRY[command].module, "operation": command, **row}
         )
     _atomic_write(path, buf.getvalue())
 
@@ -456,17 +361,18 @@ def _run(cfg: dict, command: str, out_dir: str, workers: int) -> int:
     env = environment_from_dict(cfg["environment"])
     params = cfg.get("params", {})
     seed = int(cfg.get("master_seed", 0))
-    payload, kind = _HANDLERS[command](env, params, seed, workers)
+    cmd = _REGISTRY[command]
+    payload = cmd.handler(env, params, seed, workers)
     fmt = cfg.get("output", {}).get("format")
     os.makedirs(out_dir, exist_ok=True)
     artifacts = []
-    if kind == "rows" and fmt != "json":
+    if cmd.kind == "rows" and fmt != "json":
         name = f"{command}.csv"
         _write_rows_csv(os.path.join(out_dir, name), command, payload)
     else:
         name = f"{command}.json"
         doc = {
-            "module": _MODULE[command],
+            "module": cmd.module,
             "operation": command,
             "environment": cfg["environment"],
             "params": params,
@@ -502,7 +408,8 @@ def _fail(code: int, kind: str, exc: Exception | str) -> int:
     return code
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defbranch",
         description="branching populations with a graveyard state",
@@ -512,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     p_val = sub.add_parser("validate", help="validate a config file and exit")
     p_val.add_argument("config")
 
-    for name in ("run",) + COMMANDS:
+    for name in ("run", *_REGISTRY):
         p = sub.add_parser(
             name,
             help="execute the command named in the config"
@@ -522,8 +429,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--workers", type=int, default=None, help="worker threads")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.subcommand == "validate":

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -125,33 +125,78 @@ _META_SINGLE_CHILD = {
     "tail_ratio_sup": "converges",
 }
 
-_NAMED_META: dict[str, dict[str, str]] = {
-    "example-1a": {
-        **_META_SINGLE_CHILD,
-        "one_child_gap": "diverges",
-        "mean_product_infimum": "diverges",
-        "defect_mean_series": "converges",
-    },
-    "example-1b": {
-        **_META_SINGLE_CHILD,
-        "one_child_gap": "converges",
-        "mean_product_infimum": "converges",
-        "defect_mean_series": "converges",
-    },
-    "example-2a": {
-        "one_child_gap": "diverges",
-        "mean_product_infimum": "converges",
-        "defect_mean_series": "diverges",
-        "var_mean_series": "converges",
-        "tail_ratio_sup": "converges",
-    },
-    "example-2b": {
-        "one_child_gap": "diverges",
-        "mean_product_infimum": "converges",
-        "defect_mean_series": "converges",
-        "var_mean_series": "converges",
-        "tail_ratio_sup": "converges",
-    },
+
+def _single_child(c: float) -> FiniteSupport:
+    return FiniteSupport([0.0, c])
+
+
+def _pure_arity(c: float, m: int) -> FiniteSupport:
+    w = np.zeros(m + 1)
+    w[m] = c
+    return FiniteSupport(w)
+
+
+def _power_defect(n: int, params: dict) -> FiniteSupport:
+    a = float(params["a"])
+    b = float(params["b"])
+    return _pure_arity(1.0 - a * float(n) ** (-b), int(params.get("arity", 1)))
+
+
+def _check_power_defect(params: dict) -> None:
+    a = float(params.get("a", 0.0))
+    b = float(params.get("b", 0.0))
+    m = int(params.get("arity", 1))
+    if not (0.0 < a < 1.0 and b > 0.0 and m >= 1):
+        raise InvalidLawError("power-defect needs 0 < a < 1, b > 0, arity >= 1")
+
+
+class _Family(NamedTuple):
+    law: Callable[[int, dict], OffspringLaw]  # (n, params) -> f_n
+    meta: dict[str, str]  # analytic series tags, see Environment.series_meta
+    check: Callable[[dict], None] = lambda params: None  # raises on bad params
+
+
+# The one list of named families (NamedFamily documents each law).
+_FAMILIES: dict[str, _Family] = {
+    "example-1a": _Family(
+        lambda n, _: _single_child(0.5 if n == 1 else 1.0 - 1.0 / n),
+        {
+            **_META_SINGLE_CHILD,
+            "one_child_gap": "diverges",
+            "mean_product_infimum": "diverges",
+            "defect_mean_series": "converges",
+        },
+    ),
+    "example-1b": _Family(
+        lambda n, _: _single_child(0.5 if n == 1 else 1.0 - 1.0 / n**2),
+        {
+            **_META_SINGLE_CHILD,
+            "one_child_gap": "converges",
+            "mean_product_infimum": "converges",
+            "defect_mean_series": "converges",
+        },
+    ),
+    "example-2a": _Family(
+        lambda n, _: _pure_arity(1.0 - 0.5**n / n, 2),
+        {
+            "one_child_gap": "diverges",
+            "mean_product_infimum": "converges",
+            "defect_mean_series": "diverges",
+            "var_mean_series": "converges",
+            "tail_ratio_sup": "converges",
+        },
+    ),
+    "example-2b": _Family(
+        lambda n, _: _pure_arity(1.0 - 0.5**n / n**2, 2),
+        {
+            "one_child_gap": "diverges",
+            "mean_product_infimum": "converges",
+            "defect_mean_series": "converges",
+            "var_mean_series": "converges",
+            "tail_ratio_sup": "converges",
+        },
+    ),
+    "power-defect": _Family(_power_defect, {}, _check_power_defect),
 }
 
 
@@ -172,54 +217,24 @@ class NamedFamily(Environment):
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in ("example-1a", "example-1b", "example-2a",
-                               "example-2b", "power-defect"):
+        if self.family not in _FAMILIES:
             raise InvalidLawError(f"unknown family {self.family!r}")
-        if self.family == "power-defect":
-            a = float(self.params.get("a", 0.0))
-            b = float(self.params.get("b", 0.0))
-            m = int(self.params.get("arity", 1))
-            if not (0.0 < a < 1.0 and b > 0.0 and m >= 1):
-                raise InvalidLawError("power-defect needs 0 < a < 1, b > 0, arity >= 1")
+        _FAMILIES[self.family].check(self.params)
 
     def law(self, n: int) -> OffspringLaw:
         if n < 1:
             raise ValueError("generation index starts at 1")
-        fam = self.family
-        if fam == "example-1a":
-            c = 0.5 if n == 1 else 1.0 - 1.0 / n
-            return _single_child(c)
-        if fam == "example-1b":
-            c = 0.5 if n == 1 else 1.0 - 1.0 / n**2
-            return _single_child(c)
-        if fam == "example-2a":
-            return _pure_arity(1.0 - 0.5**n / n, 2)
-        if fam == "example-2b":
-            return _pure_arity(1.0 - 0.5**n / n**2, 2)
-        a = float(self.params["a"])
-        b = float(self.params["b"])
-        m = int(self.params.get("arity", 1))
-        return _pure_arity(1.0 - a * float(n) ** (-b), m)
+        return _FAMILIES[self.family].law(n, self.params)
 
     @property
     def series_meta(self) -> dict[str, str]:
-        return dict(_NAMED_META.get(self.family, {}))
+        return dict(_FAMILIES[self.family].meta)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": "named", "id": self.family}
         if self.params:
             out["params"] = dict(self.params)
         return out
-
-
-def _single_child(c: float) -> FiniteSupport:
-    return FiniteSupport([0.0, c])
-
-
-def _pure_arity(c: float, m: int) -> FiniteSupport:
-    w = np.zeros(m + 1)
-    w[m] = c
-    return FiniteSupport(w)
 
 
 class _Shifted(Environment):

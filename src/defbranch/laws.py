@@ -15,7 +15,7 @@ are encoded by the integer sentinel ``DELTA``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from typing import Union
 
@@ -46,6 +46,22 @@ class BudgetError(RuntimeError):
 
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _plain(obj, skip: tuple[str, ...] = ()):
+    """A result in plain Python values, ready for ``json.dumps``: a
+    dataclass becomes a dict of its fields (less ``skip``), arrays and
+    tuples become lists, numpy scalars Python scalars."""
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)
+                if f.name not in skip}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [_plain(x) for x in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    return obj
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,14 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .environments import Environment, mu_profile
-from .laws import DELTA, FiniteSupport, LinearFractional, OffspringLaw, PreconditionError
+from .laws import (
+    DELTA,
+    FiniteSupport,
+    LinearFractional,
+    OffspringLaw,
+    PreconditionError,
+    _plain,
+)
 
 __all__ = [
     "BLOCK",
@@ -245,31 +252,7 @@ class McSummary:
     final_states: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "reps": self.reps,
-            "mode": self.mode,
-            "master_seed": self.master_seed,
-            "cap": self.cap,
-            "n_extinct": self.n_extinct,
-            "n_killed": self.n_killed,
-            "n_alive": self.n_alive,
-            "n_overflow": self.n_overflow,
-            "p_survival": self.p_survival,
-            "p_survival_se": self.p_survival_se,
-            "p_extinct": self.p_extinct,
-            "p_extinct_se": self.p_extinct_se,
-            "p_killed": self.p_killed,
-            "p_killed_se": self.p_killed_se,
-            "mean_alive": self.mean_alive,
-            "mean_alive_se": self.mean_alive_se,
-            "alive_hist": [int(x) for x in self.alive_hist],
-            "alive_hist_tail": self.alive_hist_tail,
-            "w_mean": self.w_mean,
-            "w_var": self.w_var,
-            "w_se": self.w_se,
-            "log_mu": self.log_mu,
-        }
+        return _plain(self, skip=("snapshots", "final_sizes", "final_states"))
 
 
 def monte_carlo(
@@ -341,7 +324,11 @@ def monte_carlo(
 
     log_mu = mu_profile(env, horizon).log_mu
     keep = state != _OVERFLOW
-    w = np.maximum(z[keep], 0).astype(np.float64) * np.exp(-log_mu)
+    w = np.maximum(z[keep], 0).astype(np.float64)
+    # dead paths keep W = 0 exactly, also where exp(-log_mu) overflows
+    pos = w > 0
+    if pos.any():
+        w[pos] *= np.exp(-log_mu)
     if w.size:
         w_mean = float(w.mean())
         w_var = float(w.var(ddof=1)) if w.size > 1 else 0.0
@@ -419,20 +406,7 @@ class AgreementReport:
     degenerate: bool
 
     def to_dict(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "bins": list(self.bins),
-            "counts_direct": [int(x) for x in self.counts_direct],
-            "counts_coupled": [int(x) for x in self.counts_coupled],
-            "tv": self.tv,
-            "threshold": self.threshold,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "passed": self.passed,
-            "degenerate": self.degenerate,
-        }
+        return _plain(self)
 
 
 def _bin_terminals(z: np.ndarray, state: np.ndarray) -> np.ndarray:

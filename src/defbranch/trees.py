@@ -736,6 +736,7 @@ def validate_prop4(
     if exact is not None:
         keys |= set(exact.atoms)
     b = len(keys)
+    keys = sorted(keys)  # a fixed summation order: set order follows the hash seed
     threshold = max(tol_floor, 3.0 * math.sqrt(b / samples))
 
     def tv(emp: dict[str, int], ref: Mapping[str, float]) -> float:

@@ -1,12 +1,15 @@
 """Command line driver: config validation, artifacts, exit codes."""
 from __future__ import annotations
 
+import argparse
 import csv
 import hashlib
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +76,25 @@ class TestValidate:
         assert main(["validate", str(path)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["pointer"] == "/command"
+
+
+class TestRegistry:
+    def test_derived_lists_agree(self, tmp_path, capsys):
+        from defbranch import cli
+        from defbranch.environments import _FAMILIES
+
+        names = list(cli._REGISTRY)
+        schema = cli._validator().schema
+        assert schema["properties"]["command"]["enum"] == names
+        sub = next(
+            a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        assert [c for c in sub.choices if c not in ("run", "validate")] == names
+        assert schema["$defs"]["family"]["enum"] == list(_FAMILIES)
+        for name in names:
+            path, _ = write_cfg(tmp_path, name, {})
+            assert main(["validate", str(path)]) == 0
+            assert json.loads(capsys.readouterr().out)["command"] == name
 
 
 class TestExitCodes:
@@ -182,6 +204,37 @@ class TestArtifacts:
             assert float(row["value"]) == pytest.approx(want, rel=1e-12)
 
 
+# the header line of each row command's CSV, as released
+HEADERS = [
+    ("pgf", {"n": 2, "s": [0.5]}, "k,n,s,order,value"),
+    ("moments", {"n": 2}, "n,mean,ratio,second,log_mean,log_ratio,log_second"),
+    ("absorption", {"n": 2}, "n,p_extinct,p_killed,survival,log_survival"),
+    (
+        "bounds",
+        {"n": 2},
+        "n,survival,log_survival,moment_lower,inf_mean_product,inv_lo,inv_hi,"
+        "c_used,c_prime,c_prime_empirical,holds",
+    ),
+    ("cond-mean", {"n": 2}, "n,exact,bound,alpha,beta,c,degree_used,cond_tail,holds"),
+    ("rates", {"n": 2}, "n,mean_rate,survival_rate,log_mean,log_survival"),
+    (
+        "rates",
+        {"n": 2, "rho": 0.6267890062732586, "sigma": 0.6267890062732586, "eps": 0.05},
+        "n,mean_rate,survival_rate,log_mean,log_survival,"
+        "mean_over_mu_rho,surv_nu_rho,mean_over_mu_sigma_eps,surv_nu_sigma_eps",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, params, header", HEADERS)
+def test_csv_header(tmp_path, command, params, header):
+    path, _ = write_cfg(tmp_path, command, params)
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    with open(out / f"{command}.csv", newline="") as fh:
+        assert fh.readline() == "module,operation," + header + "\n"
+
+
 class TestSimulationCommands:
     def test_simulate_deterministic_across_workers(self, tmp_path):
         path, _ = write_cfg(
@@ -279,9 +332,12 @@ class TestConsoleScript:
 
     def test_module_invocation(self, tmp_path):
         path, _ = write_cfg(tmp_path, "moments", {"n": [1]})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
         proc = subprocess.run(
             [sys.executable, "-m", "defbranch.cli", "validate", str(path)],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,15 @@ class TestNormalizedSizes:
         assert s.p_killed == 1.0  # conditional on not overflowing
         assert s.w_mean == 0.0
         assert s.n_overflow + s.n_killed == s.reps
+
+    def test_dead_paths_have_w_zero_past_exp_overflow(self, env_a):
+        # the mean product is below e^-709 here, so exp(-log_mu) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = monte_carlo(env_a, 7000, 4096, 1)
+        assert s.log_mu < -709
+        assert s.n_alive == 0
+        assert s.w_mean == s.w_var == s.w_se == 0.0
 
     def test_martingale_correlation_across_horizons(self):
         env = BinarySplitter()

@@ -2,6 +2,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,8 @@ from defbranch import (
     validate_prop4,
     validate_tree,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # root with three children; middle one childless; one grandchild brood
 # hits the graveyard, so the generation-3 row is the defect element
@@ -398,6 +404,28 @@ class TestProp4:
         assert rep.tv_construction_exact <= rep.threshold
         assert rep.tv_rejection_exact <= rep.threshold
         assert rep.tv_construction_rejection <= rep.threshold
+
+    def test_report_independent_of_hash_seed(self):
+        # prefix keys are strings, so any set iteration order follows the
+        # hash seed; the TV sums must not
+        code = (
+            "from defbranch import Constant, LinearFractional, validate_prop4\n"
+            "env = Constant(LinearFractional(0.1, 0.4, 0.5))\n"
+            "print(repr(validate_prop4(env, 1, samples=300, max_count=4)))\n"
+        )
+        path = os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])
+        reports = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert "Prop4Report" in reports[0]
+        assert reports[0] == reports[1]
 
     def test_exact_skipped_when_unavailable(self, env_b):
         rep = validate_prop4(env_b, 2, samples=1500, master_seed=6)
