@@ -37,12 +37,7 @@ from .environments import (
     compose_eval,
     composed_points,
 )
-from .laws import (
-    BudgetError,
-    FiniteSupport,
-    OffspringLaw,
-    PreconditionError,
-)
+from .laws import BudgetError, PreconditionError
 
 __all__ = [
     "AbsorptionProfile",
@@ -341,43 +336,43 @@ def criteria_verdicts(
     # term samples for the slope fit: log-spaced over the top two decades
     lo = max(2, int(n_max / 100))
     sample_at = np.unique(np.geomspace(lo, n_max, 61).astype(np.int64))
-    sample_set = set(int(x) for x in sample_at)
-    hset = set(hs)
+    at_h = np.array(sorted(set(hs))) - 1  # generation i sits at index i - 1
 
-    sums = {k: 0.0 for k in ("one_child_gap", "defect_mean_series", "var_mean_series")}
-    # term samples are kept in log scale so a diverging series cannot
-    # overflow before its slope is read off; sums saturate at inf instead
-    samples: dict[str, list[tuple[int, float]]] = {k: [] for k in CRITERIA}
-    partials: dict[str, list[float]] = {k: [] for k in CRITERIA}
-    log_mu = 0.0
-    log_inf_mu = math.inf
-    sup_c8 = 0.0
-    with np.errstate(over="ignore"):
-        for i in range(1, n_max + 1):
-            w1, defect, mean, second, c8 = _series_stats(env.law(i))
-            lg_gap = _log(1.0 - w1)
-            lg_defect = _log(defect) + log_mu  # log of defect_i * mu_{i-1}
-            log_mu += _log(mean)
-            log_inf_mu = min(log_inf_mu, log_mu)
-            lg_var = _log(second) - _log(mean) - log_mu
-            sup_c8 = max(sup_c8, c8)
-            sums["one_child_gap"] += float(np.exp(lg_gap))
-            sums["defect_mean_series"] += float(np.exp(lg_defect))
-            sums["var_mean_series"] += float(np.exp(lg_var))
-            if i in sample_set:
-                samples["one_child_gap"].append((i, lg_gap))
-                samples["defect_mean_series"].append((i, lg_defect))
-                samples["var_mean_series"].append((i, lg_var))
-            if i in hset:
-                for k in ("one_child_gap", "defect_mean_series", "var_mean_series"):
-                    partials[k].append(sums[k])
-                partials["mean_product_infimum"].append(float(np.exp(log_inf_mu)))
-                partials["tail_ratio_sup"].append(sup_c8)
+    samples: dict[str, list[tuple[int, float]]] = {}
+    partials: dict[str, list[float]] = {}
+
+    def series(k: str, lg: np.ndarray) -> None:
+        # terms stay in log scale so a diverging series cannot overflow
+        # before its slope is read off; sums saturate at inf instead
+        samples[k] = list(zip(sample_at.tolist(), lg[sample_at - 1].tolist()))
+        with np.errstate(over="ignore"):
+            partials[k] = np.cumsum(np.exp(lg, out=lg), out=lg)[at_h].tolist()
+
+    # each column is overwritten in place and dropped after its last use,
+    # so at most five n-length arrays are alive at once
+    w1, defect, mean, second, c8 = env._criteria_columns(n_max)
+    series("one_child_gap", _logs(np.subtract(1.0, w1, out=w1)))
+    del w1
+    lg_mean = _logs(mean)
+    log_mu = _running(lg_mean)  # log mu_0 .. log mu_n
+    del mean
+    lg = _logs(defect)
+    del defect
+    lg += log_mu[:-1]  # defect_i * mu_{i-1}
+    series("defect_mean_series", lg)
+    lg = _logs(second)
+    del second
+    lg -= lg_mean
+    lg -= log_mu[1:]
+    series("var_mean_series", lg)
+    del lg, lg_mean
+    partials["mean_product_infimum"] = _exp(np.minimum.accumulate(log_mu[1:])[at_h]).tolist()
+    partials["tail_ratio_sup"] = np.maximum.accumulate(c8)[at_h].tolist()
 
     meta = env.series_meta
     out = []
     for k in CRITERIA:
-        slope = _fit_slope(samples[k]) if k in sums else None
+        slope = _fit_slope(samples[k]) if k in samples else None
         if k in meta:
             verdict, analytic = meta[k], True
         else:
@@ -395,38 +390,12 @@ def criteria_verdicts(
     return out
 
 
-def _series_stats(law: OffspringLaw) -> tuple[float, float, float, float, float]:
-    """(f[1], defect, f'(1), f''(1), c8) with cheap direct sums.
-
-    Pure scalar arithmetic: this runs once per generation out to the
-    largest horizon, so array round-trips would dominate the check.
-    """
-    if isinstance(law, FiniteSupport):
-        wl = law.weights.tolist()
-        mass = mean = second = m1t = m2t = 0.0
-        for k, wk in enumerate(wl):
-            if wk == 0.0:
-                continue
-            mass += wk
-            kw = k * wk
-            mean += kw
-            second += k * (k - 1) * wk
-            if k >= 2:
-                m1t += kw
-                m2t += k * kw
-        w0 = wl[0]
-        w1 = wl[1] if len(wl) > 1 else 0.0
-    else:
-        mean = law.mean
-        second = law.second_factorial
-        mass = law.mass
-        w0 = law.weight(0)
-        w1 = law.weight(1)
-        rep = law.regularity()
-        m1t, m2t = rep.m1_tail, rep.m2_tail
-    p_ge1 = mass - w0
-    c8 = (m2t / m1t) / (mean / p_ge1) if m1t > 0.0 else 0.0
-    return w1, 1.0 - mass, mean, second, c8
+def _logs(x: np.ndarray) -> np.ndarray:
+    """x with each entry replaced by its ``_log``, in place: ``math.log``,
+    which ``np.log`` does not always match in the last bit."""
+    for i in range(0, x.size, 4096):
+        x[i:i + 4096] = list(map(_log, x[i:i + 4096].tolist()))
+    return x
 
 
 def _fit_slope(pairs: list[tuple[int, float]]) -> float | None:

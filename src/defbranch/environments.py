@@ -55,6 +55,21 @@ class Environment:
     def law(self, n: int) -> OffspringLaw:
         raise NotImplementedError
 
+    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
+        """(f[1], defect, f'(1), f''(1), c8) of generations 1..n, one
+        array each, with defect = 1 - f(1) unclipped.  The arrays are the
+        caller's to overwrite.  Built from ``law(i)``; each distinct law
+        object is evaluated once per call."""
+        seen: dict[int, tuple[OffspringLaw, tuple[float, ...]]] = {}
+        rows = []
+        for i in range(1, n + 1):
+            law = self.law(i)
+            hit = seen.get(id(law))
+            if hit is None:  # the law is kept, so its id is not reused
+                hit = seen[id(law)] = (law, _series_stats(law))
+            rows.append(hit[1])
+        return tuple(np.array(rows, dtype=float).T)
+
     @property
     def series_meta(self) -> dict[str, str]:
         """Analytic convergence tags for criterion series, when known.
@@ -118,6 +133,36 @@ class Prefix(Environment):
         }
 
 
+def _series_stats(law: OffspringLaw) -> tuple[float, float, float, float, float]:
+    """(f[1], 1 - f(1), f'(1), f''(1), c8) of one law, by direct sums."""
+    if isinstance(law, FiniteSupport):
+        wl = law.weights.tolist()
+        mass = mean = second = m1t = m2t = 0.0
+        for k, wk in enumerate(wl):
+            if wk == 0.0:
+                continue
+            mass += wk
+            kw = k * wk
+            mean += kw
+            second += k * (k - 1) * wk
+            if k >= 2:
+                m1t += kw
+                m2t += k * kw
+        w0 = wl[0]
+        w1 = wl[1] if len(wl) > 1 else 0.0
+    else:
+        mean = law.mean
+        second = law.second_factorial
+        mass = law.mass
+        w0 = law.weight(0)
+        w1 = law.weight(1)
+        rep = law.regularity()
+        m1t, m2t = rep.m1_tail, rep.m2_tail
+    p_ge1 = mass - w0
+    c8 = (m2t / m1t) / (mean / p_ge1) if m1t > 0.0 else 0.0
+    return w1, 1.0 - mass, mean, second, c8
+
+
 _META_SINGLE_CHILD = {
     # single-child families: no mass at {2,3,...}, so the second-moment
     # series and the tail-ratio supremum are trivially fine
@@ -126,20 +171,8 @@ _META_SINGLE_CHILD = {
 }
 
 
-def _single_child(c: float) -> FiniteSupport:
-    return FiniteSupport([0.0, c])
-
-
-def _pure_arity(c: float, m: int) -> FiniteSupport:
-    w = np.zeros(m + 1)
-    w[m] = c
-    return FiniteSupport(w)
-
-
-def _power_defect(n: int, params: dict) -> FiniteSupport:
-    a = float(params["a"])
-    b = float(params["b"])
-    return _pure_arity(1.0 - a * float(n) ** (-b), int(params.get("arity", 1)))
+def _power_defect(n: int, params: dict) -> float:
+    return 1.0 - float(params["a"]) * float(n) ** (-float(params["b"]))
 
 
 def _check_power_defect(params: dict) -> None:
@@ -151,7 +184,12 @@ def _check_power_defect(params: dict) -> None:
 
 
 class _Family(NamedTuple):
-    law: Callable[[int, dict], OffspringLaw]  # (n, params) -> f_n
+    """A family whose law f_n puts weight c_n in (0, 1] on m children:
+    f_n(s) = c_n s^m.  ``check`` must reject every params for which that
+    fails, because ``NamedFamily.law`` builds the laws unvalidated."""
+
+    coeff: Callable[[int, dict], float]  # (n, params) -> c_n
+    arity: Callable[[dict], int]  # params -> m
     meta: dict[str, str]  # analytic series tags, see Environment.series_meta
     check: Callable[[dict], None] = lambda params: None  # raises on bad params
 
@@ -159,7 +197,8 @@ class _Family(NamedTuple):
 # The one list of named families (NamedFamily documents each law).
 _FAMILIES: dict[str, _Family] = {
     "example-1a": _Family(
-        lambda n, _: _single_child(0.5 if n == 1 else 1.0 - 1.0 / n),
+        lambda n, _: 0.5 if n == 1 else 1.0 - 1.0 / n,
+        lambda _: 1,
         {
             **_META_SINGLE_CHILD,
             "one_child_gap": "diverges",
@@ -168,7 +207,8 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-1b": _Family(
-        lambda n, _: _single_child(0.5 if n == 1 else 1.0 - 1.0 / n**2),
+        lambda n, _: 0.5 if n == 1 else 1.0 - 1.0 / n**2,
+        lambda _: 1,
         {
             **_META_SINGLE_CHILD,
             "one_child_gap": "converges",
@@ -177,7 +217,8 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2a": _Family(
-        lambda n, _: _pure_arity(1.0 - 0.5**n / n, 2),
+        lambda n, _: 1.0 - 0.5**n / n,
+        lambda _: 2,
         {
             "one_child_gap": "diverges",
             "mean_product_infimum": "converges",
@@ -187,7 +228,8 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2b": _Family(
-        lambda n, _: _pure_arity(1.0 - 0.5**n / n**2, 2),
+        lambda n, _: 1.0 - 0.5**n / n**2,
+        lambda _: 2,
         {
             "one_child_gap": "diverges",
             "mean_product_infimum": "converges",
@@ -196,13 +238,21 @@ _FAMILIES: dict[str, _Family] = {
             "tail_ratio_sup": "converges",
         },
     ),
-    "power-defect": _Family(_power_defect, {}, _check_power_defect),
+    "power-defect": _Family(
+        _power_defect,
+        lambda params: int(params.get("arity", 1)),
+        {},
+        _check_power_defect,
+    ),
 }
 
 
 @dataclass(frozen=True)
 class NamedFamily(Environment):
     """Built-in law families.
+
+    Every family puts weight c_n on m children and kills with the rest,
+    f_n(s) = c_n s^m; ``_FAMILIES`` holds c_n and m per id.
 
     Ids:
         example-1a: f_1(s) = s/2, f_n(s) = (1 - 1/n) s for n >= 2.
@@ -224,7 +274,23 @@ class NamedFamily(Environment):
     def law(self, n: int) -> OffspringLaw:
         if n < 1:
             raise ValueError("generation index starts at 1")
-        return _FAMILIES[self.family].law(n, self.params)
+        fam = _FAMILIES[self.family]
+        weights = [0.0] * fam.arity(self.params) + [fam.coeff(n, self.params)]
+        return FiniteSupport._trusted(weights)
+
+    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
+        # _series_stats of c s^m in closed form, with its operations
+        fam = _FAMILIES[self.family]
+        c = np.fromiter((fam.coeff(i, self.params) for i in range(1, n + 1)), float, n)
+        m = fam.arity(self.params)
+        mean = m * c
+        if m == 1:
+            return c, 1.0 - c, mean, np.zeros(n), np.zeros(n)
+        second = (m * (m - 1)) * c
+        c8 = m * mean  # (m2_tail / m1_tail) / (mean / p_ge1)
+        c8 /= mean
+        c8 /= mean / c
+        return np.zeros(n), np.subtract(1.0, c, out=c), mean, second, c8
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -308,6 +374,8 @@ def _gap_sweep(env: Environment, k: int, n: int, hi, lo: float | None = None):
     h = np.asarray(hi, dtype=float)
     his = np.empty((n - k + 1,) + h.shape)
     his[-1] = h
+    if h.ndim == 0:
+        h = float(h)  # the laws' plain-float path
     los = log_gap = None
     if lo is not None:
         los = np.empty(n - k + 1)
@@ -331,23 +399,28 @@ def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
         (f_{i-1,n})'(s)  = f_i'(v) v'
         (f_{i-1,n})''(s) = f_i''(v) (v')^2 + f_i'(v) v''.
 
-    Vectorized over s; scalar s gives a float.
+    Vectorized over s; scalar s gives a float.  Derivatives that
+    overflow go quietly to inf.
     """
     _check_window(k, n)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     scalar = np.ndim(s) == 0
-    v = np.asarray(s, dtype=float).copy()
-    d1 = np.ones_like(v)
-    d2 = np.zeros_like(v)
-    for i in range(n, k, -1):
-        law = env.law(i)
-        if order >= 1:
-            fp = law.pgf(v, 1)
-            if order == 2:
-                d2 = law.pgf(v, 2) * d1 * d1 + fp * d2
-            d1 = fp * d1
-        v = law.pgf(v)
+    if scalar:
+        v, d1, d2 = float(s), 1.0, 0.0
+    else:
+        v = np.asarray(s, dtype=float).copy()
+        d1 = np.ones_like(v)
+        d2 = np.zeros_like(v)
+    with np.errstate(over="ignore"):
+        for i in range(n, k, -1):
+            law = env.law(i)
+            if order >= 1:
+                fp = law.pgf(v, 1)
+                if order == 2:
+                    d2 = law.pgf(v, 2) * d1 * d1 + fp * d2
+                d1 = fp * d1
+            v = law.pgf(v)
     out = (v, d1, d2)[order]
     return float(out) if scalar else out
 
@@ -431,11 +504,11 @@ def _ladder(env: Environment, t: np.ndarray, *, log0: float = 0.0, second: bool 
     n = t.shape[0] - 1
     d1, d2 = np.empty(n), np.empty(n if second else 0)
     ats, c12 = np.empty((len(at), n)), 0.0
-    for j in range(1, n + 1):
+    for j, tj in enumerate(_floats(t[1:]), 1):
         law = env.law(j)
-        d1[j - 1] = _log(law.pgf(t[j], 1))
+        d1[j - 1] = _log(law.pgf(tj, 1))
         if second:
-            d2[j - 1] = _log(law.pgf(t[j], 2))
+            d2[j - 1] = _log(law.pgf(tj, 2))
         for m, s in enumerate(at):
             ats[m, j - 1] = _log(law.pgf(s, 1))
         if regularity:
@@ -446,13 +519,21 @@ def _ladder(env: Environment, t: np.ndarray, *, log0: float = 0.0, second: bool 
 
 def _running(terms: np.ndarray, log0: float = 0.0) -> np.ndarray:
     """log0 followed by its running sums with ``terms``, in order."""
-    return np.cumsum(np.concatenate(([log0], terms)))
+    out = np.concatenate(([log0], terms))
+    return np.cumsum(out, out=out)
 
 
 def _mu_at(terms: np.ndarray) -> tuple[float, float]:
     """(log mu_n(s), log nu_n(s)) from the terms log f_i'(s), i = 1..n."""
     log_mu = _running(terms)
     return float(log_mu[-1]), _logsumexp(-log_mu[1:])
+
+
+def _floats(a: np.ndarray):
+    """The entries of a as Python floats, for the laws' plain-float path;
+    converted a block at a time, so no list of the whole array is alive."""
+    for i in range(0, a.shape[0], 4096):
+        yield from a[i:i + 4096].tolist()
 
 
 def _log(x: float) -> float:

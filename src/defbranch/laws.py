@@ -11,6 +11,20 @@ laws f(s) = q + r / (1 - p s).  Both expose evaluation of f and its first
 two derivatives, exact first/second moments, the smallest fixed point of
 f on (0, 1), tail-regularity constants, and sampling.  Graveyard draws
 are encoded by the integer sentinel ``DELTA``.
+
+``pgf`` and ``divided_difference`` take one of two paths, chosen by the
+argument's type.  Floats (Python floats and numpy float scalars) run
+plain Python float arithmetic and return a Python float; anything else
+runs the numpy path.  The scalar path performs the numpy path's
+operations in the numpy path's order: ``polyval``'s Horner scheme over
+the coefficients ``polyder`` forms, the ``h_k`` recurrence that skips
+zero weights, ``den**2`` as ``den*den`` and ``den**3`` as the C library's
+``pow``, which numpy uses for a scalar.  So a float argument gives the
+value a 0-d array gives, bit for bit, and the value a one-element array
+gives, except for the linear-fractional f'': numpy's vectorised power
+rounds ``den**3`` differently on some inputs.  Where Python float
+arithmetic raises instead of returning inf or nan (division by zero,
+``**`` overflow), the call falls back to the numpy path.
 """
 from __future__ import annotations
 
@@ -232,6 +246,14 @@ class FiniteSupport(OffspringLaw):
             raise InvalidLawError("law must put positive mean on children")
         object.__setattr__(self, "weights", w)
 
+    @classmethod
+    def _trusted(cls, wl: list[float]) -> "FiniteSupport":
+        """The law with weights ``wl``, which the caller has already
+        checked: what ``__init__`` would build, without its validation."""
+        law = object.__new__(cls)
+        law.__dict__.update(weights=np.array(wl), _horner=_horner_lists(wl))
+        return law
+
     # cached derivative coefficient arrays
     @cached_property
     def _d1(self) -> np.ndarray:
@@ -242,25 +264,38 @@ class FiniteSupport(OffspringLaw):
         return npoly.polyder(self.weights, 2)
 
     @cached_property
+    def _horner(self) -> tuple[list[float], list[float], list[float]]:
+        return _horner_lists(self.weights.tolist())
+
+    @cached_property
     def _cum(self) -> np.ndarray:
         # sampling thresholds over {0..K, DELTA}
         return np.cumsum(self.weights)
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
-        if order == 0:
-            c = self.weights
-        elif order == 1:
-            c = self._d1
-        elif order == 2:
-            c = self._d2
-        else:
+        if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if c.size == 0:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
-        out = npoly.polyval(s, c)
+        if isinstance(s, float):
+            s = float(s)
+            c = iter(self._horner[order])
+            out = next(c) + s * 0
+            for ck in c:
+                out = ck + out * s
+            return out
+        out = npoly.polyval(s, (self.weights, self._d1, self._d2)[order])
         return float(out) if np.ndim(s) == 0 else out
 
     def divided_difference(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
+        if isinstance(a, float) and isinstance(b, float):
+            a, b = float(a), float(b)
+            h = out = 0.0
+            apow = 1.0
+            for wk in self._horner[0][-2::-1]:  # f[1], f[2], ...
+                h = apow + b * h
+                apow = apow * a
+                if wk != 0.0:
+                    out = out + wk * h
+            return out
         a_ = np.asarray(a, dtype=float)
         b_ = np.asarray(b, dtype=float)
         # h_k = (a^k - b^k)/(a - b) via h_k = a^(k-1) + b*h_(k-1)
@@ -355,19 +390,34 @@ class LinearFractional(OffspringLaw):
             raise InvalidLawError("total mass q + r/(1-p) exceeds 1")
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
+        if order not in (0, 1, 2):
+            raise ValueError("order must be 0, 1 or 2")
+        if isinstance(s, float):
+            den = 1.0 - self.p * float(s)
+            try:
+                if order == 0:
+                    return self.q + self.r / den
+                if order == 1:
+                    return self.r * self.p / (den * den)
+                return 2.0 * self.r * self.p**2 / den**3
+            except (ZeroDivisionError, OverflowError):
+                pass  # the numpy path's inf or nan
         s_ = np.asarray(s, dtype=float)
         den = 1.0 - self.p * s_
         if order == 0:
             out = self.q + self.r / den
         elif order == 1:
             out = self.r * self.p / den**2
-        elif order == 2:
-            out = 2.0 * self.r * self.p**2 / den**3
         else:
-            raise ValueError("order must be 0, 1 or 2")
+            out = 2.0 * self.r * self.p**2 / den**3
         return float(out) if np.ndim(s) == 0 else out
 
     def divided_difference(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
+        if isinstance(a, float) and isinstance(b, float):
+            try:
+                return self.r * self.p / ((1.0 - self.p * float(a)) * (1.0 - self.p * float(b)))
+            except ZeroDivisionError:
+                pass  # the numpy path's inf
         a_ = np.asarray(a, dtype=float)
         b_ = np.asarray(b, dtype=float)
         out = self.r * self.p / ((1.0 - self.p * a_) * (1.0 - self.p * b_))
@@ -437,6 +487,15 @@ class LinearFractional(OffspringLaw):
 
     def to_dict(self) -> dict:
         return {"kind": "lf", "q": self.q, "r": self.r, "p": self.p}
+
+
+def _horner_lists(wl: list[float]) -> tuple[list[float], list[float], list[float]]:
+    """Coefficients of f, f' and f'' as plain floats, highest power
+    first, formed with the operations ``polyder`` uses ([0.0] once a
+    derivative vanishes)."""
+    d1 = [j * wl[j] for j in range(1, len(wl))]
+    d2 = [j * d1[j] for j in range(1, len(d1))] or [wl[0] * 0]
+    return wl[::-1], d1[::-1], d2[::-1]
 
 
 def _smallest_root_convex(law: OffspringLaw) -> float | None:

@@ -15,7 +15,9 @@ from defbranch import (
     DIVERGES,
     INCONCLUSIVE,
     Constant,
+    Environment,
     FiniteSupport,
+    LinearFractional,
     NamedFamily,
     Prefix,
     PreconditionError,
@@ -27,6 +29,7 @@ from defbranch import (
     fixed_point_bracket,
     growth_rate,
     late_extinction_bounds,
+    law_from_dict,
     moments,
     survival_bounds,
 )
@@ -236,6 +239,102 @@ class TestCriteria:
             if v.criterion in ("one_child_gap", "defect_mean_series", "var_mean_series"):
                 ps = list(v.partials)
                 assert ps == sorted(ps)
+
+
+class _Rebuilt(Environment):
+    """The laws of ``base``, built afresh through validation on every
+    call: the per-law criteria columns, with no closed form and no two
+    generations sharing a law object."""
+
+    def __init__(self, base: Environment):
+        self.base = base
+
+    def law(self, n: int):
+        return law_from_dict(self.base.law(n).to_dict())
+
+    @property
+    def series_meta(self) -> dict[str, str]:
+        return self.base.series_meta
+
+
+_CRITERIA_ENVS = {
+    **{f: NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")},
+    **{f"power-defect-{m}": NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": m})
+       for m in (1, 2, 3)},
+    "constant-b": Constant(LinearFractional(0.1, 0.4, 0.5)),
+    "prefix": Prefix(
+        (FiniteSupport([0.2, 0.3, 0.0, 0.4]), LinearFractional(0.2, 0.3, 0.4),
+         FiniteSupport([0.1, 0.0, 0.8])),
+        LinearFractional(0.1, 0.4, 0.5),
+    ),
+}
+
+
+def _criteria_loop(env: Environment, hs: tuple[int, ...]):
+    """Partials and slopes of criteria_verdicts by its former loop, one
+    generation at a time in Python floats: the reference the column pass
+    must equal exactly."""
+    from defbranch.analysis import _fit_slope
+    from defbranch.environments import _series_stats
+
+    n_max = hs[-1]
+    lo = max(2, int(n_max / 100))
+    sample_at = set(np.unique(np.geomspace(lo, n_max, 61).astype(np.int64)).tolist())
+    series = ("one_child_gap", "defect_mean_series", "var_mean_series")
+    sums = dict.fromkeys(series, 0.0)
+    samples = {k: [] for k in series}
+    partials = {k: [] for k in CRITERIA}
+    log_mu, log_inf_mu, sup_c8 = 0.0, math.inf, 0.0
+    with np.errstate(over="ignore"):
+        for i in range(1, n_max + 1):
+            w1, defect, mean, second, c8 = _series_stats(env.law(i))
+            lg = dict(zip(series, (_log(1.0 - w1), _log(defect) + log_mu, 0.0)))
+            log_mu += _log(mean)
+            log_inf_mu = min(log_inf_mu, log_mu)
+            lg["var_mean_series"] = _log(second) - _log(mean) - log_mu
+            sup_c8 = max(sup_c8, c8)
+            for k in series:
+                sums[k] += float(np.exp(lg[k]))
+                if i in sample_at:
+                    samples[k].append((i, lg[k]))
+            if i in hs:
+                for k in series:
+                    partials[k].append(sums[k])
+                partials["mean_product_infimum"].append(float(np.exp(log_inf_mu)))
+                partials["tail_ratio_sup"].append(sup_c8)
+    slopes = {k: _fit_slope(samples[k]) if k in samples else None for k in CRITERIA}
+    return partials, slopes
+
+
+def _log(x: float) -> float:
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+@pytest.mark.parametrize("name", sorted(_CRITERIA_ENVS))
+def test_criteria_columns_match_per_law_path(name):
+    """Closed-form columns (named families) and once-per-distinct-law
+    columns (Constant, Prefix) give verdicts equal in every field to the
+    per-generation evaluation of freshly built laws, and partials and
+    slopes equal to the former one-generation-at-a-time loop."""
+    env = _CRITERIA_ENVS[name]
+    hs = (10, 100, 1000)
+    out = criteria_verdicts(env, hs)
+    assert out == criteria_verdicts(_Rebuilt(env), hs)
+    _assert_matches_loop(out, env, hs)
+
+
+def _assert_matches_loop(out, env, hs):
+    partials, slopes = _criteria_loop(env, hs)
+    for v in out:
+        assert v.partials == tuple(partials[v.criterion])
+        assert v.slope == slopes[v.criterion]
+
+
+def test_criteria_default_horizons_match_loop():
+    # at 1e5 generations np.log, unlike math.log, moves these partials
+    env = NamedFamily("example-1b")
+    hs = (100, 1_000, 10_000, 100_000)
+    _assert_matches_loop(criteria_verdicts(env, hs), env, hs)
 
 
 class TestFixedPointBracket:

@@ -1,6 +1,9 @@
 """Environment composition against brute-force recursion and dict DP."""
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -40,6 +43,19 @@ class TestNamedFamilies:
             NamedFamily("power-defect", {"a": 1.5, "b": 1.0})
         with pytest.raises(InvalidLawError):
             NamedFamily("no-such-family")
+
+    def test_laws_equal_validated_construction(self):
+        envs = [NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")]
+        envs += [NamedFamily("power-defect", {"a": 0.3, "b": 0.7, "arity": m}) for m in (1, 2, 5)]
+        for env in envs:
+            for n in (1, 2, 9, 60, 4000):
+                law = env.law(n)
+                ref = FiniteSupport(law.weights.tolist())
+                assert law.weights.tobytes() == ref.weights.tobytes()
+                for s in (0.0, 0.3, 1.0):
+                    for order in (0, 1, 2):
+                        assert law.pgf(s, order) == ref.pgf(s, order)
+                    assert law.divided_difference(s, 0.6) == ref.divided_difference(s, 0.6)
 
     def test_generation_index_starts_at_one(self, env_1a):
         with pytest.raises(ValueError):
@@ -100,6 +116,17 @@ class TestComposition:
                 fd2 = (f(s + h2) - 2 * f(s) + f(s - h2)) / h2**2
                 assert d1 == pytest.approx(fd1, rel=1e-8)
                 assert d2 == pytest.approx(fd2, rel=1e-6)
+
+    def test_derivative_overflow_is_quiet(self):
+        # the mean of example-2b passes the float range near n = 1000
+        env = NamedFamily("example-2b")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compose_eval(env, 0, 3000, 1.0, 1) == math.inf
+            assert compose_eval(env, 0, 3000, 1.0, 2) == math.inf
+            d = compose_eval(env, 0, 3000, np.array([1.0, 0.999]), 2)
+        assert d[0] == math.inf
+        assert compose_eval(env, 0, 3000, 1.0) == compose_eval(env, 0, 3000, np.array([1.0]))[0]
 
     def test_window_validation(self, env_a):
         with pytest.raises(PreconditionError):

@@ -131,6 +131,60 @@ class TestDividedDifference:
             )
 
 
+class TestScalarPath:
+    """Float arguments take the plain-float path; it must return a Python
+    float equal, with ==, to what the numpy path gives for the same point
+    in a one-element array (in a 0-d array for the linear-fractional f'')."""
+
+    @staticmethod
+    def _laws():
+        rng = np.random.default_rng(20)
+        laws = []
+        for _ in range(40):
+            k = int(rng.integers(1, 9))  # 1 to 8 weights past f[0]
+            w = rng.random(k + 1) * (rng.random(k + 1) < 0.6)  # some zero
+            w[k] += 1e-3
+            mass = 1.0 if rng.random() < 0.5 else rng.uniform(0.5, 0.99)
+            laws.append(FiniteSupport(w / w.sum() * mass))
+        laws += [rand_lf(rng) for _ in range(20)]
+        return laws
+
+    POINTS = (0.0, 1e-300, 0.2, 0.5, 0.731, 0.999999, 1.0, -0.4, 1.7, 2.0)
+
+    def test_pgf(self):
+        for law in self._laws():
+            for s in self.POINTS:
+                for order in (0, 1, 2):
+                    got = law.pgf(s, order)
+                    assert type(got) is float
+                    if isinstance(law, LinearFractional) and order == 2:
+                        # numpy's vectorised power rounds den**3 differently
+                        # from its scalar power on some inputs; the scalar
+                        # path keeps the scalar power's value
+                        want = law.pgf(np.asarray(s), order)
+                    else:
+                        want = law.pgf(np.array([s]), order)[0]
+                    assert got == want
+
+    def test_divided_difference(self):
+        for law in self._laws():
+            for a in self.POINTS:
+                for b in (a, 0.0, 0.37, 1.0):
+                    got = law.divided_difference(a, b)
+                    assert type(got) is float
+                    assert got == law.divided_difference(np.array([a]), np.array([b]))[0]
+
+    def test_numpy_scalars_and_pole(self):
+        law = LinearFractional(0.1, 0.4, 0.5)  # pole at s = 2
+        with np.errstate(divide="ignore"):
+            for order in (0, 1, 2):
+                assert law.pgf(2.0, order) == law.pgf(np.array([2.0]), order)[0] == math.inf
+            assert law.divided_difference(2.0, 0.5) == math.inf
+        fs = FiniteSupport([0.2, 0.3, 0.0, 0.4])
+        assert fs.pgf(np.float64(0.3), 1) == fs.pgf(0.3, 1)
+        assert type(fs.pgf(np.float64(0.3), 1)) is float
+
+
 class TestFixedPoint:
     def test_frozen_examples(self, law_a, law_b):
         ta = law_a.fixed_point()

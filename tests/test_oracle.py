@@ -1,5 +1,6 @@
 """Deep-horizon exact results against a 50-digit mpmath recomputation.
 
+Constant, named and prefix environments are covered.
 At n = 10^4 survival and the mean are far below the float range, so the
 program's log fields are the only carriers of the values.  The oracle
 composes the same float laws in 50-digit arithmetic, multiplying the
@@ -9,6 +10,7 @@ for a sum of n logs, max(1e-12, n * 2^-53) relative.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
@@ -18,6 +20,8 @@ from conftest import LAW_A, LAW_B
 from defbranch import (
     Constant,
     FiniteSupport,
+    NamedFamily,
+    Prefix,
     absorption_profile,
     growth_rate,
     moments,
@@ -62,44 +66,92 @@ def _mp_law(law):
     )
 
 
-def _oracle(law, n):
-    """(log survival, log mean, second-moment ratio) of Constant(law) at n."""
+def _oracle(env, n):
+    """(log survival, log mean, second-moment ratio) of env at n.
+
+    Composes the float laws env.law(i) as they are: for a named family
+    that is the rounded weight c_n (1 - 1/(n^2 2^n) is exactly 1 from
+    n of about 45 on), not the exact family."""
     with mpmath.workdps(50):
-        f, f1, f2, dd = _mp_law(law)
+        fns, conv = [None], {}  # fns[i]: law i in mpmath, one per distinct law
+        for i in range(1, n + 1):
+            law = env.law(i)
+            if id(law) not in conv:
+                conv[id(law)] = (law, _mp_law(law))
+            fns.append(conv[id(law)][1])
         hi, lo = mpmath.mpf(1), mpmath.mpf(0)
         t = [hi]  # t[i] = f_{n-i,n}(1)
         surv = mpmath.mpf(1)
-        for _ in range(n):
+        for i in range(n, 0, -1):
+            f, _, _, dd = fns[i]
             surv *= dd(hi, lo)
             hi, lo = f(hi), f(lo)
             t.append(hi)
         t.reverse()  # t[j] = f_{j,n}(1)
         mean, var = mpmath.mpf(1), mpmath.mpf(0)
         for j in range(1, n + 1):
+            _, f1, f2, _ = fns[j]
             d1 = f1(t[j])
             mean *= d1
             var += f2(t[j]) / (d1 * mean)
         return mpmath.log(surv), mpmath.log(mean), 1 / mean + var
 
 
-@pytest.mark.parametrize("law", [LAW_A, LAW_B], ids=["law_a", "law_b"])
-def test_deep_horizon_against_mpmath(law):
-    log_surv, log_mean, ratio = _oracle(law, N)
-    env = Constant(law)
+ENVS = {
+    "law_a": Constant(LAW_A),
+    "law_b": Constant(LAW_B),
+    "example_2b": NamedFamily("example-2b"),
+    "prefix": Prefix(
+        (FiniteSupport([0.2, 0.3, 0.0, 0.4]), FiniteSupport([0.1, 0.0, 0.8]),
+         FiniteSupport([0.3, 0.0, 0.0, 0.0, 0.65])),
+        LAW_B,
+    ),
+}
 
-    def close(got, want):
-        assert got == pytest.approx(float(want), rel=TOL, abs=0.0)
 
+@functools.cache
+def _oracle_of(name):
+    return _oracle(ENVS[name], N)
+
+
+def close(got, want):
+    assert got == pytest.approx(float(want), rel=TOL, abs=0.0)
+
+
+# Under binary splitting f_{j-1,n}(1) = c_j f_{j,n}(1)^2 doubles the
+# relative rounding error of the point per generation: at n = 10^4 the
+# float f_{0,n}(1) of example-2b is 9.7e-11 off in relative terms, and so
+# are log survival (-1.0088) and the second-moment ratio (2.742), which
+# both rest on it.  The mean is checked on its own below.
+_POINT_ERROR = pytest.mark.xfail(
+    strict=True, reason="f_{j,n}(1) loses a factor 2 of relative accuracy per generation"
+)
+
+
+@pytest.mark.parametrize(
+    "name", ["law_a", "law_b", pytest.param("example_2b", marks=_POINT_ERROR), "prefix"]
+)
+def test_deep_horizon_against_mpmath(name):
+    env = ENVS[name]
+    log_surv, log_mean, ratio = _oracle_of(name)
     close(absorption_profile(env, N).log_survival, log_surv)
     m = moments(env, N)
     close(m.log_mean, log_mean)
     close(m.log_ratio, mpmath.log(ratio))
     sb = survival_bounds(env, N)
-    # inv_hi is the second-moment ratio; it leaves the float range here,
-    # so its log is checked through log_moment_lower = -log(inv_hi)
-    assert sb.inv_hi == float(ratio) == math.inf
+    # inv_hi is the second-moment ratio; where it leaves the float range
+    # its log is checked through log_moment_lower = -log(inv_hi)
+    if float(ratio) == math.inf:
+        assert sb.inv_hi == math.inf
     close(sb.log_moment_lower, -mpmath.log(ratio))
     close(sb.log_survival, log_surv)
     g = growth_rate(env, N)
     close(g.mean_rate, log_mean / N)
     close(g.survival_rate, log_surv / N)
+
+
+def test_named_family_mean_against_mpmath():
+    env = ENVS["example_2b"]
+    _, log_mean, _ = _oracle_of("example_2b")
+    close(moments(env, N).log_mean, log_mean)
+    close(growth_rate(env, N).mean_rate, log_mean / N)
