@@ -112,6 +112,9 @@ class AbsorptionScan:
     log_survival: np.ndarray
 
     def profile(self, n: int) -> AbsorptionProfile:
+        """The horizon-n profile, for 0 <= n <= the scan's horizon."""
+        if not 0 <= n <= self.n:
+            raise PreconditionError(f"horizon {n} outside the scan's 0..{self.n}")
         return AbsorptionProfile(
             n=n,
             p_extinct=float(self.p_extinct[n]),

@@ -400,7 +400,11 @@ def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
         (f_{i-1,n})''(s) = f_i''(v) (v')^2 + f_i'(v) v''.
 
     Vectorized over s; scalar s gives a float.  Derivatives that
-    overflow go quietly to inf.
+    overflow go quietly to inf.  An entry of an array s equals, bit for
+    bit, the result for that entry alone, except for the second
+    derivative through a linear-fractional law: its f'' rounds
+    ``den**3`` through numpy's vectorised power on arrays, so the two
+    can differ in the last bit (see ``defbranch.laws``).
     """
     _check_window(k, n)
     if order not in (0, 1, 2):

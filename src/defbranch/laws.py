@@ -12,19 +12,21 @@ two derivatives, exact first/second moments, the smallest fixed point of
 f on (0, 1), tail-regularity constants, and sampling.  Graveyard draws
 are encoded by the integer sentinel ``DELTA``.
 
-``pgf`` and ``divided_difference`` take one of two paths, chosen by the
-argument's type.  Floats (Python floats and numpy float scalars) run
-plain Python float arithmetic and return a Python float; anything else
-runs the numpy path.  The scalar path performs the numpy path's
-operations in the numpy path's order: ``polyval``'s Horner scheme over
-the coefficients ``polyder`` forms, the ``h_k`` recurrence that skips
-zero weights, ``den**2`` as ``den*den`` and ``den**3`` as the C library's
-``pow``, which numpy uses for a scalar.  So a float argument gives the
-value a 0-d array gives, bit for bit, and the value a one-element array
-gives, except for the linear-fractional f'': numpy's vectorised power
-rounds ``den**3`` differently on some inputs.  Where Python float
-arithmetic raises instead of returning inf or nan (division by zero,
-``**`` overflow), the call falls back to the numpy path.
+``pgf`` and ``divided_difference`` are written once per law class: the
+Horner scheme over the coefficients of f, f' and f'' (formed as
+``polyder`` forms them), the ``h_k`` recurrence that skips zero weights,
+and the linear-fractional closed forms with ``den**2`` written as
+``den*den``.  The same lines serve Python floats and numpy arrays.  The
+argument's type decides only how it is converted (a float, numpy float
+scalars included, becomes a Python float; anything else a float array)
+and whether a Python float comes back (for every scalar or 0-d
+argument).  Where Python float arithmetic raises instead of returning
+inf or nan (division by zero, ``**`` overflow), the linear-fractional
+kernels run their lines again on a numpy float.  So a float argument
+gives, bit for bit, the value a 0-d or a one-element array gives, with
+one exception: the linear-fractional f'' on 1-D and 2-D arrays, where
+numpy's vectorised power rounds ``den**3`` differently from the scalar
+power that floats and 0-d arrays get.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 # Graveyard sentinel. Offspring draws are ints >= 0, or DELTA for a
 # killing draw. Kept negative so it can live in integer arrays.
@@ -254,15 +255,6 @@ class FiniteSupport(OffspringLaw):
         law.__dict__.update(weights=np.array(wl), _horner=_horner_lists(wl))
         return law
 
-    # cached derivative coefficient arrays
-    @cached_property
-    def _d1(self) -> np.ndarray:
-        return npoly.polyder(self.weights, 1)
-
-    @cached_property
-    def _d2(self) -> np.ndarray:
-        return npoly.polyder(self.weights, 2)
-
     @cached_property
     def _horner(self) -> tuple[list[float], list[float], list[float]]:
         return _horner_lists(self.weights.tolist())
@@ -275,40 +267,27 @@ class FiniteSupport(OffspringLaw):
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if isinstance(s, float):
-            s = float(s)
-            c = iter(self._horner[order])
-            out = next(c) + s * 0
-            for ck in c:
-                out = ck + out * s
-            return out
-        out = npoly.polyval(s, (self.weights, self._d1, self._d2)[order])
-        return float(out) if np.ndim(s) == 0 else out
+        x = float(s) if isinstance(s, float) else np.asarray(s, dtype=float)
+        c = iter(self._horner[order])
+        out = next(c) + x * 0
+        for ck in c:
+            out = ck + out * x
+        return out if type(out) is float or out.ndim else float(out)
 
     def divided_difference(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         if isinstance(a, float) and isinstance(b, float):
             a, b = float(a), float(b)
-            h = out = 0.0
-            apow = 1.0
-            for wk in self._horner[0][-2::-1]:  # f[1], f[2], ...
-                h = apow + b * h
-                apow = apow * a
-                if wk != 0.0:
-                    out = out + wk * h
-            return out
-        a_ = np.asarray(a, dtype=float)
-        b_ = np.asarray(b, dtype=float)
+        else:
+            a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
         # h_k = (a^k - b^k)/(a - b) via h_k = a^(k-1) + b*h_(k-1)
-        h = np.zeros(np.broadcast(a_, b_).shape)
-        out = np.zeros_like(h)
-        apow = np.ones_like(h)
-        for k in range(1, self.weights.size):
-            h = apow + b_ * h
-            apow = apow * a_
-            wk = self.weights[k]
+        h = out = 0.0
+        apow = 1.0
+        for wk in self._horner[0][-2::-1]:  # f[1], f[2], ...
+            h = apow + b * h
+            apow = apow * a
             if wk != 0.0:
                 out = out + wk * h
-        return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
+        return out if type(out) is float or out.ndim else float(out)
 
     @cached_property
     def mass(self) -> float:  # type: ignore[override]
@@ -392,36 +371,33 @@ class LinearFractional(OffspringLaw):
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
-        if isinstance(s, float):
-            den = 1.0 - self.p * float(s)
+        x = float(s) if isinstance(s, float) else np.asarray(s, dtype=float)
+        while True:
+            den = 1.0 - self.p * x
             try:
                 if order == 0:
-                    return self.q + self.r / den
-                if order == 1:
-                    return self.r * self.p / (den * den)
-                return 2.0 * self.r * self.p**2 / den**3
+                    out = self.q + self.r / den
+                elif order == 1:
+                    out = self.r * self.p / (den * den)
+                else:
+                    out = 2.0 * self.r * self.p**2 / den**3
+                break
             except (ZeroDivisionError, OverflowError):
-                pass  # the numpy path's inf or nan
-        s_ = np.asarray(s, dtype=float)
-        den = 1.0 - self.p * s_
-        if order == 0:
-            out = self.q + self.r / den
-        elif order == 1:
-            out = self.r * self.p / den**2
-        else:
-            out = 2.0 * self.r * self.p**2 / den**3
-        return float(out) if np.ndim(s) == 0 else out
+                x = np.float64(x)  # numpy's inf or nan where Python floats raise
+        return out if type(out) is float or out.ndim else float(out)
 
     def divided_difference(self, a: ArrayLike, b: ArrayLike) -> ArrayLike:
         if isinstance(a, float) and isinstance(b, float):
+            a, b = float(a), float(b)
+        else:
+            a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        while True:
             try:
-                return self.r * self.p / ((1.0 - self.p * float(a)) * (1.0 - self.p * float(b)))
+                out = self.r * self.p / ((1.0 - self.p * a) * (1.0 - self.p * b))
+                break
             except ZeroDivisionError:
-                pass  # the numpy path's inf
-        a_ = np.asarray(a, dtype=float)
-        b_ = np.asarray(b, dtype=float)
-        out = self.r * self.p / ((1.0 - self.p * a_) * (1.0 - self.p * b_))
-        return float(out) if np.ndim(a) == 0 and np.ndim(b) == 0 else out
+                a, b = np.float64(a), np.float64(b)  # numpy's inf
+        return out if type(out) is float or out.ndim else float(out)
 
     @property
     def mass(self) -> float:

@@ -126,6 +126,37 @@ def _offspring_counts(
     raise TypeError(f"no sampler for law type {type(law).__name__}")
 
 
+def _advance(
+    rng: np.random.Generator,
+    env: Environment,
+    n: int,
+    mode: str,
+    z: np.ndarray,
+    state: np.ndarray,
+    cap: int,
+) -> None:
+    """Draw generation n for the active paths, updating sizes z and
+    states in place: a killed path's size becomes DELTA, an overflowed
+    path keeps its size."""
+    act = np.flatnonzero(state == _ACTIVE)
+    if act.size:
+        law = env.law(n)
+        za = z[act]
+        if mode == "coupled":
+            kill_p = 1.0 - np.power(law.mass, za.astype(np.float64))
+            killed = rng.random(act.size) < kill_p
+            sums, _ = _offspring_counts(rng, za, law.normalize())
+        else:
+            sums, killed = _offspring_counts(rng, za, law)
+        z[act] = sums
+        state[act[sums == 0]] = _EXTINCT
+        over = act[sums > cap]
+        state[over] = _OVERFLOW
+        kidx = act[killed]
+        state[kidx] = _KILLED
+        z[kidx] = DELTA
+
+
 def _run_block(
     env: Environment,
     horizon: int,
@@ -142,23 +173,7 @@ def _run_block(
     state = np.zeros(size, dtype=np.int8)
     snaps: dict[int, np.ndarray] = {}
     for n in range(1, horizon + 1):
-        act = np.flatnonzero(state == _ACTIVE)
-        if act.size:
-            law = env.law(n)
-            za = z[act]
-            if mode == "coupled":
-                kill_p = 1.0 - np.power(law.mass, za.astype(np.float64))
-                killed = rng.random(act.size) < kill_p
-                sums, _ = _offspring_counts(rng, za, law.normalize())
-            else:
-                sums, killed = _offspring_counts(rng, za, law)
-            z[act] = sums
-            state[act[sums == 0]] = _EXTINCT
-            over = act[sums > cap]
-            state[over] = _OVERFLOW
-            kidx = act[killed]
-            state[kidx] = _KILLED
-            z[kidx] = DELTA
+        _advance(rng, env, n, mode, z, state, cap)
         if n in snapshot_times:
             snaps[n] = z.copy()
     return z, state, snaps
@@ -178,35 +193,19 @@ def run_path(
         raise PreconditionError(f"unknown mode {mode!r}")
     if rng is None:
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    z = np.int64(1)
+    z = np.ones(1, dtype=np.int64)
+    state = np.zeros(1, dtype=np.int8)
     sizes = np.empty(horizon + 1, dtype=np.int64)
     sizes[0] = 1
-    terminal = None
     for n in range(1, horizon + 1):
-        law = env.law(n)
-        arr = np.array([z], dtype=np.int64)
-        if mode == "coupled":
-            kill = rng.random() < 1.0 - law.mass ** float(z)
-            sums, _ = _offspring_counts(rng, arr, law.normalize())
-        else:
-            sums, killed = _offspring_counts(rng, arr, law)
-            kill = bool(killed[0])
-        if kill:
-            sizes[n:] = DELTA
-            terminal = Terminal(KILLED, n, DELTA)
+        _advance(rng, env, n, mode, z, state, cap)
+        if state[0] != _ACTIVE:
+            sizes[n:] = z[0]  # DELTA once killed, 0 once extinct, frozen on overflow
+            terminal = Terminal(_STATE_KIND[int(state[0])], n, int(z[0]))
             break
-        z = sums[0]
-        sizes[n] = z
-        if z == 0:
-            sizes[n:] = 0
-            terminal = Terminal(EXTINCT, n, 0)
-            break
-        if z > cap:
-            sizes[n:] = z
-            terminal = Terminal(OVERFLOW, n, int(z))
-            break
-    if terminal is None:
-        terminal = Terminal(ALIVE, horizon, int(z))
+        sizes[n] = z[0]
+    else:
+        terminal = Terminal(ALIVE, horizon, int(z[0]))
     return PathSample(sizes=sizes, terminal=terminal, mode=mode)
 
 
@@ -445,23 +444,9 @@ def mode_agreement(
     c1, c2 = out["direct"], out["coupled"]
     occupied = (c1 + c2) > 0
     b = int(np.sum(occupied))
-    if b <= 1:
-        return AgreementReport(
-            horizon=horizon,
-            reps=reps,
-            master_seed=master_seed,
-            bins=_BIN_LABELS,
-            counts_direct=c1,
-            counts_coupled=c2,
-            tv=0.0,
-            threshold=0.0,
-            chi2=0.0,
-            dof=0,
-            passed=True,
-            degenerate=True,
-        )
+    # with one occupied bin both samplers agree exactly: tv = chi2 = 0
     tv = 0.5 * float(np.abs(c1 / reps - c2 / reps).sum())
-    threshold = 3.0 * float(np.sqrt(b / reps))
+    threshold = 3.0 * float(np.sqrt(b / reps)) if b > 1 else 0.0
     tot = c1 + c2
     chi2 = 0.0
     for counts in (c1, c2):
@@ -479,5 +464,5 @@ def mode_agreement(
         chi2=chi2,
         dof=b - 1,
         passed=tv <= threshold,
-        degenerate=False,
+        degenerate=b <= 1,
     )

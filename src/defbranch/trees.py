@@ -149,6 +149,8 @@ def parse_tree(text: str) -> DefectiveTree:
             cnt = DELTA if tail == "D" else int(tail)
         except ValueError as exc:
             raise InvalidTreeError(f"bad record {line!r}") from exc
+        if cnt < 0 and tail != "D":  # the graveyard is written D, never as a number
+            raise InvalidTreeError(f"bad count {tail!r} in {line!r}")
         if lab in cc:
             raise InvalidTreeError(f"duplicate node {head!r}")
         cc[lab] = cnt
@@ -217,19 +219,7 @@ def sample_dbtve(
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
     cc: dict[Label, int] = {}
-    frontier: list[Label] = [()]
-    for g in range(depth_cap):
-        law = env.law(g + 1)
-        draws = law.sample(rng, size=len(frontier))
-        for v, c in zip(frontier, draws):
-            cc[v] = int(c)
-        if np.any(draws == DELTA):
-            break
-        frontier = [
-            v + (j,) for v, c in zip(frontier, draws) for j in range(1, int(c) + 1)
-        ]
-        if not frontier:
-            break
+    _grow_frontier(cc, env, 0, depth_cap, rng)
     return DefectiveTree(cc, cap=depth_cap)
 
 
@@ -241,20 +231,18 @@ def _grow_frontier(
     rng: np.random.Generator,
 ) -> None:
     """Extend a tree alive at ``depth`` by ``extra`` more generations,
-    drawing whole generations at a time (in label order)."""
-    frontier = sorted(
+    drawing whole generations at a time (in label order) and stopping
+    at extinction or at the first generation that holds a DELTA."""
+    frontier = [()] if depth == 0 else sorted(
         lab + (j,)
         for lab, c in cc.items()
         if len(lab) == depth - 1 and c != DELTA
         for j in range(1, c + 1)
     )
-    if depth == 0:
-        frontier = [()]
-    for g in range(extra):
+    for g in range(depth + 1, depth + extra + 1):
         if not frontier:
             return
-        law = env.law(depth + g + 1)
-        draws = law.sample(rng, size=len(frontier))
+        draws = env.law(g).sample(rng, size=len(frontier))
         for v, c in zip(frontier, draws):
             cc[v] = int(c)
         if np.any(draws == DELTA):
@@ -282,23 +270,16 @@ def prefix_prob(env: Environment, tree: DefectiveTree, h: int) -> float:
     if h < 0:
         raise PreconditionError("h must be >= 0")
     validate_tree(tree)
-    cc = tree.child_count
-    kill_gen = tree.defect_generation()
-    if kill_gen is None or h <= kill_gen - 1:
-        # alive-or-extinct view of the prefix: need counts above depth h
-        z = tree.gen_sizes()
-        if z[-1] > 0 and len(z) - 1 < h:
-            raise PreconditionError("tree not counted deep enough for this prefix")
-        p = 1.0
-        for lab, c in cc.items():
-            if len(lab) < h:
-                p *= env.law(len(lab) + 1).weight(c)
-        return p
-    # prefix deep enough to see the kill: all counted nodes contribute
+    z = tree.gen_sizes()
+    if z[-1] > 0 and len(z) - 1 < h:
+        raise PreconditionError("tree not counted deep enough for this prefix")
+    # a DELTA sits at depth (kill generation - 1), so it counts once h
+    # reaches the kill generation, and then every counted node does
     p = 1.0
-    for lab, c in cc.items():
-        law = env.law(len(lab) + 1)
-        p *= law.defect if c == DELTA else law.weight(c)
+    for lab, c in tree.child_count.items():
+        if len(lab) < h:
+            law = env.law(len(lab) + 1)
+            p *= law.defect if c == DELTA else law.weight(c)
     return p
 
 

@@ -61,6 +61,13 @@ class TestAbsorption:
             assert got.p_killed == pytest.approx(prof.p_killed, abs=1e-14)
             assert got.log_survival == pytest.approx(prof.log_survival, abs=1e-11)
 
+    def test_scan_profile_checks_horizon(self, env_a):
+        scan = absorption_scan(env_a, 5)
+        assert scan.profile(0).survival == 1.0 and scan.profile(5).n == 5
+        for n in (-1, 6):
+            with pytest.raises(PreconditionError):
+                scan.profile(n)
+
     def test_mass_accounting_random(self):
         rng = np.random.default_rng(57)
         for _ in range(20):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,9 +133,13 @@ class TestDividedDifference:
 
 
 class TestScalarPath:
-    """Float arguments take the plain-float path; it must return a Python
-    float equal, with ==, to what the numpy path gives for the same point
-    in a one-element array (in a 0-d array for the linear-fractional f'')."""
+    """Floats and arrays share one kernel per operation.  A float or 0-d
+    argument must return a Python float equal, with ==, to what a
+    one-element array gives (to what a 0-d array gives for the
+    linear-fractional f''), and every input kind must equal an
+    independent numpy reference: ``polyval`` over ``polyder``'s
+    coefficients, the linear-fractional closed forms, and the ``h_k``
+    recurrence on arrays."""
 
     @staticmethod
     def _laws():
@@ -151,28 +156,73 @@ class TestScalarPath:
 
     POINTS = (0.0, 1e-300, 0.2, 0.5, 0.731, 0.999999, 1.0, -0.4, 1.7, 2.0)
 
+    # input kinds: the scalar ones must come back as Python floats
+    SCALAR_KINDS = (float, np.float64, np.asarray)
+    ARRAY_KINDS = (lambda s: np.array([s]), lambda s: np.full((2, 3), s))
+
+    @staticmethod
+    def _pgf_reference(law, s, order):
+        if isinstance(law, FiniteSupport):
+            return npoly.polyval(s, npoly.polyder(law.weights, order))
+        den = 1.0 - law.p * s
+        return (law.q + law.r / den, law.r * law.p / den**2, 2.0 * law.r * law.p**2 / den**3)[order]
+
+    @staticmethod
+    def _dd_reference(law, a, b):
+        if isinstance(law, LinearFractional):
+            return law.r * law.p / ((1.0 - law.p * a) * (1.0 - law.p * b))
+        h = np.zeros(np.broadcast(a, b).shape)
+        out = np.zeros_like(h)
+        apow = np.ones_like(h)
+        for k in range(1, law.weights.size):
+            h = apow + b * h
+            apow = apow * a
+            if law.weights[k] != 0.0:
+                out = out + law.weights[k] * h
+        return out
+
     def test_pgf(self):
         for law in self._laws():
+            lf2 = isinstance(law, LinearFractional)
             for s in self.POINTS:
                 for order in (0, 1, 2):
-                    got = law.pgf(s, order)
-                    assert type(got) is float
-                    if isinstance(law, LinearFractional) and order == 2:
+                    if lf2 and order == 2:
                         # numpy's vectorised power rounds den**3 differently
-                        # from its scalar power on some inputs; the scalar
-                        # path keeps the scalar power's value
+                        # from its scalar power on some inputs; scalars keep
+                        # the scalar power's value
                         want = law.pgf(np.asarray(s), order)
+                        ref = self._pgf_reference(law, np.float64(s), order)
                     else:
                         want = law.pgf(np.array([s]), order)[0]
-                    assert got == want
+                        ref = self._pgf_reference(law, np.array([s]), order)[0]
+                    for kind in self.SCALAR_KINDS:
+                        got = law.pgf(kind(s), order)
+                        assert type(got) is float
+                        assert got == want == ref
+                    for kind in self.ARRAY_KINDS:
+                        x = kind(s)
+                        got = law.pgf(x, order)
+                        assert got.shape == x.shape
+                        assert np.array_equal(got, self._pgf_reference(law, x, order))
 
     def test_divided_difference(self):
         for law in self._laws():
             for a in self.POINTS:
                 for b in (a, 0.0, 0.37, 1.0):
-                    got = law.divided_difference(a, b)
-                    assert type(got) is float
-                    assert got == law.divided_difference(np.array([a]), np.array([b]))[0]
+                    want = law.divided_difference(np.array([a]), np.array([b]))[0]
+                    assert want == self._dd_reference(law, np.array([a]), np.array([b]))[0]
+                    for kind in self.SCALAR_KINDS:
+                        got = law.divided_difference(kind(a), kind(b))
+                        assert type(got) is float
+                        assert got == want
+                    for kind in self.ARRAY_KINDS:
+                        x, y = kind(a), kind(b)
+                        got = law.divided_difference(x, y)
+                        assert np.array_equal(got, self._dd_reference(law, x, y))
+                        # mixed shapes broadcast
+                        got = law.divided_difference(x, b)
+                        assert got.shape == x.shape
+                        assert np.array_equal(got, self._dd_reference(law, x, np.asarray(b)))
 
     def test_numpy_scalars_and_pole(self):
         law = LinearFractional(0.1, 0.4, 0.5)  # pole at s = 2

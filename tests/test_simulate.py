@@ -21,6 +21,7 @@ from defbranch import (
     mu_profile,
     run_path,
 )
+from defbranch.simulate import DEFAULT_CAP, _MODE_ID, _STATE_KIND, _run_block
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -72,6 +73,17 @@ class TestDeterminism:
             else:
                 assert t.kind == "alive"
                 assert p.sizes[-1] == t.value >= 1
+
+    def test_run_path_follows_block_stream(self, env_a, env_b):
+        # on the stream of block 0, a path ends where a one-path block does
+        for env in (env_a, env_b):
+            for mode in ("direct", "coupled"):
+                for seed in range(20):
+                    z, state, _ = _run_block(env, 12, mode, seed, 0, 1, DEFAULT_CAP, ())
+                    seq = np.random.SeedSequence([seed, _MODE_ID[mode], 0])
+                    p = run_path(env, 12, np.random.Generator(np.random.Philox(seq)), mode=mode)
+                    assert p.sizes[-1] == z[0]
+                    assert p.terminal.kind == _STATE_KIND[int(state[0])]
 
     def test_validation(self, env_a):
         with pytest.raises(PreconditionError):

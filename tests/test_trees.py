@@ -106,6 +106,9 @@ class TestSerialization:
             parse_tree(",2\n1,2\n1,0")  # duplicate
         with pytest.raises(InvalidTreeError):
             parse_tree("1,2")  # no root
+        for text in (",2\n1,-1\n2,0", ",-1", ",-2"):  # the graveyard is D, not -1
+            with pytest.raises(InvalidTreeError):
+                parse_tree(text)
 
     def test_prefix_key_cuts_depth(self):
         assert prefix_key(FIGURE, 1) == ",3"
