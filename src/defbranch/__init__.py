@@ -5,166 +5,24 @@ below one); the package provides exact pgf-composition analysis,
 moment and survival bounds, convergence criteria, Monte Carlo
 simulation with two coupled samplers, and family-tree machinery
 including samplers conditioned on survival.
+
+Each module's ``__all__`` is its public API, written there once; the
+package re-exports those names and nothing else.
 """
-from .laws import (
-    DELTA,
-    BudgetError,
-    FiniteSupport,
-    InvalidLawError,
-    LinearFractional,
-    OffspringLaw,
-    PreconditionError,
-    RegularityReport,
-    law_from_dict,
-)
-from .environments import (
-    Constant,
-    DistVector,
-    Environment,
-    MuProfile,
-    NamedFamily,
-    Prefix,
-    compose_coeffs,
-    compose_eval,
-    composed_points,
-    environment_from_dict,
-    mu_profile,
-)
-from .analysis import (
-    CONVERGES,
-    CRITERIA,
-    DIVERGES,
-    INCONCLUSIVE,
-    AbsorptionProfile,
-    AbsorptionScan,
-    CondMeanBound,
-    ConditionVerdict,
-    EnvelopeRatios,
-    FixedPointBracket,
-    GrowthRates,
-    LateExtinctionBounds,
-    Moments,
-    SurvivalBounds,
-    absorption_profile,
-    absorption_scan,
-    conditioned_mean_bound,
-    criteria_verdicts,
-    envelope_ratios,
-    fixed_point_bracket,
-    growth_rate,
-    late_extinction_bounds,
-    moments,
-    survival_bounds,
-)
-from .simulate import (
-    BLOCK,
-    DEFAULT_CAP,
-    AgreementReport,
-    McSummary,
-    PathSample,
-    Terminal,
-    mode_agreement,
-    monte_carlo,
-    run_path,
-)
-from .trees import (
-    ConditionedSampler,
-    DefectiveTree,
-    EnumeratedLaw,
-    InvalidTreeError,
-    Prop4Report,
-    SpineDist,
-    SpineRecord,
-    TreeStats,
-    enumerate_conditioned,
-    parse_tree,
-    prefix_key,
-    prefix_prob,
-    rejection_conditioned,
-    sample_conditioned,
-    sample_dbtve,
-    serialize_tree,
-    spine_dist,
-    tree_stats,
-    validate_prop4,
-    validate_tree,
-)
+from . import analysis, environments, laws, simulate, trees
+from .laws import *  # noqa: F401,F403
+from .environments import *  # noqa: F401,F403
+from .analysis import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .trees import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DELTA",
-    "BudgetError",
-    "InvalidLawError",
-    "PreconditionError",
-    "OffspringLaw",
-    "FiniteSupport",
-    "LinearFractional",
-    "RegularityReport",
-    "law_from_dict",
-    "Environment",
-    "Constant",
-    "Prefix",
-    "NamedFamily",
-    "environment_from_dict",
-    "composed_points",
-    "compose_eval",
-    "MuProfile",
-    "mu_profile",
-    "DistVector",
-    "compose_coeffs",
-    "AbsorptionProfile",
-    "absorption_profile",
-    "AbsorptionScan",
-    "absorption_scan",
-    "Moments",
-    "moments",
-    "SurvivalBounds",
-    "survival_bounds",
-    "CRITERIA",
-    "CONVERGES",
-    "DIVERGES",
-    "INCONCLUSIVE",
-    "ConditionVerdict",
-    "criteria_verdicts",
-    "FixedPointBracket",
-    "fixed_point_bracket",
-    "EnvelopeRatios",
-    "envelope_ratios",
-    "GrowthRates",
-    "growth_rate",
-    "LateExtinctionBounds",
-    "late_extinction_bounds",
-    "CondMeanBound",
-    "conditioned_mean_bound",
-    "BLOCK",
-    "DEFAULT_CAP",
-    "Terminal",
-    "PathSample",
-    "run_path",
-    "McSummary",
-    "monte_carlo",
-    "AgreementReport",
-    "mode_agreement",
-    "InvalidTreeError",
-    "DefectiveTree",
-    "serialize_tree",
-    "parse_tree",
-    "prefix_key",
-    "validate_tree",
-    "sample_dbtve",
-    "prefix_prob",
-    "SpineDist",
-    "spine_dist",
-    "SpineRecord",
-    "ConditionedSampler",
-    "sample_conditioned",
-    "rejection_conditioned",
-    "EnumeratedLaw",
-    "enumerate_conditioned",
-    "TreeStats",
-    "tree_stats",
-    "Prop4Report",
-    "validate_prop4",
+    *laws.__all__,
+    *environments.__all__,
+    *analysis.__all__,
+    *simulate.__all__,
+    *trees.__all__,
 ]

@@ -50,7 +50,7 @@ __all__ = [
     "survival_bounds",
     "ConditionVerdict",
     "criteria_verdicts",
-    "CRITERIA",
+    "CRITERIA", "CONVERGES", "DIVERGES", "INCONCLUSIVE",
     "FixedPointBracket",
     "fixed_point_bracket",
     "EnvelopeRatios",

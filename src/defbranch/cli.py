@@ -13,6 +13,12 @@ subcommands, the artifacts' ``module`` field and the schema's
 ``command`` enum are derived from that table; the schema's named-family
 ``id`` enum comes from the family table in ``environments``.
 
+An optional param the config leaves out (or sets to null) is not passed
+on: the library function's own default applies, so each default is
+written once, in its signature.  Only the defaults of CLI-only params
+(``k``, ``order``, ``count``, ``sampler``, ``extra_depth``, ``workers``)
+live here.
+
 Exit codes: 0 success, 2 config/schema/law violations, 3 domain
 precondition failures, 4 budget exhaustion, 1 anything unexpected.
 Errors go to stderr as one JSON object.
@@ -59,9 +65,10 @@ from .environments import (
     compose_eval,
     environment_from_dict,
 )
-from .laws import BudgetError, InvalidLawError, PreconditionError, _plain
+from .laws import BudgetError, InvalidLawError, PreconditionError, _plain, _rng
 from .simulate import mode_agreement, monte_carlo
 from .trees import (
+    _TREE_STREAM,
     ConditionedSampler,
     rejection_conditioned,
     sample_dbtve,
@@ -87,8 +94,9 @@ def _validator() -> jsonschema.Draft202012Validator:
     return jsonschema.Draft202012Validator(schema)
 
 
-def load_config(path: str) -> dict:
-    """Read and validate a config file; raises ConfigError or InvalidLawError."""
+def load_config(path: str) -> tuple[dict, Environment]:
+    """Read and validate a config file, returning it with the environment
+    it describes; raises ConfigError or InvalidLawError."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -102,14 +110,22 @@ def load_config(path: str) -> dict:
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
         raise ConfigError(e.message, pointer=pointer)
     # semantic validation happens here too: bad mass or mean raises
-    environment_from_dict(cfg["environment"])
-    return cfg
+    return cfg, environment_from_dict(cfg["environment"])
 
 
 def _need(params: dict, key: str) -> Any:
     if key not in params:
         raise PreconditionError(f"missing required parameter {key!r}")
     return params[key]
+
+
+def _opt(params: dict, **conv: Callable | None) -> dict:
+    """Keyword arguments for the optional params the config sets, each
+    passed through its converter (None: as given); a null counts as
+    unset, and an unset param takes the library's default."""
+    return {
+        k: v if f is None else f(v) for k, f in conv.items() if (v := params.get(k)) is not None
+    }
 
 
 def _as_list(x) -> list:
@@ -121,6 +137,11 @@ Handler = Callable[[Environment, dict, int, int], Any]
 
 def _pick(result, columns: tuple[str, ...]) -> dict:
     return {c: getattr(result, c) for c in columns}
+
+
+def _per_n(env, params, fn, columns: tuple[str, ...], **kwargs) -> list[dict]:
+    """One row per horizon in the config's ``n`` (a number or a list)."""
+    return [_pick(fn(env, int(n), **kwargs), columns) for n in _as_list(_need(params, "n"))]
 
 
 def _cmd_pgf(env, params, seed, workers):
@@ -142,21 +163,14 @@ def _cmd_pgf(env, params, seed, workers):
 def _cmd_dist(env, params, seed, workers):
     n = int(_need(params, "n"))
     degree = int(_need(params, "degree"))
-    kwargs = {}
-    if "rel_tail" in params:
-        kwargs["rel_tail"] = float(params["rel_tail"])
-    if "budget" in params:
-        kwargs["budget"] = int(params["budget"])
-    return _plain(compose_coeffs(env, n, degree, **kwargs))
+    return _plain(compose_coeffs(env, n, degree, **_opt(params, rel_tail=float, budget=int)))
 
 
 _MOMENT_COLUMNS = ("n", "mean", "ratio", "second", "log_mean", "log_ratio", "log_second")
 
 
 def _cmd_moments(env, params, seed, workers):
-    return [
-        _pick(moments(env, int(n)), _MOMENT_COLUMNS) for n in _as_list(_need(params, "n"))
-    ]
+    return _per_n(env, params, moments, _MOMENT_COLUMNS)
 
 
 def _cmd_absorption(env, params, seed, workers):
@@ -174,18 +188,11 @@ _BOUND_COLUMNS = (
 
 
 def _cmd_bounds(env, params, seed, workers):
-    c = params.get("c")
-    return [
-        _pick(survival_bounds(env, int(n), None if c is None else float(c)), _BOUND_COLUMNS)
-        for n in _as_list(_need(params, "n"))
-    ]
+    return _per_n(env, params, survival_bounds, _BOUND_COLUMNS, **_opt(params, c=float))
 
 
 def _cmd_check(env, params, seed, workers):
-    kwargs = {}
-    if "horizons" in params:
-        kwargs["horizons"] = [int(h) for h in params["horizons"]]
-    verdicts = criteria_verdicts(env, **kwargs)
+    verdicts = criteria_verdicts(env, **_opt(params, horizons=lambda hs: [int(h) for h in hs]))
     return {
         "horizons": _plain(verdicts[0].horizons),
         "criteria": [_plain(v, skip=("horizons",)) for v in verdicts],
@@ -199,28 +206,29 @@ _ENVELOPE_COLUMNS = (
 
 
 def _cmd_rates(env, params, seed, workers):
-    bracket = all(k in params for k in ("rho", "sigma", "eps"))
-    rows = []
-    for n in _as_list(_need(params, "n")):
-        row = _pick(growth_rate(env, int(n)), _RATE_COLUMNS)
-        if bracket:
-            rho, sigma, eps = (float(params[k]) for k in ("rho", "sigma", "eps"))
-            e = envelope_ratios(env, rho, sigma, eps, int(n))
-            row.update(_pick(e, _ENVELOPE_COLUMNS))
-        rows.append(row)
+    # the envelope columns come with all of rho, sigma and eps, or none
+    bracket = _opt(params, rho=float, sigma=float, eps=float)
+    missing = [k for k in ("rho", "sigma", "eps") if k not in bracket]
+    if bracket and missing:
+        raise PreconditionError(f"envelope needs rho, sigma and eps; missing {missing}")
+    rows = _per_n(env, params, growth_rate, _RATE_COLUMNS)
+    if bracket:
+        for row in rows:
+            row.update(_pick(envelope_ratios(env, n=row["n"], **bracket), _ENVELOPE_COLUMNS))
     return rows
 
 
 def _cmd_simulate(env, params, seed, workers):
+    kwargs = _opt(params, mode=None, cap=int, snapshots=None)
+    if "snapshots" in kwargs:
+        kwargs["snapshot_times"] = kwargs.pop("snapshots")
     summary = monte_carlo(
         env,
         int(_need(params, "horizon")),
         int(_need(params, "reps")),
         seed,
-        mode=params.get("mode", "direct"),
-        cap=int(params.get("cap", 10**7)),
         workers=workers,
-        snapshot_times=params.get("snapshots", ()),
+        **kwargs,
     )
     out = summary.to_dict()
     out["snapshots"] = {str(t): _plain(arr) for t, arr in summary.snapshots.items()}
@@ -233,13 +241,9 @@ def _cmd_agree(env, params, seed, workers):
         int(_need(params, "horizon")),
         int(_need(params, "reps")),
         seed,
-        cap=int(params.get("cap", 10**7)),
         workers=workers,
+        **_opt(params, cap=int),
     ).to_dict()
-
-
-def _tree_rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, stream])))
 
 
 def _cmd_tree_sample(env, params, seed, workers):
@@ -247,24 +251,22 @@ def _cmd_tree_sample(env, params, seed, workers):
     count = int(params.get("count", 1))
     sampler = params.get("sampler", "construction")
     extra = int(params.get("extra_depth", 0))
+    if sampler not in _TREE_STREAM:
+        raise PreconditionError(f"unknown sampler {sampler!r}")
+    rng = _rng(seed, _TREE_STREAM[sampler])
     trees, spines = [], []
     if sampler == "construction":
         cs = ConditionedSampler(env, n, extra_depth=extra)
-        rng = _tree_rng(seed, 11)
         for _ in range(count):
             t, s = cs.sample(rng)
             trees.append(t)
             spines.append(_plain(s, skip=("labels",)))
     elif sampler == "rejection":
-        rng = _tree_rng(seed, 12)
         for _ in range(count):
             trees.append(rejection_conditioned(env, n, rng, extra_depth=extra))
-    elif sampler == "plain":
-        rng = _tree_rng(seed, 10)
+    else:
         for _ in range(count):
             trees.append(sample_dbtve(env, rng, depth_cap=n + extra))
-    else:
-        raise PreconditionError(f"unknown sampler {sampler!r}")
     payload = {
         "n": n,
         "sampler": sampler,
@@ -281,11 +283,8 @@ def _cmd_tree_validate(env, params, seed, workers):
         validate_prop4(
             env,
             int(_need(params, "n")),
-            samples=int(params.get("samples", 10**5)),
             master_seed=seed,
-            max_count=params.get("max_count"),
-            budget=int(params.get("budget", 10**6)),
-            tol_floor=float(params.get("tol_floor", 0.01)),
+            **_opt(params, samples=int, max_count=None, budget=int, tol_floor=float),
         )
     )
 
@@ -296,14 +295,9 @@ _COND_MEAN_COLUMNS = (
 
 
 def _cmd_cond_mean(env, params, seed, workers):
-    degree = params.get("degree")
-    return [
-        _pick(
-            conditioned_mean_bound(env, int(n), None if degree is None else int(degree)),
-            _COND_MEAN_COLUMNS,
-        )
-        for n in _as_list(_need(params, "n"))
-    ]
+    return _per_n(
+        env, params, conditioned_mean_bound, _COND_MEAN_COLUMNS, **_opt(params, degree=int)
+    )
 
 
 class _Command(NamedTuple):
@@ -357,8 +351,7 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run(cfg: dict, command: str, out_dir: str, workers: int) -> int:
-    env = environment_from_dict(cfg["environment"])
+def _run(cfg: dict, env: Environment, command: str, out_dir: str, workers: int) -> int:
     params = cfg.get("params", {})
     seed = int(cfg.get("master_seed", 0))
     cmd = _REGISTRY[command]
@@ -435,7 +428,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg, env = load_config(args.config)
         if args.subcommand == "validate":
             print(json.dumps({"ok": True, "command": cfg["command"]}))
             return 0
@@ -446,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.workers is not None
             else int(cfg.get("params", {}).get("workers", 1))
         )
-        return _run(cfg, command, out_dir, workers)
+        return _run(cfg, env, command, out_dir, workers)
     except ConfigError as exc:
         return _fail(2, "config", exc)
     except InvalidLawError as exc:

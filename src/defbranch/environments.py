@@ -613,12 +613,13 @@ def compose_coeffs(
     q = np.zeros(degree + 1)
     q[1] = 1.0
     dropped = 0.0
+    mass = 1.0  # f_{i,n}(1), carried along the same sweep
     for i in range(n, 0, -1):
         law = env.law(i)
         w = law.coeff_vector(rel_tail)
         dropped += max(0.0, law.mass - float(w.sum()))
         q = _substitute(w, q, degree)
-    mass = compose_eval(env, 0, n, 1.0)
+        mass = law.pgf(mass)
     tail = max(0.0, mass - float(q.sum()))
     return DistVector(
         horizon=n,

@@ -37,6 +37,18 @@ from typing import Union
 
 import numpy as np
 
+__all__ = [
+    "DELTA",
+    "BudgetError",
+    "InvalidLawError",
+    "PreconditionError",
+    "OffspringLaw",
+    "FiniteSupport",
+    "LinearFractional",
+    "RegularityReport",
+    "law_from_dict",
+]
+
 # Graveyard sentinel. Offspring draws are ints >= 0, or DELTA for a
 # killing draw. Kept negative so it can live in integer arrays.
 DELTA = -1
@@ -61,6 +73,13 @@ class BudgetError(RuntimeError):
 
 
 ArrayLike = Union[float, np.ndarray]
+
+
+def _rng(*key: int) -> np.random.Generator:
+    """The counter-based stream keyed by ``key``; every random stream
+    of the package is built here.  ``_rng(k)`` is the stream of
+    ``SeedSequence(k)``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence([int(k) for k in key])))
 
 
 def _plain(obj, skip: tuple[str, ...] = ()):

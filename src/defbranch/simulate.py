@@ -30,6 +30,7 @@ from .laws import (
     OffspringLaw,
     PreconditionError,
     _plain,
+    _rng,
 )
 
 __all__ = [
@@ -167,8 +168,7 @@ def _run_block(
     cap: int,
     snapshot_times: tuple[int, ...],
 ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    seq = np.random.SeedSequence([int(master_seed), _MODE_ID[mode], int(block_index)])
-    rng = np.random.Generator(np.random.Philox(seq))
+    rng = _rng(master_seed, _MODE_ID[mode], block_index)
     z = np.ones(size, dtype=np.int64)
     state = np.zeros(size, dtype=np.int8)
     snaps: dict[int, np.ndarray] = {}
@@ -192,7 +192,7 @@ def run_path(
     if mode not in _MODE_ID:
         raise PreconditionError(f"unknown mode {mode!r}")
     if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        rng = _rng(seed)
     z = np.ones(1, dtype=np.int64)
     state = np.zeros(1, dtype=np.int8)
     sizes = np.empty(horizon + 1, dtype=np.int64)

@@ -20,9 +20,11 @@ prefixes matches the unconditioned law given survival, which
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .laws import (
     DELTA,
     LinearFractional,
     PreconditionError,
+    _rng,
 )
 
 __all__ = [
@@ -59,6 +62,9 @@ __all__ = [
 ]
 
 Label = tuple[int, ...]
+
+# the random stream key, after the master seed, of each tree sampler
+_TREE_STREAM = {"plain": 10, "construction": 11, "rejection": 12}
 
 
 class InvalidTreeError(ValueError):
@@ -252,6 +258,24 @@ def _grow_frontier(
         ]
 
 
+def _draw_until(
+    env: Environment,
+    depth_cap: int,
+    rng: np.random.Generator,
+    tries: int,
+    accept: Callable[[list[int]], bool],
+    what: str,
+) -> DefectiveTree:
+    """The first of at most ``tries`` draws of ``sample_dbtve`` whose
+    generation sizes pass ``accept``; BudgetError names ``what`` when
+    none does."""
+    for _ in range(tries):
+        t = sample_dbtve(env, rng, depth_cap=depth_cap)
+        if accept(t.gen_sizes()):
+            return t
+    raise BudgetError(f"{what} budget of {tries} exhausted")
+
+
 # ---------------------------------------------------------------------------
 # prefix probabilities
 # ---------------------------------------------------------------------------
@@ -429,16 +453,8 @@ class ConditionedSampler:
                 f"requested subtree event has probability 0 at generation {l}"
             )
         budget = max(1, math.ceil(self.budget_factor / accept_p))
-        sub_env = self._shifted[l]
-        for _ in range(budget):
-            t = sample_dbtve(sub_env, rng, depth_cap=m)
-            z = t.gen_sizes()
-            if want_dead:
-                if z[-1] == 0:
-                    return t
-            elif z[-1] != DELTA:
-                return t
-        raise BudgetError(f"subtree rejection budget of {budget} exhausted")
+        accept = (lambda z: z[-1] == 0) if want_dead else (lambda z: z[-1] != DELTA)
+        return _draw_until(self._shifted[l], m, rng, budget, accept, "subtree rejection")
 
 
 def sample_conditioned(
@@ -475,15 +491,13 @@ def rejection_conditioned(
         raise PreconditionError(
             f"expected {expected:.1f} tries; too rare for a budget of {max_tries}"
         )
-    for _ in range(max_tries):
-        t = sample_dbtve(env, rng, depth_cap=n)
-        z = t.gen_sizes()
-        if len(z) == n + 1 and z[-1] >= 1:
-            if extra_depth:
-                _grow_frontier(t.child_count, env, n, extra_depth, rng)
-                return DefectiveTree(t.child_count, cap=n + extra_depth)
-            return t
-    raise BudgetError(f"rejection budget of {max_tries} exhausted")
+    t = _draw_until(
+        env, n, rng, max_tries, lambda z: len(z) == n + 1 and z[-1] >= 1, "rejection"
+    )
+    if extra_depth:
+        _grow_frontier(t.child_count, env, n, extra_depth, rng)
+        return DefectiveTree(t.child_count, cap=n + extra_depth)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -569,43 +583,26 @@ def enumerate_conditioned(
         if g == n:
             record(cc, p, alive_at_n=True)
             return
-        opts = options[g]
-        m = len(frontier)
-        idx = [0] * m
-        while True:
+        # every assignment of options to the frontier, the first node's
+        # option changing fastest
+        for choice in itertools.product(options[g], repeat=len(frontier)):
+            choice = choice[::-1]
             q = p
-            killed = False
-            for v, i in zip(frontier, idx):
-                k, wk = opts[i]
+            for v, (k, wk) in zip(frontier, choice):
                 cc[v] = k
                 q *= wk
-                if k == DELTA:
-                    killed = True
-            if q > 0.0:
-                if killed:
-                    record(cc, q, alive_at_n=False)
-                else:
-                    nxt = [
-                        v + (j,)
-                        for v, i in zip(frontier, idx)
-                        for j in range(1, opts[i][0] + 1)
-                    ]
-                    if nxt:
-                        sizes.append(len(nxt))
-                        rec(g + 1, nxt, cc, q)
-                        sizes.pop()
-                    else:
-                        record(cc, q, alive_at_n=False)
-            # advance the odometer over assignments
-            pos = 0
-            while pos < m:
-                idx[pos] += 1
-                if idx[pos] < len(opts):
-                    break
-                idx[pos] = 0
-                pos += 1
+            if q <= 0.0:
+                continue
+            if any(k == DELTA for k, _ in choice):
+                record(cc, q, alive_at_n=False)
+                continue
+            nxt = [v + (j,) for v, (k, _) in zip(frontier, choice) for j in range(1, k + 1)]
+            if nxt:
+                sizes.append(len(nxt))
+                rec(g + 1, nxt, cc, q)
+                sizes.pop()
             else:
-                break
+                record(cc, q, alive_at_n=False)
         for v in frontier:
             cc.pop(v, None)
 
@@ -701,17 +698,13 @@ def validate_prop4(
         exact = None
 
     cons = ConditionedSampler(env, n)
-    rng_c = np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, 11])))
-    rng_r = np.random.Generator(np.random.Philox(np.random.SeedSequence([master_seed, 12])))
-    counts_c: dict[str, int] = {}
-    counts_r: dict[str, int] = {}
+    rng_c = _rng(master_seed, _TREE_STREAM["construction"])
+    rng_r = _rng(master_seed, _TREE_STREAM["rejection"])
+    counts_c: Counter[str] = Counter()
+    counts_r: Counter[str] = Counter()
     for _ in range(samples):
-        t, _s = cons.sample(rng_c)
-        k = prefix_key(t, n)
-        counts_c[k] = counts_c.get(k, 0) + 1
-        t = rejection_conditioned(env, n, rng_r)
-        k = prefix_key(t, n)
-        counts_r[k] = counts_r.get(k, 0) + 1
+        counts_c[prefix_key(cons.sample(rng_c)[0], n)] += 1
+        counts_r[prefix_key(rejection_conditioned(env, n, rng_r), n)] += 1
 
     keys = set(counts_c) | set(counts_r)
     if exact is not None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -341,3 +342,83 @@ class TestConsoleScript:
             env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0
+
+
+# (command, params, library function, optional param left out or set to its default)
+DEFAULTED = [
+    ("simulate", {"horizon": 3, "reps": 500}, "monte_carlo", "mode"),
+    ("simulate", {"horizon": 3, "reps": 500}, "monte_carlo", "cap"),
+    ("agree", {"horizon": 2, "reps": 500}, "mode_agreement", "cap"),
+    ("tree-validate", {"n": 1}, "validate_prop4", "samples"),
+    ("tree-validate", {"n": 1, "samples": 100}, "validate_prop4", "budget"),
+    ("tree-validate", {"n": 1, "samples": 100}, "validate_prop4", "tol_floor"),
+    ("bounds", {"n": [3, 5]}, "survival_bounds", "c"),
+    ("cond-mean", {"n": [3, 5]}, "conditioned_mean_bound", "degree"),
+    ("dist", {"n": 5, "degree": 8}, "compose_coeffs", "rel_tail"),
+    ("dist", {"n": 5, "degree": 8}, "compose_coeffs", "budget"),
+]
+
+
+def _result(tmp_path, name, command, params):
+    path, _ = write_cfg(tmp_path, command, params, name=f"{name}.json")
+    out = tmp_path / name
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    (artifact,) = [p for p in out.iterdir() if p.name != "manifest.json"]
+    if artifact.suffix == ".csv":
+        return artifact.read_text()
+    return json.loads(artifact.read_text())["result"]
+
+
+@pytest.mark.parametrize("command, params, fn, key", DEFAULTED)
+def test_absent_param_takes_library_default(tmp_path, monkeypatch, command, params, fn, key):
+    from defbranch import cli
+
+    if key == "samples":
+        # 10**5 samples take too long here: shrink the library's own default
+        monkeypatch.setattr(cli.validate_prop4, "__defaults__", (100, 0))
+    default = inspect.signature(getattr(cli, fn)).parameters[key].default
+    assert default is not inspect.Parameter.empty
+    left_out = _result(tmp_path, "absent", command, params)
+    assert _result(tmp_path, "given", command, {**params, key: default}) == left_out
+    assert _result(tmp_path, "null", command, {**params, key: None}) == left_out
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [("moments", {"n": 3}), ("tree-sample", {"n": 2}), ("check", {"horizons": [10, 100]})],
+)
+def test_run_builds_environment_once(tmp_path, monkeypatch, command, params):
+    from defbranch import cli
+
+    built = []
+    real = cli.environment_from_dict
+
+    def counting(obj):
+        built.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(cli, "environment_from_dict", counting)
+    path, cfg = write_cfg(tmp_path, command, params)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    assert built == [cfg["environment"]]
+
+
+@pytest.mark.parametrize(
+    "given, missing",
+    [(("rho", "sigma"), ["eps"]), (("eps",), ["rho", "sigma"]), (("sigma", "eps"), ["rho"])],
+)
+def test_rates_partial_envelope_is_three(tmp_path, capsys, given, missing):
+    theta = 0.7298437881283575
+    bracket = {"rho": theta, "sigma": theta, "eps": 0.05}
+    path, _ = write_cfg(
+        tmp_path,
+        "rates",
+        {"n": 50, **{k: bracket[k] for k in given}},
+        environment={"kind": "constant", "law": LAW_B},
+    )
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "precondition"
+    assert err["message"] == f"envelope needs rho, sigma and eps; missing {missing}"
+    assert not (out / "rates.csv").exists()

@@ -208,6 +208,20 @@ class TestComposeCoeffs:
         total = dv.probs.sum() + dv.delta_mass + dv.tail_mass
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_mass_from_its_own_sweep(self, env_a, env_b, monkeypatch):
+        from defbranch import environments
+
+        pre = Prefix((FiniteSupport([0.2, 0.3, 0.3]),), env_b.law(1))
+        cases = [(env, n) for env in (env_a, env_b, pre) for n in (1, 7, 40)]
+        want = [1.0 - compose_eval(env, 0, n, 1.0) for env, n in cases]
+
+        def no_second_sweep(*args, **kwargs):
+            raise AssertionError("compose_coeffs swept the window twice")
+
+        monkeypatch.setattr(environments, "compose_eval", no_second_sweep)
+        # bit for bit the value the separate backward pass gave
+        assert [compose_coeffs(env, n, degree=8).delta_mass for env, n in cases] == want
+
 
 class TestSerialization:
     def test_round_trips(self, env_a, env_b, env_2a):

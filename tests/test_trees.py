@@ -334,6 +334,42 @@ class TestRejectionSampling:
         validate_tree(t)
 
 
+class TestRejectionBudgets:
+    """Both rejection loops draw through the public ``sample_dbtve`` and
+    keep their own budget messages."""
+
+    @pytest.fixture
+    def always_killed(self, monkeypatch):
+        from defbranch import trees
+
+        draws = []
+
+        def killed_tree(env, rng, depth_cap):
+            draws.append(depth_cap)
+            return DefectiveTree({(): DELTA}, cap=depth_cap)
+
+        monkeypatch.setattr(trees, "sample_dbtve", killed_tree)
+        return draws
+
+    def test_rejection_message(self, env_a, always_killed):
+        rng = np.random.default_rng(224)
+        with pytest.raises(BudgetError) as exc:
+            rejection_conditioned(env_a, 2, rng, max_tries=50)
+        assert str(exc.value) == "rejection budget of 50 exhausted"
+        assert always_killed == [2] * 50
+
+    def test_subtree_message(self, env_a, always_killed):
+        rng = np.random.default_rng(225)
+        sampler = ConditionedSampler(env_a, 2, budget_factor=3.0)
+        # the first off-spine subtree is conditioned to die or to live
+        budgets = [math.ceil(3.0 / float(p[1])) for p in (sampler._die_p, sampler._live_p)]
+        with pytest.raises(BudgetError) as exc:
+            sampler.sample(rng)
+        assert len(always_killed) in budgets
+        assert str(exc.value) == f"subtree rejection budget of {len(always_killed)} exhausted"
+        assert set(always_killed) == {1}
+
+
 class TestEnumeration:
     def test_law_a_two_levels_exact(self, env_a):
         law = enumerate_conditioned(env_a, 2)
