@@ -13,8 +13,8 @@ difference of the step law, so log-survival is accumulated exactly as a
 sum of logs and stays accurate at depths where the linear difference is
 pure cancellation.
 
-Readers here take one backward gap sweep and one forward ladder
-(``environments``) per horizon at most, and never re-sweep.
+Readers here make one generation pass (``environments._sweep``) per
+horizon and starting point, and never re-sweep.
 """
 from __future__ import annotations
 
@@ -27,12 +27,11 @@ import numpy as np
 from .environments import (
     Environment,
     _exp,
-    _gap_sweep,
-    _ladder,
     _log,
     _logsumexp,
     _mu_at,
     _running,
+    _sweep,
     compose_coeffs,
     compose_eval,
     composed_points,
@@ -91,13 +90,13 @@ class AbsorptionProfile:
 
 def absorption_profile(env: Environment, n: int) -> AbsorptionProfile:
     """Absorption probabilities at horizon n by exact composition."""
-    hi, lo, logd = _gap_sweep(env, 0, n, 1.0, 0.0)
+    sw = _sweep(env, 0, n, 1.0, 0.0)
     return AbsorptionProfile(
         n=n,
-        p_extinct=float(lo[0]),
-        p_killed=1.0 - float(hi[0]),
-        survival=_exp(logd),
-        log_survival=logd,
+        p_extinct=float(sw.lo_points[0]),
+        p_killed=1.0 - float(sw.points[0]),
+        survival=_exp(sw.log_gap),
+        log_survival=sw.log_gap,
     )
 
 
@@ -185,9 +184,9 @@ def moments(env: Environment, n: int) -> Moments:
 
     with t_j = f_{j,n}(1) and mu_{j,n} the partial mean products.
     """
-    lad = _ladder(env, composed_points(env, 0, n, 1.0), second=True)
-    log_mean = float(lad.log_ladder[-1])
-    log_ratio = _logsumexp(np.concatenate(([-log_mean], lad.log_var)))
+    sw = _sweep(env, 0, n, 1.0, ladder=True, second=True)
+    log_mean = float(sw.log_ladder[-1])
+    log_ratio = _logsumexp(np.concatenate(([-log_mean], sw.log_var)))
     return Moments(
         n=n,
         mean=_exp(log_mean),
@@ -242,12 +241,11 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
-    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
-    lad = _ladder(env, t, second=True, at=(1.0,), regularity=c is None)
-    log_inf_mu = float(np.min(_running(lad.at[0])[1:]))  # inf_j log prod f_i'(1)
-    c_used = lad.c12 if c is None else float(c)
-    log_mean = float(lad.log_ladder[-1])
-    log_s = _logsumexp(lad.log_var)  # variance part of the ratio
+    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True, second=True, at=(1.0,), regularity=c is None)
+    log_surv, log_mean = sw.log_gap, float(sw.log_ladder[-1])
+    log_inf_mu = float(np.min(_running(sw.at[0])[1:]))  # inf_j log prod f_i'(1)
+    c_used = sw.c12 if c is None else float(c)
+    log_s = _logsumexp(sw.log_var)  # variance part of the ratio
     log_inv_hi = _logsumexp(np.array([-log_mean, log_s]))
     if math.isinf(log_s) and log_s < 0:  # no variance terms at all
         log_inv_lo = -log_mean
@@ -331,10 +329,13 @@ def criteria_verdicts(
     otherwise from the decay slope of the terms across the top two
     decades: slope < -1.15 reads as convergent, slope > -0.85 with still
     growing partial sums as divergent, anything else is inconclusive.
+    Needs at least two distinct horizons, all >= 2.
     """
     hs = tuple(sorted(int(h) for h in horizons))
     if not hs or hs[0] < 2:
         raise PreconditionError("horizons must be >= 2")
+    if len(set(hs)) < 2:
+        raise PreconditionError("need at least two distinct horizons")
     n_max = hs[-1]
     # term samples for the slope fit: log-spaced over the top two decades
     lo = max(2, int(n_max / 100))
@@ -531,11 +532,10 @@ def envelope_ratios(
     if not (0.0 < rho <= sigma < sigma + eps < 1.0):
         raise PreconditionError("need 0 < rho <= sigma < sigma + eps < 1")
     se = sigma + eps
-    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
-    lad = _ladder(env, t, at=(rho, se))
-    log_mean = float(lad.log_ladder[-1])
-    mu_rho, nu_rho = _mu_at(lad.at[0])
-    mu_se, nu_se = _mu_at(lad.at[1])
+    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True, at=(rho, se))
+    log_surv, log_mean = sw.log_gap, float(sw.log_ladder[-1])
+    mu_rho, nu_rho = _mu_at(sw.at[0])
+    mu_se, nu_se = _mu_at(sw.at[1])
     return EnvelopeRatios(
         n=n,
         rho=rho,
@@ -565,8 +565,8 @@ class GrowthRates:
 def growth_rate(env: Environment, n: int) -> GrowthRates:
     if n < 1:
         raise PreconditionError("need n >= 1")
-    t, _, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
-    log_mean = float(_ladder(env, t).log_ladder[-1])
+    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)
+    log_surv, log_mean = sw.log_gap, float(sw.log_ladder[-1])
     return GrowthRates(
         n=n,
         mean_rate=log_mean / n,
@@ -625,28 +625,26 @@ def late_extinction_bounds(
         raise PreconditionError("need n >= 1")
     big = max(2 * n, 64) if proxy_horizon is None else proxy_horizon
     _check_upper(env, sigma, 0, big)
-    pts = composed_points(env, 0, big, 0.0)
+    q = composed_points(env, 0, n, compose_eval(env, n, big, 0.0))  # q[l] ~ f_{l,big}(0)
     if proxy_horizon is None:
         for _ in range(24):
             _check_upper(env, sigma, big, 2 * big)
             big *= 2
-            prev, pts = pts, composed_points(env, 0, big, 0.0)
-            if float(np.max(np.abs(pts[: n + 1] - prev[: n + 1]))) < cauchy_tol:
+            prev, q = q, composed_points(env, 0, n, compose_eval(env, n, big, 0.0))
+            if float(np.max(np.abs(q - prev))) < cauchy_tol:
                 break
         else:
             raise BudgetError("extinction probabilities did not settle")
-    q = pts[: n + 1].copy()  # q[l] ~ f_{l,big}(0)
 
-    t_sig = composed_points(env, 0, n, sigma)
-    lad = _ladder(env, t_sig, log0=_log(1.0 - sigma), at=(sigma,))
-    log_up = float(_running(lad.at[0], math.log(sigma))[-1])
-    log_low = float(lad.log_ladder[-1])
+    sw = _sweep(env, 0, n, sigma, ladder=True, log0=_log(1.0 - sigma), at=(sigma,))
+    log_up = float(_running(sw.at[0], math.log(sigma))[-1])
+    log_low = float(sw.log_ladder[-1])
 
     # exact tails at the proxy horizon, gap carried multiplicatively
     y = compose_eval(env, n, big, 1.0)
-    x = float(pts[n])  # f_{n,big}(0)
-    log_ext = _gap_sweep(env, 0, n, x, 0.0)[2]
-    log_kill = _gap_sweep(env, 0, n, 1.0, y)[2]
+    x = float(q[n])  # f_{n,big}(0)
+    log_ext = _sweep(env, 0, n, x, 0.0).log_gap
+    log_kill = _sweep(env, 0, n, 1.0, y).log_gap
     exact_ext, exact_kill, upper, lower = map(_exp, (log_ext, log_kill, log_up, log_low))
     return LateExtinctionBounds(
         sigma=sigma,

@@ -12,9 +12,10 @@ values and first two derivatives, mean-product profiles in linear and
 log scale, and exact truncated population distributions obtained by
 composing power-series coefficients.
 
-Exact readers rest on two private passes, the backward gap sweep
-``_gap_sweep`` and the forward ladder ``_ladder`` over its points; each
-reader makes at most one of each per horizon and never re-sweeps.  Logs
+Exact readers rest on one private backward pass, ``_sweep``: at each
+generation it looks the law up once and forms the points, the log gap
+and the log ladder terms its reader asks for.  Each reader makes one
+such pass per horizon and starting point, and never re-sweeps.  Logs
 turn linear only through ``_exp``.
 """
 from __future__ import annotations
@@ -361,33 +362,62 @@ def composed_points(env: Environment, k: int, n: int, s) -> np.ndarray:
     the returned array holds t_{k+j}; in particular out[0] = f_{k,n}(s)
     and out[-1] = s.  Vectorized over s.
     """
-    return _gap_sweep(env, k, n, s)[0]
+    return _sweep(env, k, n, s).points
 
 
-def _gap_sweep(env: Environment, k: int, n: int, hi, lo: float | None = None):
-    """The backward gap sweep: (his, los, log_gap) with his[j] = f_{k+j,n}(hi),
-    los[j] = f_{k+j,n}(lo) and log_gap = log(hi - lo) plus one log divided
-    difference per step, i.e. log(f_{k,n}(hi) - f_{k,n}(lo)) without
-    cancellation.  Without lo (hi may then be an array) only the points
-    of hi are formed, and los and log_gap are None."""
+class _Sweep(NamedTuple):
+    points: np.ndarray | None  # f_{k+j,n}(hi), j = 0..n-k; None with ladder
+    lo_points: np.ndarray | None  # f_{k+j,n}(lo), j = 0..n-k
+    log_gap: float | None  # log(f_{k,n}(hi) - f_{k,n}(lo))
+    log_ladder: np.ndarray | None  # log0 + running sums of log f_j'(t_j), j = k..n
+    log_var: np.ndarray | None  # log f_j''(t_j) - log f_j'(t_j) - log_ladder[j], j = k+1..n
+    at: tuple[np.ndarray, ...]  # per fixed s: log f_j'(s), j = k+1..n
+    c12: float  # max(0, max_j c12 of f_j)
+
+
+def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
+           ladder: bool = False, log0: float = 0.0, second: bool = False,
+           at: Sequence[float] = (), regularity: bool = False) -> _Sweep:
+    """The one backward pass: generations n down to k+1, one law lookup and
+    one pgf call each for the points of hi (an array only without lo and
+    ladder).  lo adds one divided difference and one pgf call for the
+    points of lo and log_gap = log(hi - lo) + the log divided differences,
+    i.e. log(f_{k,n}(hi) - f_{k,n}(lo)) free of cancellation.  ``ladder``
+    adds one pgf call for log f_j'(t_j), t_j = f_{j,n}(hi), ``second`` one
+    for log f_j''(t_j), ``at`` one per s for log f_j'(s) and ``regularity``
+    one report for c12.  Fields not asked for are None, () or 0, and so
+    are the points with ladder: no ladder reader keeps them alive."""
     _check_window(k, n)
     h = np.asarray(hi, dtype=float)
     his = np.empty((n - k + 1,) + h.shape)
     his[-1] = h
     if h.ndim == 0:
         h = float(h)  # the laws' plain-float path
-    los = log_gap = None
+    los = log_gap = log_ladder = log_var = None
     if lo is not None:
         los = np.empty(n - k + 1)
         los[-1] = l = lo
         log_gap = _log(hi - lo)
+    d1, d2, c12 = np.empty(n - k if ladder else 0), np.empty(n - k if second else 0), 0.0
+    ats = np.empty((len(at) if ladder else 0, n - k))
     for j in range(n - k - 1, -1, -1):
         law = env.law(k + j + 1)
+        if ladder:
+            d1[j] = _log(law.pgf(h, 1))
+            if second:
+                d2[j] = _log(law.pgf(h, 2))
+            for i, s in enumerate(at):
+                ats[i, j] = _log(law.pgf(s, 1))
+            if regularity:
+                c12 = max(c12, law.regularity().c12)
         if los is not None:
             log_gap += _log(law.divided_difference(h, l))
             los[j] = l = law.pgf(l)
         his[j] = h = law.pgf(h)
-    return his, los, log_gap
+    if ladder:
+        log_ladder = _running(d1, log0)
+        log_var = d2 - d1 - log_ladder[1:] if second else None
+    return _Sweep(None if ladder else his, los, log_gap, log_ladder, log_var, tuple(ats), c12)
 
 
 def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
@@ -478,47 +508,17 @@ def mu_profile(env: Environment, n: int, s: float = 1.0) -> MuProfile:
     exposed as exp of those sums so that overflow degrades to inf
     rather than corrupting neighbours.
     """
-    lad = _ladder(env, composed_points(env, 0, n, 1.0), at=(1.0, s))
-    log_mu_s, log_nu = _mu_at(lad.at[1])
+    sw = _sweep(env, 0, n, 1.0, ladder=True, at=(1.0, s))
+    log_mu_s, log_nu = _mu_at(sw.at[1])
     return MuProfile(
         n=n,
         s=float(s),
-        log_mu=_mu_at(lad.at[0])[0],
+        log_mu=_mu_at(sw.at[0])[0],
         log_mu_at_s=log_mu_s,
         log_nu_at_s=log_nu,
-        ladder=_exp(lad.log_ladder),
-        log_ladder=lad.log_ladder,
+        ladder=_exp(sw.log_ladder),
+        log_ladder=sw.log_ladder,
     )
-
-
-class _Ladder(NamedTuple):
-    log_ladder: np.ndarray  # log0 + running sums of log f_j'(t_j), j = 0..n
-    log_var: np.ndarray  # log f_j''(t_j) - log f_j'(t_j) - log_ladder[j], j = 1..n
-    at: tuple[np.ndarray, ...]  # per fixed s: log f_j'(s), j = 1..n
-    c12: float  # max(0, max_j c12 of f_j)
-
-
-def _ladder(env: Environment, t: np.ndarray, *, log0: float = 0.0, second: bool = False,
-            at: Sequence[float] = (), regularity: bool = False) -> _Ladder:
-    """The forward ladder over the points t[j] = f_{j,n}(x) of a backward
-    sweep, j = 1..n in generation order.  Per generation: one law lookup
-    and one pgf call, one more with ``second`` (else log_var is empty),
-    one per entry of ``at`` and, with ``regularity``, one regularity
-    report (else c12 is 0)."""
-    n = t.shape[0] - 1
-    d1, d2 = np.empty(n), np.empty(n if second else 0)
-    ats, c12 = np.empty((len(at), n)), 0.0
-    for j, tj in enumerate(_floats(t[1:]), 1):
-        law = env.law(j)
-        d1[j - 1] = _log(law.pgf(tj, 1))
-        if second:
-            d2[j - 1] = _log(law.pgf(tj, 2))
-        for m, s in enumerate(at):
-            ats[m, j - 1] = _log(law.pgf(s, 1))
-        if regularity:
-            c12 = max(c12, law.regularity().c12)
-    log_ladder = _running(d1, log0)
-    return _Ladder(log_ladder, d2 - d1 - log_ladder[1:] if second else d2, tuple(ats), c12)
 
 
 def _running(terms: np.ndarray, log0: float = 0.0) -> np.ndarray:
@@ -531,13 +531,6 @@ def _mu_at(terms: np.ndarray) -> tuple[float, float]:
     """(log mu_n(s), log nu_n(s)) from the terms log f_i'(s), i = 1..n."""
     log_mu = _running(terms)
     return float(log_mu[-1]), _logsumexp(-log_mu[1:])
-
-
-def _floats(a: np.ndarray):
-    """The entries of a as Python floats, for the laws' plain-float path;
-    converted a block at a time, so no list of the whole array is alive."""
-    for i in range(0, a.shape[0], 4096):
-        yield from a[i:i + 4096].tolist()
 
 
 def _log(x: float) -> float:

@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .analysis import absorption_profile
-from .environments import Environment, _exp, _gap_sweep, compose_eval
+from .environments import Environment, _exp, _sweep
 from .laws import (
     BudgetError,
     DELTA,
@@ -346,7 +346,8 @@ def spine_dist(env: Environment, l: int, n: int) -> SpineDist:
     """Exact (D, C) distribution at spine level l for horizon n."""
     if not 1 <= l <= n:
         raise PreconditionError("need 1 <= l <= n")
-    return _spine_dist(env, l, n, compose_eval(env, l, n, 0.0), compose_eval(env, l, n, 1.0))
+    sw = _sweep(env, l, n, 1.0, 0.0)
+    return _spine_dist(env, l, n, float(sw.lo_points[0]), float(sw.points[0]))
 
 
 def _spine_dist(env: Environment, l: int, n: int, f0: float, f1: float) -> SpineDist:
@@ -405,8 +406,8 @@ class ConditionedSampler:
         if extra_depth < 0:
             raise PreconditionError("extra_depth must be >= 0")
         # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
-        self._live_p, self._die_p, log_surv = _gap_sweep(env, 0, n, 1.0, 0.0)
-        if _exp(log_surv) <= 0.0:
+        self._live_p, self._die_p, self._log_surv = _sweep(env, 0, n, 1.0, 0.0)[:3]
+        if _exp(self._log_surv) <= 0.0:
             raise PreconditionError("survival probability vanishes at this horizon")
         self.env = env
         self.n = n
@@ -732,7 +733,7 @@ def validate_prop4(
         tv_construction_exact=tv_ce,
         tv_rejection_exact=tv_re,
         tv_construction_rejection=tv_cr,
-        exact_survival=absorption_profile(env, n).survival,
+        exact_survival=_exp(cons._log_surv),
         complete_enumeration=None if exact is None else exact.complete,
         passed=all(x <= threshold for x in checks),
     )

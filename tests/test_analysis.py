@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -194,6 +195,11 @@ class TestCriteria:
             assert v.horizons == (50, 100)
             assert len(v.partials) == 2
             assert v.verdict in (CONVERGES, DIVERGES, INCONCLUSIVE)
+
+    @pytest.mark.parametrize("horizons", [(10,), (10, 10)])
+    def test_needs_two_distinct_horizons(self, env_a, horizons):
+        with pytest.raises(PreconditionError, match="^need at least two distinct horizons$"):
+            criteria_verdicts(env_a, horizons=horizons)
 
     def test_named_families_analytic(self, env_1a, env_1b, env_2a, env_2b):
         def verdicts(env):
@@ -446,6 +452,43 @@ class TestLateExtinction:
         le = late_extinction_bounds(env_a, THETA_A, 4, proxy_horizon=300)
         assert le.proxy_horizon == 300
         assert le.holds_extinct and le.holds_killed
+
+    def test_frozen_fields(self, env_a, alt_env):
+        # (proxy horizon, upper_extinct, exact_extinct, lower_killed,
+        # exact_killed, q_l) as the whole-window proxy search gave them
+        qa = 0.6267890062732584
+        qb = [0.6720290022538071, 0.7024227948936722]
+        cases = [
+            (env_a, THETA_A, 3, None, 128, 0.11251566986071056, 0.04502168674200847,
+             0.06699556714981475, 0.12174560622674149, [qa] * 4),
+            (env_a, THETA_A, 8, None, 128, 0.006427356800959067, 0.002382189955944368,
+             0.003827061730046497, 0.008658903255271435, [qa] * 9),
+            (alt_env, THETA_B, 5, None, 128, 0.05086260742763109, 0.013913718253562574,
+             0.015334360748576649, 0.027134106111410324, qb * 3),
+            (env_a, THETA_A, 4, 300, 300, 0.06347122641194834, 0.024485059939699492,
+             0.03779287646269117, 0.07534782347647781, [qa] * 5),
+        ]
+        for env, sigma, n, proxy, *want in cases:
+            le = late_extinction_bounds(env, sigma, n, proxy_horizon=proxy)
+            assert (le.sigma, le.n) == (sigma, n)
+            got = [le.proxy_horizon, le.upper_extinct, le.exact_extinct, le.lower_killed,
+                   le.exact_killed, le.q_l.tolist()]
+            assert got == want
+            assert le.q_l_ok and le.holds_extinct and le.holds_killed
+
+    def test_proxy_search_keeps_only_the_window(self):
+        # nearly critical: the proxy horizon doubles up to 65536, but only
+        # the n + 1 points of the window are kept
+        env = Constant(FiniteSupport([0.25 - 3e-4, 0.5, 0.25 + 3e-4]))
+        sigma = (env.law(1).fixed_point() + 1.0) / 2.0
+        tracemalloc.start()
+        try:
+            le = late_extinction_bounds(env, sigma, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert le.proxy_horizon == 65536
+        assert peak < 100_000
 
 
 class TestConditionedMean:

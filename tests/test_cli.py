@@ -122,6 +122,13 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert "degree" in err["message"]
 
+    @pytest.mark.parametrize("horizons", [[10], [10, 10]])
+    def test_check_needs_two_horizons(self, tmp_path, capsys, horizons):
+        path, _ = write_cfg(tmp_path, "check", {"horizons": horizons})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition", "message": "need at least two distinct horizons"}
+
     def test_unexpected_error_is_one_json_line(self, tmp_path, capsys):
         path, _ = write_cfg(tmp_path, "moments", {"n": "abc"})  # int("abc") fails
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -1,0 +1,164 @@
+"""The one backward generation pass behind every exact reader.
+
+``environments._sweep`` forms the points, the log gap and the log ladder
+in one loop.  These tests hold every reader built on it to the two-pass
+algorithm it replaced (a backward sweep for the points, then a forward
+ladder over them), bit for bit, and count its law lookups.
+"""
+from __future__ import annotations
+
+import dataclasses
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from conftest import LAW_A, LAW_B
+from defbranch import (
+    Constant,
+    Environment,
+    FiniteSupport,
+    NamedFamily,
+    Prefix,
+    envelope_ratios,
+    growth_rate,
+    late_extinction_bounds,
+    moments,
+    mu_profile,
+    spine_dist,
+    survival_bounds,
+    validate_prop4,
+)
+from defbranch import analysis, environments, trees
+from defbranch.environments import _log, _running, _sweep
+
+PREFIX = Prefix(
+    tuple(FiniteSupport([0.1 + 0.02 * i, 0.3, 0.5 - 0.03 * i]) for i in range(10)), LAW_A
+)
+ENVS = {
+    "law-a": Constant(LAW_A),
+    "law-b": Constant(LAW_B),
+    "example-2b": NamedFamily("example-2b"),
+    "power-defect-3": NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": 3}),
+    "prefix-10": PREFIX,
+}
+SIGMA = 0.8  # f_i(0.8) <= 0.8 for every law of every environment above
+
+READERS = {
+    "moments": moments,
+    "bounds": survival_bounds,
+    "bounds-c": lambda env, n: survival_bounds(env, n, c=2.5),
+    "rates": growth_rate,
+    "envelope": lambda env, n: envelope_ratios(env, 0.3, 0.6, 0.05, n),
+    "mu": lambda env, n: mu_profile(env, n, s=0.4),
+    "late": lambda env, n: late_extinction_bounds(env, SIGMA, n),
+}
+
+
+def two_pass(env, k, n, hi, lo=None, *, ladder=False, log0=0.0, second=False, at=(),
+             regularity=False):
+    """Reference: the backward sweep for the points and the gap, then the
+    forward ladder loop over the stored points, generation 1 first."""
+    sw = _sweep(env, k, n, hi, lo)
+    if not ladder:
+        return sw
+    assert k == 0
+    d1, d2 = np.empty(n), np.empty(n if second else 0)
+    ats, c12 = np.empty((len(at), n)), 0.0
+    for j, tj in enumerate(sw.points[1:].tolist(), 1):
+        law = env.law(j)
+        d1[j - 1] = _log(law.pgf(tj, 1))
+        if second:
+            d2[j - 1] = _log(law.pgf(tj, 2))
+        for m, s in enumerate(at):
+            ats[m, j - 1] = _log(law.pgf(s, 1))
+        if regularity:
+            c12 = max(c12, law.regularity().c12)
+    log_ladder = _running(d1, log0)
+    log_var = d2 - d1 - log_ladder[1:] if second else None
+    return sw._replace(log_ladder=log_ladder, log_var=log_var, at=tuple(ats), c12=c12)
+
+
+def _outcome(reader, env, n):
+    """The reader's fields, or the error it raised."""
+    try:
+        res = reader(env, n)
+    except Exception as exc:  # both paths must fail alike
+        return (type(exc), str(exc))
+    return {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, float) and math.isnan(a):
+        return isinstance(b, float) and math.isnan(b)
+    return a == b
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 2000])
+@pytest.mark.parametrize("env", ENVS.values(), ids=ENVS.keys())
+def test_fused_sweep_matches_two_passes(env, n, monkeypatch):
+    with np.errstate(invalid="ignore"):  # power-defect-3 at 2000: nan, on both paths
+        fused = {name: _outcome(r, env, n) for name, r in READERS.items()}
+        monkeypatch.setattr(analysis, "_sweep", two_pass)
+        monkeypatch.setattr(environments, "_sweep", two_pass)
+        ref = {name: _outcome(r, env, n) for name, r in READERS.items()}
+    for name in READERS:
+        got, want = fused[name], ref[name]
+        assert isinstance(got, dict) == isinstance(want, dict), name
+        if not isinstance(got, dict):
+            assert got == want, name
+            continue
+        bad = [k for k in want if not _same(got[k], want[k])]
+        assert not bad, (name, bad)
+
+
+class Counting(Environment):
+    """An environment that counts its law lookups per generation."""
+
+    def __init__(self, base: Environment):
+        self.base = base
+        self.calls: Counter[int] = Counter()
+
+    def law(self, n: int):
+        self.calls[n] += 1
+        return self.base.law(n)
+
+
+@pytest.mark.parametrize("name", [k for k in READERS if k != "late"])
+def test_one_lookup_per_generation(name):
+    env = Counting(PREFIX)
+    READERS[name](env, 50)
+    assert env.calls == Counter(range(1, 51))
+
+
+def test_late_extinction_sigma_ladder_reads_each_generation_once():
+    env = Counting(Constant(LAW_A))
+    late_extinction_bounds(env, SIGMA, 50, proxy_horizon=100)
+    # generations 1..50: the invariance check, the proxy points, the sigma
+    # ladder and the two exact tails; 51..100: the check and two tail points
+    assert env.calls == Counter({j: 5 if j <= 50 else 3 for j in range(1, 101)})
+
+
+def test_spine_dist_sweeps_once():
+    env = Counting(PREFIX)
+    spine_dist(env, 3, 50)
+    # generations 4..50 for f_{3,50}(0) and f_{3,50}(1), generation 3 for its law
+    assert env.calls == Counter(range(3, 51))
+
+
+def test_validate_prop4_reuses_the_samplers_survival(monkeypatch):
+    real = trees.absorption_profile
+    calls = []
+
+    def counting(env, n):
+        calls.append(n)
+        return real(env, n)
+
+    monkeypatch.setattr(trees, "absorption_profile", counting)
+    env = Constant(LAW_A)
+    rep = validate_prop4(env, 2, samples=30)
+    assert len(calls) == 31  # one per rejection draw, one for the enumeration
+    assert rep.exact_survival == real(env, 2).survival
