@@ -127,16 +127,35 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     """All horizons at once.
 
     One backward pass over the laws updates the whole vector of pending
-    horizons, so the total cost is one law evaluation per (law, horizon)
-    pair instead of one full composition per horizon.
+    horizons: one law evaluation per (law, horizon) pair, O(n^2) in all.
+    From the generation T on which the environment repeats one law
+    (``Environment._fixed_from``), f_{i,m} = f^(m-i) for T <= i <= m, so
+    that part is one orbit each of 1 and 0 under f, one array call each
+    of ``divided_difference`` and ``np.log``, and a ``cumsum``: O(n) for
+    ``Constant``, O(n len(laws)) for ``Prefix``.  The terms are added in
+    the order the full pass adds them, so the results are the same to
+    the bit.
     """
     if n < 0:
         raise PreconditionError("horizon must be >= 0")
     hi = np.ones(n + 1)
     lo = np.zeros(n + 1)
     logd = np.zeros(n + 1)
+    top = env._fixed_from()
+    top = n + 1 if top is None else min(top, n + 1)
     with np.errstate(divide="ignore"):
-        for i in range(n, 0, -1):
+        if top <= n:
+            # horizon m >= top: f's terms at f^(j)(1), f^(j)(0), j = 0..m-top
+            law = env.law(top)
+            h, l = [1.0], [0.0]
+            for _ in range(top, n + 1):
+                h.append(law.pgf(h[-1]))
+                l.append(law.pgf(l[-1]))
+            h, l = np.array(h), np.array(l)
+            logd[top:] = np.cumsum(np.log(law.divided_difference(h[:-1], l[:-1])))
+            hi[top:] = h[1:]
+            lo[top:] = l[1:]
+        for i in range(top - 1, 0, -1):
             law = env.law(i)
             sl = slice(i, n + 1)
             logd[sl] += np.log(law.divided_difference(hi[sl], lo[sl]))
@@ -329,18 +348,19 @@ def criteria_verdicts(
     otherwise from the decay slope of the terms across the top two
     decades: slope < -1.15 reads as convergent, slope > -0.85 with still
     growing partial sums as divergent, anything else is inconclusive.
-    Needs at least two distinct horizons, all >= 2.
+    Needs at least two distinct horizons, all >= 2; a repeated horizon
+    counts once, so ``horizons`` and ``partials`` pair up entry by entry.
     """
-    hs = tuple(sorted(int(h) for h in horizons))
+    hs = tuple(sorted({int(h) for h in horizons}))
     if not hs or hs[0] < 2:
         raise PreconditionError("horizons must be >= 2")
-    if len(set(hs)) < 2:
+    if len(hs) < 2:
         raise PreconditionError("need at least two distinct horizons")
     n_max = hs[-1]
     # term samples for the slope fit: log-spaced over the top two decades
     lo = max(2, int(n_max / 100))
     sample_at = np.unique(np.geomspace(lo, n_max, 61).astype(np.int64))
-    at_h = np.array(sorted(set(hs))) - 1  # generation i sits at index i - 1
+    at_h = np.array(hs) - 1  # generation i sits at index i - 1
 
     samples: dict[str, list[tuple[int, float]]] = {}
     partials: dict[str, list[float]] = {}
@@ -617,12 +637,15 @@ def late_extinction_bounds(
     Requires f_i(sigma) <= sigma for every generation in the window (the
     upper envelope must be invariant); validated out to the proxy
     horizon.  The proxy horizon doubles from max(2n, 64) until the
-    seen-from-l extinction probabilities move less than ``cauchy_tol``.
+    seen-from-l extinction probabilities move less than ``cauchy_tol``;
+    an explicit ``proxy_horizon`` must be >= n.
     """
     if not 0.0 < sigma < 1.0:
         raise PreconditionError("need sigma in (0,1)")
     if n < 1:
         raise PreconditionError("need n >= 1")
+    if proxy_horizon is not None and proxy_horizon < n:
+        raise PreconditionError(f"need proxy_horizon >= n, got proxy_horizon={proxy_horizon}, n={n}")
     big = max(2 * n, 64) if proxy_horizon is None else proxy_horizon
     _check_upper(env, sigma, 0, big)
     q = composed_points(env, 0, n, compose_eval(env, n, big, 0.0))  # q[l] ~ f_{l,big}(0)

@@ -10,7 +10,9 @@ evaluated innermost first.  This module provides the environment
 containers (constant, explicit prefix, named families), composition of
 values and first two derivatives, mean-product profiles in linear and
 log scale, and exact truncated population distributions obtained by
-composing power-series coefficients.
+composing power-series coefficients.  There each run of
+linear-fractional generations composes in closed form, as one Moebius
+map, so no geometric tail is cut and ``DistVector.dropped`` is 0.
 
 Exact readers rest on one private backward pass, ``_sweep``: at each
 generation it looks the law up once and forms the points, the log gap
@@ -30,6 +32,7 @@ from .laws import (
     BudgetError,
     FiniteSupport,
     InvalidLawError,
+    LinearFractional,
     OffspringLaw,
     PreconditionError,
     law_from_dict,
@@ -55,6 +58,11 @@ class Environment:
 
     def law(self, n: int) -> OffspringLaw:
         raise NotImplementedError
+
+    def _fixed_from(self) -> int | None:
+        """The first generation from which ``law`` returns one and the
+        same object, or None when the environment has no such tail."""
+        return None
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
         """(f[1], defect, f'(1), f''(1), c8) of generations 1..n, one
@@ -107,6 +115,9 @@ class Constant(Environment):
             raise ValueError("generation index starts at 1")
         return self.base
 
+    def _fixed_from(self) -> int:
+        return 1
+
     def to_dict(self) -> dict:
         return {"kind": "constant", "law": self.base.to_dict()}
 
@@ -125,6 +136,9 @@ class Prefix(Environment):
         if n < 1:
             raise ValueError("generation index starts at 1")
         return self.laws[n - 1] if n <= len(self.laws) else self.tail
+
+    def _fixed_from(self) -> int:
+        return len(self.laws) + 1
 
     def to_dict(self) -> dict:
         return {
@@ -554,10 +568,10 @@ def _exp(x):
 class DistVector:
     """Truncated distribution of the population at a horizon.
 
-    probs[k] = P[Z_n = k] for k = 0..degree (exact power-series
-    coefficients of the composed pgf up to geometric-tail truncation of
-    linear-fractional steps), delta_mass = P[killed by n], tail_mass =
-    P[Z_n > degree] plus whatever the step truncation shaved off.
+    probs[k] = P[Z_n = k] for k = 0..degree (the power-series
+    coefficients of the composed pgf, no step truncated), delta_mass =
+    P[killed by n], tail_mass = P[Z_n > degree].  ``dropped``, the mass
+    a step's truncation shaved off, is 0.0: no step is truncated.
     """
 
     horizon: int
@@ -565,7 +579,7 @@ class DistVector:
     probs: np.ndarray
     delta_mass: float
     tail_mass: float
-    dropped: float  # accumulated per-step truncation mass (lf laws only)
+    dropped: float  # mass shaved off by step truncation; always 0.0
 
     def __post_init__(self) -> None:
         total = float(self.probs.sum()) + self.delta_mass + self.tail_mass
@@ -587,14 +601,17 @@ def compose_coeffs(
 ) -> DistVector:
     """Exact coefficients of f_{0,n} up to ``degree``.
 
-    Works innermost first: the polynomial Q_i carrying f_{i,n}'s
-    coefficients (truncated at ``degree``) is substituted into f_i via
-    Horner's scheme, one convolution per support point.  Truncating at
-    ``degree`` each step is exact for the kept coefficients: the low
-    coefficients of a composition never involve the discarded high ones.
-    Linear-fractional steps are truncated to a finite support carrying
-    all but ``rel_tail`` of their mass; the dropped amount is recorded
-    and conservatively surfaces inside ``tail_mass``.
+    Works innermost first on the series Q carrying f_{i,n}'s
+    coefficients, truncated at ``degree``; that is exact for the kept
+    coefficients, since the low coefficients of a composition never
+    involve the discarded high ones.  A finite law is substituted into
+    Q by Horner's scheme, one convolution per support point.  A maximal
+    run of linear-fractional generations is one Moebius map (see
+    ``_mobius``), applied to Q in closed form: exact geometric
+    coefficients when the run is innermost (Q(s) = s), a power-series
+    division otherwise.  No step is truncated, so ``dropped`` is 0.0 and
+    ``rel_tail`` no longer changes the result.  probs[0] and the killed
+    mass are f_{0,n}(0) and 1 - f_{0,n}(1), carried along the same sweep.
     """
     _check_window(0, n)
     if degree < 1:
@@ -603,16 +620,19 @@ def compose_coeffs(
         raise BudgetError(
             f"compose_coeffs work (degree+1)*n = {(degree + 1) * n} exceeds budget {budget}"
         )
-    q = np.zeros(degree + 1)
-    q[1] = 1.0
-    dropped = 0.0
-    mass = 1.0  # f_{i,n}(1), carried along the same sweep
+    q = None  # coefficients of f_{i,n} below the pending run; None while f_{i,n}(s) = s
+    run: list[LinearFractional] = []  # the pending run, innermost first
+    mass, zero = 1.0, 0.0  # f_{i,n}(1) and f_{i,n}(0)
     for i in range(n, 0, -1):
         law = env.law(i)
-        w = law.coeff_vector(rel_tail)
-        dropped += max(0.0, law.mass - float(w.sum()))
-        q = _substitute(w, q, degree)
+        if isinstance(law, LinearFractional):
+            run.append(law)
+        else:
+            q = _substitute(law.coeff_vector(), _apply_run(run, q, zero, degree), degree)
+            run = []
         mass = law.pgf(mass)
+        zero = law.pgf(zero)
+    q = _apply_run(run, q, zero, degree)
     tail = max(0.0, mass - float(q.sum()))
     return DistVector(
         horizon=n,
@@ -620,8 +640,70 @@ def compose_coeffs(
         probs=q,
         delta_mass=1.0 - mass,
         tail_mass=tail,
-        dropped=dropped,
+        dropped=0.0,
     )
+
+
+def _mobius(run: Sequence[LinearFractional]) -> tuple[float, float]:
+    """(P, R) with f(s) = f(0) + R s / (1 - P s), for f the composition
+    of the linear-fractional laws in ``run`` (innermost first).
+
+    s -> q + r/(1 - p s) is the Moebius map of [[-pq, q + r], [-p, 1]],
+    with determinant pr, and composing maps multiplies their matrices.
+    So f is the map of the product [[A, B], [C, D]], and P = -C/D, R =
+    det/D^2.  Only the bottom row is formed: f(0) = B/D comes from the
+    caller's sweep.  It is formed outermost first, as [C, D] times the
+    next matrix, a row power iteration whose ratio C/D damps its own
+    rounding errors (innermost first it does not), and rescaled to D = 1
+    after each step.  The determinant is carried as a log, the correctly
+    rounded sum of log(p r) - 2 log(scale): AD - BC would cancel."""
+    c, log_det = 0.0, []
+    for law in reversed(run):
+        p, q, r = law.p, law.q, law.r
+        d = 1.0 + (q + r) * c  # [c, 1] M = [-p (q c + 1), d]
+        c = -p * (q * c + 1.0) / d
+        log_det += (math.log(p * r), -2.0 * math.log(d))
+    return -c, math.exp(math.fsum(log_det))
+
+
+def _apply_run(run: Sequence[LinearFractional], q: np.ndarray | None, zero: float,
+               degree: int) -> np.ndarray:
+    """Coefficients of f(Q) up to ``degree``, f the composition of
+    ``run`` and Q the series q (None for Q(s) = s), constant term
+    ``zero``, the caller's f(Q(0)).
+
+    f(Q) = f(0) + R Q / (1 - P Q) (see ``_mobius``): for Q(s) = s the
+    geometric coefficients R P^(k-1) at k >= 1, otherwise a power-series
+    division."""
+    if run:
+        p, r = _mobius(run)
+        if q is None:
+            out = np.empty(degree + 1)
+            out[1:] = r * p ** np.arange(degree, dtype=float)
+        else:
+            out = r * _over_one_minus(q, p, degree)
+    elif q is None:
+        out = np.zeros(degree + 1)
+        out[1] = 1.0
+    else:
+        out = q
+    out[0] = zero
+    return out
+
+
+def _over_one_minus(q: np.ndarray, p: float, degree: int) -> np.ndarray:
+    """Coefficients of Q / (1 - p Q) up to ``degree``, for p > 0, Q >= 0
+    and p Q(0) < 1: y[k] = (Q[k] + p sum_{1<=i<=k} Q[i] y[k-i]) / (1 - p Q[0]),
+    a sum of non-negative terms, O(degree) per coefficient at most."""
+    nz = np.flatnonzero(q[1:])
+    m = int(nz[-1]) + 1 if nz.size else 0  # the last nonzero Q[i], i >= 1
+    tail = p * q[m:0:-1]  # p Q[m], ..., p Q[1]
+    den = 1.0 - p * q[0]
+    y = np.empty(degree + 1)
+    for k in range(degree + 1):
+        j = min(k, m)
+        y[k] = (q[k] + float(np.dot(tail[m - j:], y[k - j:k]))) / den
+    return y
 
 
 def _substitute(w: np.ndarray, q: np.ndarray, degree: int) -> np.ndarray:

@@ -39,6 +39,41 @@ THETA_A = 0.6267890062732586
 THETA_B = 0.7298437881283575
 
 
+def _scan_by_full_pass(env, n):
+    """absorption_scan as one O(n^2) pass over every (law, horizon) pair."""
+    hi, lo, logd = np.ones(n + 1), np.zeros(n + 1), np.zeros(n + 1)
+    with np.errstate(divide="ignore"):
+        for i in range(n, 0, -1):
+            law = env.law(i)
+            sl = slice(i, n + 1)
+            logd[sl] += np.log(law.divided_difference(hi[sl], lo[sl]))
+            hi[sl] = law.pgf(hi[sl])
+            lo[sl] = law.pgf(lo[sl])
+    with np.errstate(over="ignore"):
+        return lo, 1.0 - hi, np.exp(logd), logd
+
+
+_SCAN_ENVS = {
+    "law_a": Constant(FiniteSupport([0.45, 0.0, 0.45])),
+    "law_b": Constant(LinearFractional(0.1, 0.4, 0.5)),
+    "four_weights": Constant(FiniteSupport([0.2, 0.3, 0.1, 0.25])),
+    "prefix_lf_tail": Prefix(
+        tuple(FiniteSupport([0.1 + 0.05 * (i % 3), 0.3, 0.5 - 0.05 * (i % 4)]) for i in range(10)),
+        LinearFractional(0.1, 0.4, 0.5),
+    ),
+    "example_2b": NamedFamily("example-2b"),
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 11, 2000])
+@pytest.mark.parametrize("name", _SCAN_ENVS)
+def test_scan_matches_full_pass_bit_for_bit(name, n):
+    scan = absorption_scan(_SCAN_ENVS[name], n)
+    got = (scan.p_extinct, scan.p_killed, scan.survival, scan.log_survival)
+    for g, w in zip(got, _scan_by_full_pass(_SCAN_ENVS[name], n)):
+        assert np.array_equal(g, w)
+
+
 class TestAbsorption:
     def test_frozen_two_generations(self, env_a):
         prof = absorption_profile(env_a, 2)
@@ -200,6 +235,11 @@ class TestCriteria:
     def test_needs_two_distinct_horizons(self, env_a, horizons):
         with pytest.raises(PreconditionError, match="^need at least two distinct horizons$"):
             criteria_verdicts(env_a, horizons=horizons)
+
+    def test_repeated_horizon_counts_once(self, env_a):
+        out = criteria_verdicts(env_a, horizons=[10, 100, 100])
+        assert out == criteria_verdicts(env_a, horizons=[10, 100])
+        assert all(v.horizons == (10, 100) and len(v.partials) == 2 for v in out)
 
     def test_named_families_analytic(self, env_1a, env_1b, env_2a, env_2b):
         def verdicts(env):
@@ -447,6 +487,17 @@ class TestLateExtinction:
         with pytest.raises(PreconditionError, match="generation 1$"):
             late_extinction_bounds(env, 0.99, 5)
         assert time.perf_counter() - start < 1.0
+
+    def test_proxy_horizon_below_n_rejected_first(self, monkeypatch):
+        from defbranch import analysis
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking proxy_horizon")
+
+        monkeypatch.setattr(analysis, "_check_upper", no_sweep)
+        env = Constant(FiniteSupport([0.45, 0.0, 0.45]))
+        with pytest.raises(PreconditionError, match="^need proxy_horizon >= n, got proxy_horizon=5, n=10$"):
+            late_extinction_bounds(env, THETA_A, 10, proxy_horizon=5)
 
     def test_explicit_proxy_horizon(self, env_a):
         le = late_extinction_bounds(env_a, THETA_A, 4, proxy_horizon=300)

@@ -280,6 +280,15 @@ class TestSimulationCommands:
         assert tuple(names) == CRITERIA
         assert all(c["verdict"] == "converges" for c in doc["result"]["criteria"])
 
+    def test_check_repeated_horizon_counts_once(self, tmp_path):
+        path, _ = write_cfg(tmp_path, "check", {"horizons": [10, 100, 100]})
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "check.json").read_text())["result"]
+        assert doc["horizons"] == [10, 100]
+        for c in doc["criteria"]:
+            assert len(c["partials"]) == 2
+
     def test_tree_sample_payload(self, tmp_path):
         from defbranch import parse_tree, validate_tree
 

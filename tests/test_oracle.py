@@ -1,6 +1,6 @@
-"""Deep-horizon exact results against a 50-digit mpmath recomputation.
+"""Exact results against 50-digit mpmath recomputations.
 
-Constant, named and prefix environments are covered.
+Deep horizons: constant, named and prefix environments are covered.
 At n = 10^4 survival and the mean are far below the float range, so the
 program's log fields are the only carriers of the values.  The oracle
 composes the same float laws in 50-digit arithmetic, multiplying the
@@ -20,9 +20,11 @@ from conftest import LAW_A, LAW_B
 from defbranch import (
     Constant,
     FiniteSupport,
+    LinearFractional,
     NamedFamily,
     Prefix,
     absorption_profile,
+    compose_coeffs,
     growth_rate,
     moments,
     survival_bounds,
@@ -155,3 +157,79 @@ def test_named_family_mean_against_mpmath():
     _, log_mean, _ = _oracle_of("example_2b")
     close(moments(env, N).log_mean, log_mean)
     close(growth_rate(env, N).mean_rate, log_mean / N)
+
+
+# ---------------------------------------------------------------------------
+# population distributions: compose_coeffs against a Moebius product
+# ---------------------------------------------------------------------------
+
+
+def _mp_poly_mul(a, b):
+    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mp_poly_add(a, b):
+    a, b = (a, b) if len(a) >= len(b) else (b, a)
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _mp_dist(env, n, degree):
+    """P[Z_n = k], k = 0..degree, from f_{0,n} = N/D in 50 digits.
+
+    Innermost first, the polynomials (N, D) start at (s, 1).  A
+    linear-fractional law acts on them by its Moebius matrix
+    [[-pq, q + r], [-p, 1]], a finite law w by N/D -> sum_k w_k N^k
+    D^(m-k) / D^m.  The coefficients of N/D then follow from D y = N."""
+    with mpmath.workdps(50):
+        num, den = [mpmath.mpf(0), mpmath.mpf(1)], [mpmath.mpf(1)]
+        for i in range(n, 0, -1):
+            law = env.law(i)
+            if isinstance(law, LinearFractional):
+                q, r, p = (mpmath.mpf(float(x)) for x in (law.q, law.r, law.p))
+                num, den = (_mp_poly_add([-p * q * x for x in num], [(q + r) * x for x in den]),
+                            _mp_poly_add([-p * x for x in num], den))
+            else:
+                w = [mpmath.mpf(float(x)) for x in law.weights]
+                pn, pd = [[mpmath.mpf(1)]], [[mpmath.mpf(1)]]
+                for _ in range(len(w) - 1):
+                    pn.append(_mp_poly_mul(pn[-1], num))
+                    pd.append(_mp_poly_mul(pd[-1], den))
+                new = [mpmath.mpf(0)]
+                for k, wk in enumerate(w):
+                    new = _mp_poly_add(new, [wk * x for x in _mp_poly_mul(pn[k], pd[-1 - k])])
+                num, den = new, pd[-1]
+        y = []
+        for k in range(degree + 1):
+            acc = num[k] if k < len(num) else mpmath.mpf(0)
+            for i in range(1, min(k, len(den) - 1) + 1):
+                acc -= den[i] * y[k - i]
+            y.append(acc / den[0])
+        return y
+
+
+_FIN = (FiniteSupport([0.2, 0.3, 0.45]), FiniteSupport([0.1, 0.4, 0.5]),
+        FiniteSupport([0.3, 0.2, 0.5]), FiniteSupport([0.15, 0.35, 0.3, 0.15]))
+_LF = (LAW_B, LinearFractional(0.05, 0.3, 0.6), LinearFractional(0.2, 0.2, 0.7))
+DIST_WINDOWS = {
+    # one run of 50 linear-fractional generations: geometric coefficients
+    "constant_lf": (Constant(LAW_B), 50),
+    # finite laws over an innermost run of 28
+    "finite_over_run": (Prefix((_FIN[0], _FIN[3]), LAW_B), 30),
+    # runs above finite laws: power-series divisions
+    "runs_over_finite": (Prefix((_LF[0], _LF[1], _FIN[0], _LF[2], _LF[0], _FIN[1], _FIN[2]),
+                                _FIN[3]), 9),
+}
+
+
+@pytest.mark.parametrize("name", DIST_WINDOWS)
+def test_dist_against_moebius_product(name):
+    env, n = DIST_WINDOWS[name]
+    dv = compose_coeffs(env, n, 1000)
+    want = _mp_dist(env, n, 1000)
+    assert dv.dropped == 0.0
+    for k, (got, w) in enumerate(zip(dv.probs, want)):
+        assert abs(got - w) <= 1e-12 * w, (k, got, float(w))
