@@ -601,6 +601,10 @@ def growth_rate(env: Environment, n: int) -> GrowthRates:
 # ---------------------------------------------------------------------------
 
 
+# the proxy horizon stops doubling once the q_l move less than this
+_CAUCHY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class LateExtinctionBounds:
     """Bounds on dying late versus being killed late.
@@ -630,15 +634,14 @@ def late_extinction_bounds(
     sigma: float,
     n: int,
     proxy_horizon: int | None = None,
-    cauchy_tol: float = 1e-10,
 ) -> LateExtinctionBounds:
     """Bound the tails of the extinction and killing times.
 
     Requires f_i(sigma) <= sigma for every generation in the window (the
     upper envelope must be invariant); validated out to the proxy
     horizon.  The proxy horizon doubles from max(2n, 64) until the
-    seen-from-l extinction probabilities move less than ``cauchy_tol``;
-    an explicit ``proxy_horizon`` must be >= n.
+    seen-from-l extinction probabilities move less than ``_CAUCHY_TOL``
+    (1e-10); an explicit ``proxy_horizon`` must be >= n.
     """
     if not 0.0 < sigma < 1.0:
         raise PreconditionError("need sigma in (0,1)")
@@ -654,7 +657,7 @@ def late_extinction_bounds(
             _check_upper(env, sigma, big, 2 * big)
             big *= 2
             prev, q = q, composed_points(env, 0, n, compose_eval(env, n, big, 0.0))
-            if float(np.max(np.abs(q - prev))) < cauchy_tol:
+            if float(np.max(np.abs(q - prev))) < _CAUCHY_TOL:
                 break
         else:
             raise BudgetError("extinction probabilities did not settle")
@@ -710,6 +713,12 @@ def conditioned_mean_bound(
 ) -> CondMeanBound:
     """Exact conditioned mean against the uniform-window bound.
 
+    ``exact`` sums k P[Z_n = k] over the first ``degree`` coefficients
+    of f_{0,n}.  Without an explicit ``degree`` the degree doubles from
+    64 (up to 2^14) until the coefficients miss less than 1e-10 of the
+    survival probability (``cond_tail``) and less than 1e-10 of E[Z_n];
+    an explicit ``degree`` that misses either raises BudgetError.
+
     Raises PreconditionError when the window violates the hypotheses
     (some f_i(0) = 0 or some f_i(1) = 1).
     """
@@ -732,24 +741,25 @@ def conditioned_mean_bound(
         tot += beta**j * (1.0 + law.second_factorial / law.mean)
     bound = 1.0 + c * env.law(n).mean * tot
 
-    prof = absorption_profile(env, n)
-    if prof.survival <= 0.0:
+    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)
+    survival, mean = _exp(sw.log_gap), _exp(float(sw.log_ladder[-1]))  # P[Z_n > 0], E[Z_n]
+    if survival <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
-    # truncation is controlled relative to the surviving mass: an absolute
-    # threshold says nothing once the survival probability itself is tiny.
-    # survival and sum(probs[1:]) are both tiny but individually accurate
-    # (nonnegative sums), so their difference resolves the conditional tail.
+    # truncation is controlled relative to the surviving mass and to the
+    # mean: an absolute threshold says nothing once either is tiny.  Both
+    # sides of each difference are tiny but individually accurate
+    # (nonnegative sums), so the differences resolve the two tails.
     d = 64 if degree is None else degree
     while True:
         dv = compose_coeffs(env, n, d)
-        cond_tail = max(0.0, prof.survival - float(dv.probs[1:].sum())) / prof.survival
-        if cond_tail < 1e-10:
+        head_mean = float((np.arange(dv.probs.size) * dv.probs).sum())
+        cond_tail = max(0.0, survival - float(dv.probs[1:].sum())) / survival
+        if cond_tail < 1e-10 and max(0.0, mean - head_mean) < 1e-10 * mean:
             break
         if degree is not None or d >= (1 << 14):
-            raise BudgetError("conditional tail would not drop below 1e-10")
+            raise BudgetError("conditional tail or mean tail would not drop below 1e-10")
         d *= 2
-    ks = np.arange(dv.probs.size)
-    exact = float((ks * dv.probs).sum()) / prof.survival
+    exact = head_mean / survival
     return CondMeanBound(
         n=n,
         exact=exact,

@@ -8,10 +8,12 @@ overrides the config's command field.  ``defbranch validate`` checks a
 config (schema plus law semantics) without running anything.
 
 Commands are declared in one place, the ``_REGISTRY`` table: each entry
-gives the command's module tag, its output kind and its handler.  The
-subcommands, the artifacts' ``module`` field and the schema's
-``command`` enum are derived from that table; the schema's named-family
-``id`` enum comes from the family table in ``environments``.
+gives the command's module tag and its handler.  The subcommands, the
+artifacts' ``module`` field and the schema's ``command`` enum are
+derived from that table; the schema's named-family ``id`` enum comes
+from the family table in ``environments``.  A handler that returns a
+table (column names and one value tuple per row) writes rows; any other
+result is written as JSON.
 
 An optional param the config leaves out (or sets to null) is not passed
 on: the library function's own default applies, so each default is
@@ -24,8 +26,8 @@ precondition failures, 4 budget exhaustion, 1 anything unexpected.
 Errors go to stderr as one JSON object.
 
 Artifacts are written atomically into the output directory: the command
-result as ``<command>.json`` or ``<command>.csv`` (sweeps default to
-CSV, structured results to JSON), plus a ``manifest.json`` recording the
+result as ``<command>.json`` or ``<command>.csv`` (tables default to
+CSV, other results are JSON), plus a ``manifest.json`` recording the
 config digest, seed, versions and artifact names.  Result artifacts
 contain no timestamps, so reruns of the same config are byte-identical
 regardless of worker count; the timestamp lives in the manifest only.
@@ -43,6 +45,7 @@ import platform
 import sys
 from datetime import datetime, timezone
 from importlib import resources
+from operator import attrgetter
 from typing import Any, Callable, NamedTuple
 
 import jsonschema
@@ -132,32 +135,31 @@ def _as_list(x) -> list:
     return list(x) if isinstance(x, (list, tuple)) else [x]
 
 
+class _Table(NamedTuple):
+    """A row command's result: column names and one value tuple per row."""
+
+    columns: tuple[str, ...]
+    rows: list[tuple]
+
+
 Handler = Callable[[Environment, dict, int, int], Any]
 
 
-def _pick(result, columns: tuple[str, ...]) -> dict:
-    return {c: getattr(result, c) for c in columns}
-
-
-def _per_n(env, params, fn, columns: tuple[str, ...], **kwargs) -> list[dict]:
-    """One row per horizon in the config's ``n`` (a number or a list)."""
-    return [_pick(fn(env, int(n), **kwargs), columns) for n in _as_list(_need(params, "n"))]
+def _per_n(env, params, fn, columns: tuple[str, ...], **kwargs) -> _Table:
+    """One row per horizon in the config's ``n`` (a number or a list):
+    the named fields of ``fn``'s result, in column order."""
+    row = attrgetter(*columns)
+    ns = _as_list(_need(params, "n"))
+    return _Table(columns, [row(fn(env, int(n), **kwargs)) for n in ns])
 
 
 def _cmd_pgf(env, params, seed, workers):
     n = int(_need(params, "n"))
     k = int(params.get("k", 0))
     order = int(params.get("order", 0))
-    return [
-        {
-            "k": k,
-            "n": n,
-            "s": float(s),
-            "order": order,
-            "value": compose_eval(env, k, n, float(s), order),
-        }
-        for s in _as_list(_need(params, "s"))
-    ]
+    # a row's first four cells are compose_eval's arguments after env
+    cells = [(k, n, float(s), order) for s in _as_list(_need(params, "s"))]
+    return _Table(("k", "n", "s", "order", "value"), [c + (compose_eval(env, *c),) for c in cells])
 
 
 def _cmd_dist(env, params, seed, workers):
@@ -178,7 +180,7 @@ def _cmd_absorption(env, params, seed, workers):
     n = int(_need(params, "n"))
     scan = _plain(absorption_scan(env, n))
     scan["n"] = range(n + 1)
-    return [dict(zip(scan, row)) for row in zip(*scan.values())]
+    return _Table(tuple(scan), list(zip(*scan.values())))
 
 
 _BOUND_COLUMNS = (
@@ -211,11 +213,12 @@ def _cmd_rates(env, params, seed, workers):
     missing = [k for k in ("rho", "sigma", "eps") if k not in bracket]
     if bracket and missing:
         raise PreconditionError(f"envelope needs rho, sigma and eps; missing {missing}")
-    rows = _per_n(env, params, growth_rate, _RATE_COLUMNS)
-    if bracket:
-        for row in rows:
-            row.update(_pick(envelope_ratios(env, n=row["n"], **bracket), _ENVELOPE_COLUMNS))
-    return rows
+    table = _per_n(env, params, growth_rate, _RATE_COLUMNS)
+    if not bracket:
+        return table
+    envelope = attrgetter(*_ENVELOPE_COLUMNS)
+    rows = [row + envelope(envelope_ratios(env, n=row[0], **bracket)) for row in table.rows]
+    return _Table(_RATE_COLUMNS + _ENVELOPE_COLUMNS, rows)
 
 
 def _cmd_simulate(env, params, seed, workers):
@@ -302,25 +305,24 @@ def _cmd_cond_mean(env, params, seed, workers):
 
 class _Command(NamedTuple):
     module: str  # the artifact's "module" field
-    kind: str  # "rows" (written as CSV unless the config asks for JSON) or "json"
-    handler: Handler  # (env, params, seed, workers) -> payload
+    handler: Handler  # (env, params, seed, workers) -> a _Table or a JSON payload
 
 
 # Handlers look the library functions up in this module's globals at call
 # time, so rebinding those names (as a tracer does) reaches every command.
 _REGISTRY: dict[str, _Command] = {
-    "pgf": _Command("environments", "rows", _cmd_pgf),
-    "dist": _Command("environments", "json", _cmd_dist),
-    "moments": _Command("analysis", "rows", _cmd_moments),
-    "absorption": _Command("analysis", "rows", _cmd_absorption),
-    "bounds": _Command("analysis", "rows", _cmd_bounds),
-    "check": _Command("analysis", "json", _cmd_check),
-    "rates": _Command("analysis", "rows", _cmd_rates),
-    "simulate": _Command("simulate", "json", _cmd_simulate),
-    "agree": _Command("simulate", "json", _cmd_agree),
-    "tree-sample": _Command("trees", "json", _cmd_tree_sample),
-    "tree-validate": _Command("trees", "json", _cmd_tree_validate),
-    "cond-mean": _Command("analysis", "rows", _cmd_cond_mean),
+    "pgf": _Command("environments", _cmd_pgf),
+    "dist": _Command("environments", _cmd_dist),
+    "moments": _Command("analysis", _cmd_moments),
+    "absorption": _Command("analysis", _cmd_absorption),
+    "bounds": _Command("analysis", _cmd_bounds),
+    "check": _Command("analysis", _cmd_check),
+    "rates": _Command("analysis", _cmd_rates),
+    "simulate": _Command("simulate", _cmd_simulate),
+    "agree": _Command("simulate", _cmd_agree),
+    "tree-sample": _Command("trees", _cmd_tree_sample),
+    "tree-validate": _Command("trees", _cmd_tree_validate),
+    "cond-mean": _Command("analysis", _cmd_cond_mean),
 }
 
 
@@ -331,19 +333,12 @@ def _atomic_write(path: str, data: str) -> None:
     os.replace(tmp, path)
 
 
-def _write_rows_csv(path: str, command: str, rows: list[dict]) -> None:
-    cols = ["module", "operation"]
-    for row in rows:
-        for k in row:
-            if k not in cols:
-                cols.append(k)
+def _write_rows_csv(path: str, module: str, command: str, table: _Table) -> None:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=cols, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(
-            {"module": _REGISTRY[command].module, "operation": command, **row}
-        )
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("module", "operation") + table.columns)
+    prefix = (module, command)
+    writer.writerows(prefix + row for row in table.rows)
     _atomic_write(path, buf.getvalue())
 
 
@@ -355,14 +350,15 @@ def _run(cfg: dict, env: Environment, command: str, out_dir: str, workers: int) 
     params = cfg.get("params", {})
     seed = int(cfg.get("master_seed", 0))
     cmd = _REGISTRY[command]
-    payload = cmd.handler(env, params, seed, workers)
+    result = cmd.handler(env, params, seed, workers)
     fmt = cfg.get("output", {}).get("format")
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = []
-    if cmd.kind == "rows" and fmt != "json":
+    if isinstance(result, _Table) and fmt != "json":
         name = f"{command}.csv"
-        _write_rows_csv(os.path.join(out_dir, name), command, payload)
+        _write_rows_csv(os.path.join(out_dir, name), cmd.module, command, result)
     else:
+        if isinstance(result, _Table):  # rows asked for as JSON: one object per row
+            result = [dict(zip(result.columns, row)) for row in result.rows]
         name = f"{command}.json"
         doc = {
             "module": cmd.module,
@@ -370,10 +366,9 @@ def _run(cfg: dict, env: Environment, command: str, out_dir: str, workers: int) 
             "environment": cfg["environment"],
             "params": params,
             "master_seed": seed,
-            "result": payload,
+            "result": result,
         }
         _atomic_write(os.path.join(out_dir, name), _json_text(doc))
-    artifacts.append(name)
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(
@@ -386,10 +381,10 @@ def _run(cfg: dict, env: Environment, command: str, out_dir: str, workers: int) 
             "python": platform.python_version(),
         },
         "created_utc": datetime.now(timezone.utc).isoformat(),
-        "artifacts": artifacts,
+        "artifacts": [name],
     }
     _atomic_write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
-    print(f"wrote {', '.join(artifacts)} and manifest.json to {out_dir}")
+    print(f"wrote {name} and manifest.json to {out_dir}")
     return 0
 
 

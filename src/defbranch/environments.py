@@ -399,8 +399,9 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
     i.e. log(f_{k,n}(hi) - f_{k,n}(lo)) free of cancellation.  ``ladder``
     adds one pgf call for log f_j'(t_j), t_j = f_{j,n}(hi), ``second`` one
     for log f_j''(t_j), ``at`` one per s for log f_j'(s) and ``regularity``
-    one report for c12.  Fields not asked for are None, () or 0, and so
-    are the points with ladder: no ladder reader keeps them alive."""
+    one report for c12 per run of generations sharing one law object.
+    Fields not asked for are None, () or 0, and so are the points with
+    ladder: no ladder reader keeps them alive."""
     _check_window(k, n)
     h = np.asarray(hi, dtype=float)
     his = np.empty((n - k + 1,) + h.shape)
@@ -414,6 +415,7 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
         log_gap = _log(hi - lo)
     d1, d2, c12 = np.empty(n - k if ladder else 0), np.empty(n - k if second else 0), 0.0
     ats = np.empty((len(at) if ladder else 0, n - k))
+    prev = None
     for j in range(n - k - 1, -1, -1):
         law = env.law(k + j + 1)
         if ladder:
@@ -422,8 +424,9 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
                 d2[j] = _log(law.pgf(h, 2))
             for i, s in enumerate(at):
                 ats[i, j] = _log(law.pgf(s, 1))
-            if regularity:
+            if regularity and law is not prev:  # a repeated law cannot raise the max
                 c12 = max(c12, law.regularity().c12)
+                prev = law
         if los is not None:
             log_gap += _log(law.divided_difference(h, l))
             los[j] = l = law.pgf(l)

@@ -195,15 +195,10 @@ class OffspringLaw:
 
     # -- statistics --------------------------------------------------------------
 
-    def regularity(self, trunc: int | None = None) -> RegularityReport:
-        """Tail-regularity constants; see RegularityReport.
-
-        Args:
-            trunc: optional truncation order for the moment sums.  Must
-                leave a relative geometric tail below 1e-12; exact
-                closed forms are used when omitted.
-        """
-        m1_tail, m2_tail = self._tail_moments(trunc)
+    def regularity(self) -> RegularityReport:
+        """Tail-regularity constants, from exact moment sums; see
+        RegularityReport."""
+        m1_tail, m2_tail = self._tail_moments()
         p_ge1 = self.mass - self.weight(0)
         if p_ge1 <= 0.0:
             raise PreconditionError("law has no mass on {1, 2, ...}")
@@ -223,7 +218,7 @@ class OffspringLaw:
             c12_finite=math.isfinite(c12),
         )
 
-    def _tail_moments(self, trunc: int | None) -> tuple[float, float]:
+    def _tail_moments(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -343,7 +338,7 @@ class FiniteSupport(OffspringLaw):
             return theta if 0.0 < theta < 1.0 else None
         return _smallest_root_convex(self)
 
-    def _tail_moments(self, trunc: int | None) -> tuple[float, float]:
+    def _tail_moments(self) -> tuple[float, float]:
         w = self.weights
         k = np.arange(w.size)
         m1 = float((k * w)[2:].sum())
@@ -456,17 +451,11 @@ class LinearFractional(OffspringLaw):
         theta = half - math.sqrt(disc)
         return theta if 0.0 < theta < 1.0 else None
 
-    def _tail_moments(self, trunc: int | None) -> tuple[float, float]:
+    def _tail_moments(self) -> tuple[float, float]:
         p, r = self.p, self.r
-        if trunc is None:
-            s1 = p / (1.0 - p) ** 2          # sum k p^k
-            s2 = p * (1.0 + p) / (1.0 - p) ** 3  # sum k^2 p^k
-            return r * (s1 - p), r * (s2 - p)
-        if trunc < 2 or r * p**trunc / (1.0 - p) > 1e-12 * self.mass:
-            raise PreconditionError("trunc leaves a geometric tail above 1e-12")
-        k = np.arange(2, trunc + 1, dtype=float)
-        pk = r * p**k
-        return float((k * pk).sum()), float((k * k * pk).sum())
+        s1 = p / (1.0 - p) ** 2          # sum k p^k
+        s2 = p * (1.0 + p) / (1.0 - p) ** 3  # sum k^2 p^k
+        return r * (s1 - p), r * (s2 - p)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         scalar = size is None
@@ -511,7 +500,8 @@ def _smallest_root_convex(law: OffspringLaw) -> float | None:
         # proper law: need an interior point with g < 0
         if law.mean <= 1.0:
             return None
-        hi = _bisect(lambda s: law.pgf(s, 1) - 1.0, 0.0, 1.0)
+        # g is smallest where f' = 1: f'(0) = f[1] < 1 < f'(1)
+        hi = _bisect(lambda s: 1.0 - law.pgf(s, 1), 0.0, 1.0)
         if g(hi) >= 0.0:
             return hi if abs(g(hi)) <= _FIXED_POINT_TOL else None
     theta = _bisect(g, 0.0, hi)

@@ -403,6 +403,13 @@ class TestFixedPointBracket:
         assert br.ok
         assert br.rho == br.sigma
 
+    def test_proper_law_with_wider_support(self):
+        # four weights take the bisection path; f(0.25) = 0.25 exactly
+        br = fixed_point_bracket(Constant(FiniteSupport([0.2, 0.1, 0.3, 0.4])), upto=4)
+        assert br.ok, br.reason
+        assert br.rho == pytest.approx(0.25, abs=1e-12)
+        assert br.sigma == pytest.approx(0.25, abs=1e-12)
+
     def test_fallback_rho_without_sigma(self):
         env = Constant(FiniteSupport([0.5, 0.5]))  # proper subcritical: no fixed point
         br = fixed_point_bracket(env, upto=4)
@@ -567,13 +574,15 @@ class TestConditionedMean:
         # geometric-tail law on survival gives mean 1/(1-p) exactly
         from conftest import brute_compose, fit_lf
 
-        for n in (1, 2, 4, 6):
+        # n = 3 needs degree 128: at 64 the conditional tail passes but the
+        # coefficients still miss 6.7e-10 of the mean
+        for n in (1, 2, 3, 4, 6):
             f0 = brute_compose(env_b, 0, n, 0.0)
             fh = brute_compose(env_b, 0, n, 0.5)
             f1 = brute_compose(env_b, 0, n, 1.0)
             _, _, p = fit_lf(f0, fh, f1)
             cm = conditioned_mean_bound(env_b, n)
-            assert cm.exact == pytest.approx(1.0 / (1.0 - p), rel=1e-9)
+            assert cm.exact == pytest.approx(1.0 / (1.0 - p), rel=1e-10)
 
     def test_cond_tail_is_relative(self, env_a):
         cm = conditioned_mean_bound(env_a, 60)

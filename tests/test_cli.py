@@ -313,6 +313,23 @@ class TestSimulationCommands:
         doc = json.loads((out / "tree-sample.json").read_text())
         assert "spines" not in doc["result"]
 
+    def test_tree_sample_plain_mode_with_extra_depth(self, tmp_path):
+        path, _ = write_cfg(
+            tmp_path,
+            "tree-sample",
+            {"n": 2, "count": 20, "sampler": "plain", "extra_depth": 3},
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        doc = json.loads((out / "tree-sample.json").read_text())["result"]
+        assert doc["sampler"] == "plain"
+        assert "spines" not in doc
+        assert len(doc["trees"]) == len(doc["stats"]) == 20
+        # plain trees are cut at depth n + extra_depth, not at n
+        sizes = [len(st["gen_sizes"]) for st in doc["stats"]]
+        assert max(sizes) <= 2 + 3 + 1
+        assert max(sizes) > 2 + 1
+
     def test_tree_validate_command(self, tmp_path):
         path, _ = write_cfg(tmp_path, "tree-validate", {"n": 2, "samples": 800})
         out = tmp_path / "out"

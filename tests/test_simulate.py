@@ -189,6 +189,13 @@ class TestNormalizedSizes:
         assert s.w_mean == 0.0
         assert s.n_overflow + s.n_killed == s.reps
 
+    def test_every_path_overflowing_leaves_no_estimate(self):
+        # two children each: 2 > cap = 1 at the first generation
+        s = monte_carlo(Constant(FiniteSupport([0.0, 0.0, 1.0])), 3, 100, 1, cap=1)
+        assert s.n_overflow == 100
+        for x in (s.w_mean, s.w_var, s.w_se, s.p_survival):
+            assert math.isnan(x)
+
     def test_dead_paths_have_w_zero_past_exp_overflow(self, env_a):
         # the mean product is below e^-709 here, so exp(-log_mu) overflows
         with warnings.catch_warnings():

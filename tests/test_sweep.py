@@ -20,6 +20,7 @@ from defbranch import (
     Environment,
     FiniteSupport,
     NamedFamily,
+    OffspringLaw,
     Prefix,
     envelope_ratios,
     growth_rate,
@@ -162,3 +163,20 @@ def test_validate_prop4_reuses_the_samplers_survival(monkeypatch):
     rep = validate_prop4(env, 2, samples=30)
     assert len(calls) == 31  # one per rejection draw, one for the enumeration
     assert rep.exact_survival == real(env, 2).survival
+
+
+@pytest.mark.parametrize(
+    "env, reports", [(Constant(LAW_B), 1), (PREFIX, 11)], ids=["law-b", "prefix-10"]
+)
+def test_regularity_report_once_per_law_run(env, reports, monkeypatch):
+    real = OffspringLaw.regularity
+    calls = []
+
+    def counting(law):
+        calls.append(law)
+        return real(law)
+
+    monkeypatch.setattr(OffspringLaw, "regularity", counting)
+    survival_bounds(env, 50)
+    # generations 11..50 of the prefix share the tail's law object
+    assert len(calls) == reports
