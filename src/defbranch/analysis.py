@@ -603,6 +603,8 @@ def growth_rate(env: Environment, n: int) -> GrowthRates:
 
 # the proxy horizon stops doubling once the q_l move less than this
 _CAUCHY_TOL = 1e-10
+# the most generations the proxy search's sweeps may cover in all
+_PROXY_SWEEP_CAP = 2**20
 
 
 @dataclass(frozen=True)
@@ -641,7 +643,9 @@ def late_extinction_bounds(
     upper envelope must be invariant); validated out to the proxy
     horizon.  The proxy horizon doubles from max(2n, 64) until the
     seen-from-l extinction probabilities move less than ``_CAUCHY_TOL``
-    (1e-10); an explicit ``proxy_horizon`` must be >= n.
+    (1e-10); an explicit ``proxy_horizon`` must be >= n.  The search
+    raises BudgetError before a doubling that would take the generations
+    its sweeps cover past ``_PROXY_SWEEP_CAP`` (2^20).
     """
     if not 0.0 < sigma < 1.0:
         raise PreconditionError("need sigma in (0,1)")
@@ -653,14 +657,19 @@ def late_extinction_bounds(
     _check_upper(env, sigma, 0, big)
     q = composed_points(env, 0, n, compose_eval(env, n, big, 0.0))  # q[l] ~ f_{l,big}(0)
     if proxy_horizon is None:
-        for _ in range(24):
+        swept = big - n
+        while True:
+            swept += 2 * big - n
+            if swept > _PROXY_SWEEP_CAP:
+                raise BudgetError(
+                    "extinction probabilities did not settle within the proxy "
+                    f"search's cap of {_PROXY_SWEEP_CAP} generations swept"
+                )
             _check_upper(env, sigma, big, 2 * big)
             big *= 2
             prev, q = q, composed_points(env, 0, n, compose_eval(env, n, big, 0.0))
             if float(np.max(np.abs(q - prev))) < _CAUCHY_TOL:
                 break
-        else:
-            raise BudgetError("extinction probabilities did not settle")
 
     sw = _sweep(env, 0, n, sigma, ladder=True, log0=_log(1.0 - sigma), at=(sigma,))
     log_up = float(_running(sw.at[0], math.log(sigma))[-1])

@@ -53,6 +53,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    absorption_profile,
     absorption_scan,
     conditioned_mean_bound,
     criteria_verdicts,
@@ -265,8 +266,11 @@ def _cmd_tree_sample(env, params, seed, workers):
             trees.append(t)
             spines.append(_plain(s, skip=("labels",)))
     elif sampler == "rejection":
+        surv = absorption_profile(env, n).survival
         for _ in range(count):
-            trees.append(rejection_conditioned(env, n, rng, extra_depth=extra))
+            trees.append(
+                rejection_conditioned(env, n, rng, extra_depth=extra, survival=surv)
+            )
     else:
         for _ in range(count):
             trees.append(sample_dbtve(env, rng, depth_cap=n + extra))

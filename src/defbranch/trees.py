@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -83,10 +84,15 @@ class DefectiveTree:
 
     child_count: dict[Label, int]
     cap: int | None = field(default=None, compare=False)
+    # generation sizes recorded by the sampler that drew the whole tree;
+    # None makes gen_sizes walk the count map
+    _sizes: list[int] | None = field(default=None, compare=False, repr=False)
 
     def gen_sizes(self) -> list[int]:
         """Population per generation; ends with DELTA if killed, 0 if
         extinct, a positive count if the scan hit uncounted frontier."""
+        if self._sizes is not None:
+            return list(self._sizes)
         sizes = [1]
         frontier: list[Label] = [()]
         while frontier:
@@ -225,8 +231,8 @@ def sample_dbtve(
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
     cc: dict[Label, int] = {}
-    _grow_frontier(cc, env, 0, depth_cap, rng)
-    return DefectiveTree(cc, cap=depth_cap)
+    sizes = [1] + _grow_frontier(cc, env, 0, depth_cap, rng)
+    return DefectiveTree(cc, cap=depth_cap, _sizes=sizes)
 
 
 def _grow_frontier(
@@ -235,27 +241,31 @@ def _grow_frontier(
     depth: int,
     extra: int,
     rng: np.random.Generator,
-) -> None:
+) -> list[int]:
     """Extend a tree alive at ``depth`` by ``extra`` more generations,
     drawing whole generations at a time (in label order) and stopping
-    at extinction or at the first generation that holds a DELTA."""
+    at extinction or at the first generation that holds a DELTA.
+
+    Returns the size of each generation drawn, DELTA for a killed one.
+    """
     frontier = [()] if depth == 0 else sorted(
         lab + (j,)
         for lab, c in cc.items()
         if len(lab) == depth - 1 and c != DELTA
         for j in range(1, c + 1)
     )
+    sizes: list[int] = []
     for g in range(depth + 1, depth + extra + 1):
         if not frontier:
-            return
-        draws = env.law(g).sample(rng, size=len(frontier))
-        for v, c in zip(frontier, draws):
-            cc[v] = int(c)
-        if np.any(draws == DELTA):
-            return
-        frontier = [
-            v + (j,) for v, c in zip(frontier, draws) for j in range(1, int(c) + 1)
-        ]
+            break
+        draws = env.law(g).sample(rng, size=len(frontier)).tolist()
+        cc.update(zip(frontier, draws))
+        if DELTA in draws:
+            sizes.append(DELTA)
+            break
+        frontier = [v + (j,) for v, c in zip(frontier, draws) for j in range(1, c + 1)]
+        sizes.append(len(frontier))
+    return sizes
 
 
 def _draw_until(
@@ -327,19 +337,21 @@ class SpineDist:
     d: np.ndarray
     c: np.ndarray
     prob: np.ndarray
-    _cum: np.ndarray = field(repr=False, compare=False, default=None)
+    _cum: list[float] = field(repr=False, compare=False, default=None)
+    _pairs: list[tuple[int, int]] = field(repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "_cum", np.cumsum(self.prob))
+        object.__setattr__(self, "_cum", np.cumsum(self.prob).tolist())
+        object.__setattr__(self, "_pairs", list(zip(self.d.tolist(), self.c.tolist())))
 
     @property
     def total(self) -> float:
-        return float(self._cum[-1]) if self.prob.size else 0.0
+        return self._cum[-1] if self._cum else 0.0
 
     def sample(self, rng: np.random.Generator) -> tuple[int, int]:
+        # bisect_right on the float sums is searchsorted(side="right")
         u = rng.random() * self.total
-        i = min(int(np.searchsorted(self._cum, u, side="right")), self.prob.size - 1)
-        return int(self.d[i]), int(self.c[i])
+        return self._pairs[min(bisect_right(self._cum, u), len(self._pairs) - 1)]
 
 
 def spine_dist(env: Environment, l: int, n: int) -> SpineDist:
@@ -413,7 +425,7 @@ class ConditionedSampler:
         self.n = n
         self.extra_depth = extra_depth
         self.budget_factor = float(budget_factor)
-        die, live = self._die_p.tolist(), self._live_p.tolist()
+        self._die, self._live = die, live = self._die_p.tolist(), self._live_p.tolist()
         self._spines = [_spine_dist(env, l, n, die[l], live[l]) for l in range(1, n + 1)]
         self._shifted = [env.shift(l) for l in range(n + 1)]
 
@@ -448,7 +460,7 @@ class ConditionedSampler:
         """One subtree rooted at generation l, conditioned to be extinct
         within m generations (left of spine) or to avoid the graveyard
         for m generations (right of spine)."""
-        accept_p = float(self._die_p[l]) if want_dead else float(self._live_p[l])
+        accept_p = (self._die if want_dead else self._live)[l]
         if accept_p <= 0.0:
             raise PreconditionError(
                 f"requested subtree event has probability 0 at generation {l}"
@@ -476,13 +488,20 @@ def rejection_conditioned(
     *,
     max_tries: int | None = None,
     extra_depth: int = 0,
+    survival: float | None = None,
 ) -> DefectiveTree:
     """Conditioned tree by plain rejection: resample until alive at n.
 
     With an explicit max_tries the expected tries must not exceed a
     tenth of it; the default budget is 20x the expected tries.
+
+    ``survival`` is P[alive at n] for this ``env`` at this horizon
+    ``n``, as ``absorption_profile(env, n).survival`` gives it; a caller
+    drawing many trees passes it to skip that sweep on every call.  It
+    sets the budget only, and a value for another environment or
+    horizon gives a wrong budget.  None computes it here.
     """
-    surv = absorption_profile(env, n).survival
+    surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
     expected = 1.0 / surv
@@ -701,11 +720,12 @@ def validate_prop4(
     cons = ConditionedSampler(env, n)
     rng_c = _rng(master_seed, _TREE_STREAM["construction"])
     rng_r = _rng(master_seed, _TREE_STREAM["rejection"])
+    surv = _exp(cons._log_surv)  # the survival absorption_profile(env, n) gives
     counts_c: Counter[str] = Counter()
     counts_r: Counter[str] = Counter()
     for _ in range(samples):
         counts_c[prefix_key(cons.sample(rng_c)[0], n)] += 1
-        counts_r[prefix_key(rejection_conditioned(env, n, rng_r), n)] += 1
+        counts_r[prefix_key(rejection_conditioned(env, n, rng_r, survival=surv), n)] += 1
 
     keys = set(counts_c) | set(counts_r)
     if exact is not None:
@@ -733,7 +753,7 @@ def validate_prop4(
         tv_construction_exact=tv_ce,
         tv_rejection_exact=tv_re,
         tv_construction_rejection=tv_cr,
-        exact_survival=_exp(cons._log_surv),
+        exact_survival=surv,
         complete_enumeration=None if exact is None else exact.complete,
         passed=all(x <= threshold for x in checks),
     )

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import Alternating, brute_dist, rand_env
 from defbranch import (
+    BudgetError,
     CONVERGES,
     CRITERIA,
     DIVERGES,
@@ -505,6 +506,29 @@ class TestLateExtinction:
         env = Constant(FiniteSupport([0.45, 0.0, 0.45]))
         with pytest.raises(PreconditionError, match="^need proxy_horizon >= n, got proxy_horizon=5, n=10$"):
             late_extinction_bounds(env, THETA_A, 10, proxy_horizon=5)
+
+    @pytest.mark.parametrize("cap, settles", [(181, False), (182, True)])
+    def test_proxy_search_stops_at_its_cap(self, env_a, monkeypatch, cap, settles):
+        # n = 5 starts the search at horizon 64 (59 generations) and settles
+        # after one doubling to 128 (123 more): 182 generations in all
+        from defbranch import analysis
+
+        real = analysis.compose_eval
+        horizons = []
+
+        def counting(env, k, n, s):
+            horizons.append((k, n))
+            return real(env, k, n, s)
+
+        monkeypatch.setattr(analysis, "compose_eval", counting)
+        monkeypatch.setattr(analysis, "_PROXY_SWEEP_CAP", cap)
+        if settles:
+            assert late_extinction_bounds(env_a, THETA_A, 5).proxy_horizon == 128
+            assert sum(n - k for k, n in horizons[:-1]) == 182  # the last is the kill tail
+            return
+        with pytest.raises(BudgetError, match=f"cap of {cap} generations swept$"):
+            late_extinction_bounds(env_a, THETA_A, 5)
+        assert horizons == [(5, 64)]
 
     def test_explicit_proxy_horizon(self, env_a):
         le = late_extinction_bounds(env_a, THETA_A, 4, proxy_horizon=300)

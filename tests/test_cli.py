@@ -304,7 +304,18 @@ class TestSimulationCommands:
             validate_tree(tree)
             assert st["gen_sizes"][3] >= 1
 
-    def test_tree_sample_rejection_mode(self, tmp_path):
+    def test_tree_sample_rejection_mode(self, tmp_path, monkeypatch):
+        from defbranch import cli, trees
+
+        real = cli.absorption_profile
+        calls = []
+
+        def counting(env, n):
+            calls.append(n)
+            return real(env, n)
+
+        for module in (cli, trees):
+            monkeypatch.setattr(module, "absorption_profile", counting)
         path, _ = write_cfg(
             tmp_path, "tree-sample", {"n": 2, "count": 3, "sampler": "rejection"}
         )
@@ -312,6 +323,8 @@ class TestSimulationCommands:
         assert main(["run", str(path), "--out", str(out)]) == 0
         doc = json.loads((out / "tree-sample.json").read_text())
         assert "spines" not in doc["result"]
+        assert len(doc["result"]["trees"]) == 3
+        assert calls == [2]  # one survival for the command, not one per tree
 
     def test_tree_sample_plain_mode_with_extra_depth(self, tmp_path):
         path, _ = write_cfg(

@@ -1,6 +1,7 @@
 """Tree objects, prefix laws, spine construction, exact enumeration."""
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import subprocess
@@ -18,6 +19,7 @@ from defbranch import (
     DefectiveTree,
     FiniteSupport,
     InvalidTreeError,
+    LinearFractional,
     PreconditionError,
     absorption_profile,
     compose_coeffs,
@@ -472,3 +474,140 @@ class TestProp4:
         assert rep.tv_rejection_exact is None
         assert rep.complete_enumeration is None
         assert rep.passed  # the two samplers must still agree
+
+
+# SHA-256 over the trees each sampler draws at a fixed seed, before the
+# samplers' per-node costs were cut; any change to the random stream or
+# to the order of the draws shows here
+STREAM_LAWS = {
+    "finite": FiniteSupport([0.45, 0.0, 0.45]),
+    "lf": LinearFractional(0.1, 0.4, 0.5),
+    "defective4": FiniteSupport([0.2, 0.3, 0.25, 0.15]),
+}
+STREAM_DIGESTS = {
+    ("finite", "plain"): "39ecd21d8736472c6fe223d9edea0f767dd1c21ded0562543fafba6b1683a0b8",
+    ("finite", "rejection"): "0cf8d6811976ceb8d8792cf3f6a199c4a70bc179b3e9270e61103d40a8e0807b",
+    ("finite", "rejection-extra"): "15920c43fd7cd4e7a7cd184db15e5212237a9a3f54d88498fe9f6bb7bd35b8a2",
+    ("finite", "construction"): "869c7c39d709bb0024c93586562a2df0be7deaaa95c82e615151bd29bde2c2c4",
+    ("lf", "plain"): "e79bb49b10d8d29e53d2617d5e49e5d154fdd4904a8c8af49ec104961d0e6972",
+    ("lf", "rejection"): "10206a0f343e8fe39f19383ae252a8f8e2cd9f74127f61f3251a56f07a2cb073",
+    ("lf", "rejection-extra"): "8f8f2b8f49a2155f65761e53dbd63a4ccdf5548b475c0328fbae41ef47a33df4",
+    ("lf", "construction"): "be9fea4fe545207a421f17b44daaf99b358ee45d6b998f029dca997199e85a03",
+    ("defective4", "plain"): "dada176a54e7621e9d75c50ea4f06a63fb81aac24f4bf09ca9c984125dceaade",
+    ("defective4", "rejection"): "86e596a0c616ac107095a8c116f90bed42d7d72adca6e9b4f13b18099d871cb3",
+    ("defective4", "rejection-extra"): "f729b2c32f9dd2083069a24fff0f6cc61d76e015cb5d303740d748c8672e052d",
+    ("defective4", "construction"): "44851a35eaef7b76d4381edf7e17c63d1f1e30caa0d00dbc5e05049ef0829788",
+}
+STREAM_KINDS = ("plain", "rejection", "rejection-extra", "construction")
+PROP4_REPRS = {
+    "finite": "Prop4Report(n=2, samples=2000, atom_count=3, threshold=0.1161895003862225, "
+    "tv_construction_exact=0.014166666666666633, tv_rejection_exact=0.006833333333333358, "
+    "tv_construction_rejection=0.013500000000000002, exact_survival=0.273375, "
+    "complete_enumeration=True, passed=True)",
+    "lf": "Prop4Report(n=2, samples=2000, atom_count=1127, threshold=2.2519991119003575, "
+    "tv_construction_exact=0.1939997366977517, tv_rejection_exact=0.19815424757725358, "
+    "tv_construction_rejection=0.20550000000000015, exact_survival=0.19393939393939397, "
+    "complete_enumeration=False, passed=True)",
+    "defective4": "Prop4Report(n=2, samples=2000, atom_count=81, threshold=0.6037383539249432, "
+    "tv_construction_exact=0.05404171154411043, tv_rejection_exact=0.05931264075198276, "
+    "tv_construction_rejection=0.07400000000000004, exact_survival=0.51065, "
+    "complete_enumeration=True, passed=True)",
+}
+
+
+def _stream_trees(kind, env, rng):
+    if kind == "plain":
+        return [sample_dbtve(env, rng, depth_cap=4) for _ in range(150)]
+    if kind == "rejection":
+        return [rejection_conditioned(env, 3, rng) for _ in range(100)]
+    if kind == "rejection-extra":
+        return [rejection_conditioned(env, 2, rng, extra_depth=2) for _ in range(100)]
+    sampler = ConditionedSampler(env, 3, extra_depth=2)
+    return [sampler.sample(rng)[0] for _ in range(100)]
+
+
+class TestStreamIdentity:
+    @pytest.mark.parametrize("kind", STREAM_KINDS)
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_sampled_trees_pinned(self, law, kind):
+        seed = 1000 + STREAM_KINDS.index(kind)
+        trees = _stream_trees(kind, Constant(STREAM_LAWS[law]), np.random.default_rng(seed))
+        text = "\n\n".join(f"{t.cap}|{t.serialize()}" for t in trees)
+        assert hashlib.sha256(text.encode()).hexdigest() == STREAM_DIGESTS[law, kind]
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_prop4_report_pinned(self, law):
+        env = Constant(STREAM_LAWS[law])
+        rep = validate_prop4(env, 2, samples=2000, master_seed=3, max_count=4)
+        assert repr(rep) == PROP4_REPRS[law]
+
+
+class _Uniforms:
+    """Stands in for a Generator whose next uniforms are given."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+class TestSamplingFastPaths:
+    @pytest.mark.parametrize(
+        "weights",
+        [[0.45, 0.0, 0.45], [0.2, 0.3, 0.25, 0.15], [0.25, 0.5, 0.25], [0.5, 0.0, 0.5]],
+        ids=["law-a", "defective4", "proper", "proper-gap"],
+    )
+    def test_small_draws_match_searchsorted(self, weights):
+        from defbranch.laws import _SMALL_DRAW
+
+        law = FiniteSupport(weights)
+        cum = np.cumsum(law.weights)
+        # every threshold, its float neighbours, and the ends of [0, 1)
+        u = [0.0, np.nextafter(1.0, 0.0)]
+        for c in cum.tolist():
+            u += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
+        u = [x for x in u if 0.0 <= x < 1.0]
+        assert len(u) <= _SMALL_DRAW
+        idx = np.searchsorted(cum, u, side="right")
+        want = np.where(idx >= law.weights.size, DELTA, idx).tolist()
+        if law.mass < 1.0:
+            assert DELTA in want
+
+        small = law.sample(_Uniforms(u), size=len(u))
+        assert small.dtype == np.int64 and small.tolist() == want
+        assert [law.sample(_Uniforms([x])) for x in u] == want
+        # the numpy path, past the small-size cut, on the same uniforms
+        reps = _SMALL_DRAW // len(u) + 1
+        big = law.sample(_Uniforms(u * reps), size=len(u) * reps)
+        assert big.tolist() == want * reps
+
+    def test_spine_draws_match_searchsorted(self, env_a):
+        sd = spine_dist(env_a, 1, 3)
+        cum = np.cumsum(sd.prob)
+        for c in cum.tolist():
+            for x in (np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)):
+                u = x / sd.total
+                i = min(int(np.searchsorted(cum, u * sd.total, side="right")), sd.prob.size - 1)
+                assert sd.sample(_Uniforms([u])) == (int(sd.d[i]), int(sd.c[i]))
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_recorded_sizes_match_the_walk(self, law):
+        env = Constant(STREAM_LAWS[law])
+        rng = np.random.default_rng(31)
+        trees = [sample_dbtve(env, rng, depth_cap=cap) for cap in (0, 1, 5) for _ in range(100)]
+        trees += [rejection_conditioned(env, 2, rng, extra_depth=e) for e in (0, 2) for _ in range(50)]
+        sampler = ConditionedSampler(env, 2, extra_depth=1)
+        trees += [sampler.sample(rng)[0] for _ in range(50)]
+        for t in trees:
+            walked = DefectiveTree(dict(t.child_count), cap=t.cap).gen_sizes()
+            assert t.gen_sizes() == walked
+
+    def test_recorded_sizes_are_copied(self, env_a):
+        t = sample_dbtve(env_a, np.random.default_rng(32), depth_cap=3)
+        t.gen_sizes().append(99)
+        assert t.gen_sizes() == DefectiveTree(dict(t.child_count)).gen_sizes()
+        assert t == DefectiveTree(dict(t.child_count))
