@@ -645,7 +645,9 @@ def late_extinction_bounds(
     seen-from-l extinction probabilities move less than ``_CAUCHY_TOL``
     (1e-10); an explicit ``proxy_horizon`` must be >= n.  The search
     raises BudgetError before a doubling that would take the generations
-    its sweeps cover past ``_PROXY_SWEEP_CAP`` (2^20).
+    its sweeps cover past ``_PROXY_SWEEP_CAP`` (2^20).  From n above 2^18
+    even the first doubling passes the cap, so such horizons need an
+    explicit ``proxy_horizon``.
     """
     if not 0.0 < sigma < 1.0:
         raise PreconditionError("need sigma in (0,1)")
@@ -663,7 +665,8 @@ def late_extinction_bounds(
             if swept > _PROXY_SWEEP_CAP:
                 raise BudgetError(
                     "extinction probabilities did not settle within the proxy "
-                    f"search's cap of {_PROXY_SWEEP_CAP} generations swept"
+                    f"search's cap of {_PROXY_SWEEP_CAP} generations swept; "
+                    "pass an explicit proxy_horizon"
                 )
             _check_upper(env, sigma, big, 2 * big)
             big *= 2

@@ -57,10 +57,6 @@ DELTA = -1
 # Slack for "sums to at most one" style mass checks on user input.
 MASS_TOL = 1e-9
 
-# Largest draw that FiniteSupport.sample maps uniform by uniform in plain
-# Python; bigger draws go through one numpy searchsorted.
-_SMALL_DRAW = 16
-
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 
@@ -279,15 +275,10 @@ class FiniteSupport(OffspringLaw):
         return _horner_lists(self.weights.tolist())
 
     @cached_property
-    def _cum(self) -> np.ndarray:
-        # sampling thresholds over {0..K, DELTA}
-        return np.cumsum(self.weights)
-
-    @cached_property
     def _draw_table(self) -> tuple[list[float], list[int]]:
-        # the same thresholds as plain floats, and the draw each index
-        # past them stands for
-        return self._cum.tolist(), list(range(self.weights.size)) + [DELTA]
+        # sampling thresholds over {0..K, DELTA} as plain floats, and the
+        # draw each index past them stands for
+        return np.cumsum(self.weights).tolist(), list(range(self.weights.size)) + [DELTA]
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
         if order not in (0, 1, 2):
@@ -358,15 +349,12 @@ class FiniteSupport(OffspringLaw):
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         # bisect_right on the float thresholds finds the index that
-        # searchsorted(side="right") finds, so both paths draw alike
-        if size is None or size <= _SMALL_DRAW:
-            cum, draw = self._draw_table
-            if size is None:
-                return draw[bisect_right(cum, rng.random())]
-            u = rng.random(size).tolist()
-            return np.array([draw[bisect_right(cum, x)] for x in u], dtype=np.int64)
-        idx = np.searchsorted(self._cum, rng.random(size), side="right")
-        return np.where(idx >= self.weights.size, DELTA, idx).astype(np.int64)
+        # searchsorted(side="right") would find
+        cum, draw = self._draw_table
+        if size is None:
+            return draw[bisect_right(cum, rng.random())]
+        u = rng.random(size).tolist()
+        return np.array([draw[bisect_right(cum, x)] for x in u], dtype=np.int64)
 
     def to_dict(self) -> dict:
         return {"kind": "finite", "weights": [float(x) for x in self.weights]}

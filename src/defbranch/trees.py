@@ -79,14 +79,16 @@ class DefectiveTree:
     child_count maps node label to its number of children, DELTA when
     the node's brood drew the graveyard.  cap is the sampling depth the
     tree was cut at (None when unknown, e.g. after parsing); it is
-    metadata, not part of equality.
+    metadata, not part of equality.  A tree from sample_dbtve also
+    carries the generation sizes recorded while drawing it, which
+    gen_sizes returns without walking child_count; changing the count
+    map of such a tree leaves them stale, so set ``_sizes`` to None first.
     """
 
     child_count: dict[Label, int]
     cap: int | None = field(default=None, compare=False)
-    # generation sizes recorded by the sampler that drew the whole tree;
     # None makes gen_sizes walk the count map
-    _sizes: list[int] | None = field(default=None, compare=False, repr=False)
+    _sizes: list[int] | None = field(default=None, init=False, compare=False, repr=False)
 
     def gen_sizes(self) -> list[int]:
         """Population per generation; ends with DELTA if killed, 0 if
@@ -231,8 +233,9 @@ def sample_dbtve(
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
     cc: dict[Label, int] = {}
-    sizes = [1] + _grow_frontier(cc, env, 0, depth_cap, rng)
-    return DefectiveTree(cc, cap=depth_cap, _sizes=sizes)
+    tree = DefectiveTree(cc, cap=depth_cap)
+    tree._sizes = [1] + _grow_frontier(cc, env, 0, depth_cap, rng)
+    return tree
 
 
 def _grow_frontier(
@@ -418,15 +421,17 @@ class ConditionedSampler:
         if extra_depth < 0:
             raise PreconditionError("extra_depth must be >= 0")
         # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
-        self._live_p, self._die_p, self._log_surv = _sweep(env, 0, n, 1.0, 0.0)[:3]
+        live, die, self._log_surv = _sweep(env, 0, n, 1.0, 0.0)[:3]
+        self._live, self._die = live.tolist(), die.tolist()
         if _exp(self._log_surv) <= 0.0:
             raise PreconditionError("survival probability vanishes at this horizon")
         self.env = env
         self.n = n
         self.extra_depth = extra_depth
         self.budget_factor = float(budget_factor)
-        self._die, self._live = die, live = self._die_p.tolist(), self._live_p.tolist()
-        self._spines = [_spine_dist(env, l, n, die[l], live[l]) for l in range(1, n + 1)]
+        self._spines = [
+            _spine_dist(env, l, n, self._die[l], self._live[l]) for l in range(1, n + 1)
+        ]
         self._shifted = [env.shift(l) for l in range(n + 1)]
 
     def sample(self, rng: np.random.Generator) -> tuple[DefectiveTree, SpineRecord]:
@@ -515,8 +520,9 @@ def rejection_conditioned(
         env, n, rng, max_tries, lambda z: len(z) == n + 1 and z[-1] >= 1, "rejection"
     )
     if extra_depth:
+        t._sizes = None  # the sizes recorded while drawing stop at n
+        t.cap = n + extra_depth
         _grow_frontier(t.child_count, env, n, extra_depth, rng)
-        return DefectiveTree(t.child_count, cap=n + extra_depth)
     return t
 
 

@@ -526,7 +526,7 @@ class TestLateExtinction:
             assert late_extinction_bounds(env_a, THETA_A, 5).proxy_horizon == 128
             assert sum(n - k for k, n in horizons[:-1]) == 182  # the last is the kill tail
             return
-        with pytest.raises(BudgetError, match=f"cap of {cap} generations swept$"):
+        with pytest.raises(BudgetError, match=f"cap of {cap} generations swept; pass an explicit proxy_horizon$"):
             late_extinction_bounds(env_a, THETA_A, 5)
         assert horizons == [(5, 64)]
 

@@ -364,7 +364,7 @@ class TestRejectionBudgets:
         rng = np.random.default_rng(225)
         sampler = ConditionedSampler(env_a, 2, budget_factor=3.0)
         # the first off-spine subtree is conditioned to die or to live
-        budgets = [math.ceil(3.0 / float(p[1])) for p in (sampler._die_p, sampler._live_p)]
+        budgets = [math.ceil(3.0 / p[1]) for p in (sampler._die, sampler._live)]
         with pytest.raises(BudgetError) as exc:
             sampler.sample(rng)
         assert len(always_killed) in budgets
@@ -561,9 +561,7 @@ class TestSamplingFastPaths:
         [[0.45, 0.0, 0.45], [0.2, 0.3, 0.25, 0.15], [0.25, 0.5, 0.25], [0.5, 0.0, 0.5]],
         ids=["law-a", "defective4", "proper", "proper-gap"],
     )
-    def test_small_draws_match_searchsorted(self, weights):
-        from defbranch.laws import _SMALL_DRAW
-
+    def test_draws_match_searchsorted(self, weights):
         law = FiniteSupport(weights)
         cum = np.cumsum(law.weights)
         # every threshold, its float neighbours, and the ends of [0, 1)
@@ -571,19 +569,14 @@ class TestSamplingFastPaths:
         for c in cum.tolist():
             u += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
         u = [x for x in u if 0.0 <= x < 1.0]
-        assert len(u) <= _SMALL_DRAW
         idx = np.searchsorted(cum, u, side="right")
         want = np.where(idx >= law.weights.size, DELTA, idx).tolist()
         if law.mass < 1.0:
             assert DELTA in want
 
-        small = law.sample(_Uniforms(u), size=len(u))
-        assert small.dtype == np.int64 and small.tolist() == want
+        drawn = law.sample(_Uniforms(u), size=len(u))
+        assert drawn.dtype == np.int64 and drawn.tolist() == want
         assert [law.sample(_Uniforms([x])) for x in u] == want
-        # the numpy path, past the small-size cut, on the same uniforms
-        reps = _SMALL_DRAW // len(u) + 1
-        big = law.sample(_Uniforms(u * reps), size=len(u) * reps)
-        assert big.tolist() == want * reps
 
     def test_spine_draws_match_searchsorted(self, env_a):
         sd = spine_dist(env_a, 1, 3)
