@@ -139,14 +139,15 @@ class DefectiveTree:
         return f"DefectiveTree({len(self.child_count)} counted nodes, cap={self.cap})"
 
 
+def _records(items) -> str:
+    """``label,count`` lines of (label, count) pairs, in the order given."""
+    return "\n".join(f"{'.'.join(map(str, lab))},{'D' if c == DELTA else c}" for lab, c in items)
+
+
 def serialize_tree(tree: DefectiveTree) -> str:
     """Newline-delimited ``label,count`` records, breadth-first, with the
     root as the empty label and the graveyard count written as ``D``."""
-    lines = []
-    for lab in sorted(tree.child_count, key=lambda t: (len(t), t)):
-        c = tree.child_count[lab]
-        lines.append(f"{'.'.join(map(str, lab))},{'D' if c == DELTA else c}")
-    return "\n".join(lines)
+    return _records(sorted(tree.child_count.items(), key=lambda it: (len(it[0]), it[0])))
 
 
 def parse_tree(text: str) -> DefectiveTree:
@@ -173,10 +174,24 @@ def parse_tree(text: str) -> DefectiveTree:
     return tree
 
 
+def _prefix_items(tree: DefectiveTree, h: int) -> tuple[tuple[Label, int], ...]:
+    """The (label, count) pairs of the nodes above depth h, breadth-first.
+    A tree as sample_dbtve drew it holds its labels in that order already,
+    and its recorded generation sizes count the nodes above depth h, so
+    only other trees are sorted."""
+    cc, sizes = tree.child_count, tree._sizes
+    if sizes is not None:
+        # generation g < len(sizes) - 1 is fully counted; the last may be DELTA
+        return tuple(itertools.islice(cc.items(), sum(sizes[: max(0, min(h, len(sizes) - 1))])))
+    labels = sorted([lab for lab in cc if len(lab) < h])
+    labels.sort(key=len)  # stable: by generation, and in label order within one
+    return tuple([(lab, cc[lab]) for lab in labels])
+
+
 def prefix_key(tree: DefectiveTree, h: int) -> str:
-    """Canonical identity of the depth-h prefix, for comparing laws."""
-    cc = {lab: c for lab, c in tree.child_count.items() if len(lab) < h}
-    return serialize_tree(DefectiveTree(cc))
+    """Canonical identity of the depth-h prefix, for comparing laws: the
+    records of ``serialize_tree`` for the nodes above depth h."""
+    return _records(_prefix_items(tree, h))
 
 
 def validate_tree(tree: DefectiveTree) -> None:
@@ -727,11 +742,15 @@ def validate_prop4(
     rng_c = _rng(master_seed, _TREE_STREAM["construction"])
     rng_r = _rng(master_seed, _TREE_STREAM["rejection"])
     surv = _exp(cons._log_surv)  # the survival absorption_profile(env, n) gives
-    counts_c: Counter[str] = Counter()
-    counts_r: Counter[str] = Counter()
+    # count prefixes by their (label, count) pairs, and write each distinct
+    # one as its prefix_key once
+    items_c: Counter[tuple] = Counter()
+    items_r: Counter[tuple] = Counter()
     for _ in range(samples):
-        counts_c[prefix_key(cons.sample(rng_c)[0], n)] += 1
-        counts_r[prefix_key(rejection_conditioned(env, n, rng_r, survival=surv), n)] += 1
+        items_c[_prefix_items(cons.sample(rng_c)[0], n)] += 1
+        items_r[_prefix_items(rejection_conditioned(env, n, rng_r, survival=surv), n)] += 1
+    counts_c = {_records(k): v for k, v in items_c.items()}
+    counts_r = {_records(k): v for k, v in items_r.items()}
 
     keys = set(counts_c) | set(counts_r)
     if exact is not None:

@@ -7,8 +7,11 @@ and Moebius fits for composed linear-fractional laws.
 """
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from defbranch import (
     Constant,
@@ -19,6 +22,11 @@ from defbranch import (
     OffspringLaw,
     Prefix,
 )
+
+# HYPOTHESIS_PROFILE=ci runs more examples of every property test that
+# does not fix its own count, such as the config checker's differential test
+settings.register_profile("ci", max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 LAW_A = FiniteSupport([0.45, 0.0, 0.45])
 LAW_B = LinearFractional(0.1, 0.4, 0.5)

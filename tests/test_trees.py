@@ -604,3 +604,18 @@ class TestSamplingFastPaths:
         t.gen_sizes().append(99)
         assert t.gen_sizes() == DefectiveTree(dict(t.child_count)).gen_sizes()
         assert t == DefectiveTree(dict(t.child_count))
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_prefix_key_matches_the_sorted_records(self, law):
+        env = Constant(STREAM_LAWS[law])
+        rng = np.random.default_rng(33)
+        trees = [sample_dbtve(env, rng, depth_cap=cap) for cap in (0, 1, 4) for _ in range(60)]
+        trees += [rejection_conditioned(env, 2, rng, extra_depth=e) for e in (0, 2) for _ in range(60)]
+        for extra in (0, 1):
+            sampler = ConditionedSampler(env, 3, extra_depth=extra)
+            trees += [sampler.sample(rng)[0] for _ in range(60)]
+        trees.append(parse_tree(FIGURE.serialize()))
+        for t in trees:
+            for h in range(-1, (t.cap or 3) + 2):
+                cut = {lab: c for lab, c in t.child_count.items() if len(lab) < h}
+                assert prefix_key(t, h) == serialize_tree(DefectiveTree(cut))
