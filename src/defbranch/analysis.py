@@ -128,13 +128,14 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
 
     One backward pass over the laws updates the whole vector of pending
     horizons: one law evaluation per (law, horizon) pair, O(n^2) in all.
-    From the generation T on which the environment repeats one law
-    (``Environment._fixed_from``), f_{i,m} = f^(m-i) for T <= i <= m, so
-    that part is one orbit each of 1 and 0 under f, one array call each
-    of ``divided_difference`` and ``np.log``, and a ``cumsum``: O(n) for
-    ``Constant``, O(n len(laws)) for ``Prefix``.  The terms are added in
-    the order the full pass adds them, so the results are the same to
-    the bit.
+    It splits as ``_sweep`` does: from the generation T on which the
+    environment repeats one law (``Environment._fixed_from``), f_{i,m} =
+    f^(m-i) for T <= i <= m, so that tail is the orbits of 1 and 0 under
+    f, the points ``_sweep`` forms on the window T-1..n, then one array
+    call each of ``divided_difference`` and ``np.log``, and a ``cumsum``;
+    the head generations T-1..1 run the pass.  O(n) for ``Constant``,
+    O(n len(laws)) for ``Prefix``.  The terms are added in the order the
+    full pass adds them: the same results to the bit.
     """
     if n < 0:
         raise PreconditionError("horizon must be >= 0")
@@ -145,16 +146,10 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     top = n + 1 if top is None else min(top, n + 1)
     with np.errstate(divide="ignore"):
         if top <= n:
-            # horizon m >= top: f's terms at f^(j)(1), f^(j)(0), j = 0..m-top
+            hi[top - 1:] = _sweep(env, top - 1, n, 1.0).points[::-1]
+            lo[top - 1:] = _sweep(env, top - 1, n, 0.0).points[::-1]
             law = env.law(top)
-            h, l = [1.0], [0.0]
-            for _ in range(top, n + 1):
-                h.append(law.pgf(h[-1]))
-                l.append(law.pgf(l[-1]))
-            h, l = np.array(h), np.array(l)
-            logd[top:] = np.cumsum(np.log(law.divided_difference(h[:-1], l[:-1])))
-            hi[top:] = h[1:]
-            lo[top:] = l[1:]
+            logd[top:] = np.cumsum(np.log(law.divided_difference(hi[top - 1:-1], lo[top - 1:-1])))
         for i in range(top - 1, 0, -1):
             law = env.law(i)
             sl = slice(i, n + 1)

@@ -547,7 +547,7 @@ _REGISTRY: dict[str, _Command] = {
     "tree-sample": _command(
         "trees", _cmd_tree_sample,
         n=_N,
-        count=_Param("integer", default=1),
+        count=_Param("integer", minimum=1, default=1),
         sampler=_Param(tuple(_TREE_STREAM), default="construction"),
         extra_depth=_Param("integer", default=0),
     ),

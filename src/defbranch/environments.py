@@ -16,9 +16,10 @@ map, so no geometric tail is cut and ``DistVector.dropped`` is 0.
 
 Exact readers rest on one private backward pass, ``_sweep``: at each
 generation it looks the law up once and forms the points, the log gap
-and the log ladder terms its reader asks for.  Each reader makes one
-such pass per horizon and starting point, and never re-sweeps.  Logs
-turn linear only through ``_exp``.
+and the log ladder terms its reader asks for; where one law repeats, the
+generations past the orbit's float fixed point are filled in.  Each
+reader makes one such pass per horizon and starting point, and never
+re-sweeps.  Logs turn linear only through ``_exp``.
 """
 from __future__ import annotations
 
@@ -401,23 +402,33 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
     for log f_j''(t_j), ``at`` one per s for log f_j'(s) and ``regularity``
     one report for c12 per run of generations sharing one law object.
     Fields not asked for are None, () or 0, and so are the points with
-    ladder: no ladder reader keeps them alive."""
+    ladder: no ladder reader keeps them alive.
+
+    A scalar hi splits the window at ``env._fixed_from()``: the tail's law
+    is looked up once, and once a tail generation maps its points to
+    themselves, bit for bit, the tail generations below it repeat its
+    points and terms, which are filled in; log_gap still adds the term once
+    per generation, from n down, so the split keeps the loop's bits."""
     _check_window(k, n)
     h = np.asarray(hi, dtype=float)
     his = np.empty((n - k + 1,) + h.shape)
     his[-1] = h
+    top = None if h.ndim else env._fixed_from()  # a tail to split off, for scalar hi
     if h.ndim == 0:
         h = float(h)  # the laws' plain-float path
-    los = log_gap = log_ladder = log_var = None
+    los = l = log_gap = log_ladder = log_var = None
     if lo is not None:
         los = np.empty(n - k + 1)
         los[-1] = l = lo
         log_gap = _log(hi - lo)
     d1, d2, c12 = np.empty(n - k if ladder else 0), np.empty(n - k if second else 0), 0.0
     ats = np.empty((len(at) if ladder else 0, n - k))
+    head = n - k if top is None else min(max(top - k - 1, 0), n - k)  # steps j >= head: the tail
+    tail = env.law(k + head + 1) if head < n - k else None
     prev = None
-    for j in range(n - k - 1, -1, -1):
-        law = env.law(k + j + 1)
+    j = n - k - 1
+    while j >= 0:
+        law = tail if j >= head else env.law(k + j + 1)
         if ladder:
             d1[j] = _log(law.pgf(h, 1))
             if second:
@@ -427,14 +438,29 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
             if regularity and law is not prev:  # a repeated law cannot raise the max
                 c12 = max(c12, law.regularity().c12)
                 prev = law
+        x, y = h, l
         if los is not None:
-            log_gap += _log(law.divided_difference(h, l))
+            log_gap += (gap := _log(law.divided_difference(h, l)))
             los[j] = l = law.pgf(l)
         his[j] = h = law.pgf(h)
+        if j > head and h == x and _same(h, x) and (los is None or _same(l, y)):
+            # a fixed point of the tail: steps head..j-1 repeat step j
+            for col in (his, los, d1, d2, *ats):
+                if col is not None and col.size:
+                    col[head:j] = col[j]
+            for _ in range(j - head if los is not None else 0):
+                log_gap += gap
+            j = head
+        j -= 1
     if ladder:
         log_ladder = _running(d1, log0)
         log_var = d2 - d1 - log_ladder[1:] if second else None
     return _Sweep(None if ladder else his, los, log_gap, log_ladder, log_var, tuple(ats), c12)
+
+
+def _same(x: float, y: float) -> bool:
+    """x and y are the same float, bit for bit (so 0.0 is not -0.0)."""
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
 def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
@@ -448,10 +474,7 @@ def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
 
     Vectorized over s; scalar s gives a float.  Derivatives that
     overflow go quietly to inf.  An entry of an array s equals, bit for
-    bit, the result for that entry alone, except for the second
-    derivative through a linear-fractional law: its f'' rounds
-    ``den**3`` through numpy's vectorised power on arrays, so the two
-    can differ in the last bit (see ``defbranch.laws``).
+    bit, the result for that entry alone.
     """
     _check_window(k, n)
     if order not in (0, 1, 2):

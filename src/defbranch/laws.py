@@ -22,11 +22,11 @@ scalars included, becomes a Python float; anything else a float array)
 and whether a Python float comes back (for every scalar or 0-d
 argument).  Where Python float arithmetic raises instead of returning
 inf or nan (division by zero, ``**`` overflow), the linear-fractional
-kernels run their lines again on a numpy float.  So a float argument
-gives, bit for bit, the value a 0-d or a one-element array gives, with
-one exception: the linear-fractional f'' on 1-D and 2-D arrays, where
-numpy's vectorised power rounds ``den**3`` differently from the scalar
-power that floats and 0-d arrays get.
+kernels run their lines again on a numpy float.  The linear-fractional
+f'' cubes ``den`` with C ``pow`` entry by entry (``_cube``), as a float
+does, since numpy's vectorised power can round it differently.  So a
+float argument gives, bit for bit, the value a 0-d or any array gives
+in each entry.
 """
 from __future__ import annotations
 
@@ -399,7 +399,7 @@ class LinearFractional(OffspringLaw):
                 elif order == 1:
                     out = self.r * self.p / (den * den)
                 else:
-                    out = 2.0 * self.r * self.p**2 / den**3
+                    out = 2.0 * self.r * self.p**2 / _cube(den)
                 break
             except (ZeroDivisionError, OverflowError):
                 x = np.float64(x)  # numpy's inf or nan where Python floats raise
@@ -476,6 +476,15 @@ class LinearFractional(OffspringLaw):
 
     def to_dict(self) -> dict:
         return {"kind": "lf", "q": self.q, "r": self.r, "p": self.p}
+
+
+def _cube(x: ArrayLike) -> ArrayLike:
+    """x**3 as a float or a numpy float rounds it (C ``pow``), entry by
+    entry on an array: numpy's vectorised power does not always give
+    those bits."""
+    if not isinstance(x, np.ndarray):
+        return x**3
+    return np.array([np.float64(c) ** 3 for c in x.ravel().tolist()]).reshape(x.shape)
 
 
 def _horner_lists(wl: list[float]) -> tuple[list[float], list[float], list[float]]:

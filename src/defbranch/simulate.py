@@ -271,12 +271,15 @@ def monte_carlo(
     Replicates are processed in fixed blocks of ``BLOCK``; each block's
     randomness depends only on (master_seed, mode, block index) and the
     reduction runs in block order, so the summary is identical for any
-    ``workers`` value.
+    ``workers`` value.  A path whose population passes ``cap`` (at least
+    1) stops and counts as overflowed.
     """
     if mode not in _MODE_ID:
         raise PreconditionError(f"unknown mode {mode!r}")
     if reps < 1 or horizon < 0:
         raise PreconditionError("need reps >= 1 and horizon >= 0")
+    if cap < 1:
+        raise PreconditionError(f"need cap >= 1, got cap={cap}")
     snaps_at = tuple(sorted(set(int(t) for t in snapshot_times)))
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")

@@ -521,6 +521,8 @@ def rejection_conditioned(
     sets the budget only, and a value for another environment or
     horizon gives a wrong budget.  None computes it here.
     """
+    if extra_depth < 0:
+        raise PreconditionError("extra_depth must be >= 0")
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")

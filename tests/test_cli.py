@@ -147,6 +147,23 @@ class TestExitCodes:
             "pointer": "/params",
         }
 
+    @pytest.mark.parametrize("command", ["simulate", "agree"])
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_is_three(self, tmp_path, capsys, command, cap):
+        path, _ = write_cfg(tmp_path, command, {"horizon": 2, "reps": 10, "cap": cap})
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition", "message": f"need cap >= 1, got cap={cap}"}
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("sampler", ["construction", "rejection"])
+    def test_tree_sample_negative_extra_depth_is_three(self, tmp_path, capsys, sampler):
+        path, _ = write_cfg(tmp_path, "tree-sample", {"n": 2, "sampler": sampler, "extra_depth": -1})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition", "message": "extra_depth must be >= 0"}
+
     @pytest.mark.parametrize("horizons", [[10], [10, 10]])
     def test_check_needs_two_horizons(self, tmp_path, capsys, horizons):
         path, _ = write_cfg(tmp_path, "check", {"horizons": horizons})
@@ -542,6 +559,8 @@ MALFORMED = list(_malformed()) + [
     ("simulate", "bad-enum", {"horizon": 2, "reps": 10, "mode": "fast"}),
     ("simulate", "fraction-in-list", {"horizon": 2, "reps": 10, "snapshots": [1.5]}),
     ("tree-sample", "bad-enum", {"n": 2, "sampler": "magic"}),
+    ("tree-sample", "count-below-minimum", {"n": 2, "count": 0}),
+    ("tree-sample", "negative-count", {"n": 2, "count": -1}),
     ("pgf", "list-for-scalar", {"n": [2], "s": 0.5}),
 ]
 

@@ -95,6 +95,15 @@ class TestDeterminism:
         with pytest.raises(PreconditionError):
             monte_carlo(env_a, 3, 10, snapshot_times=(0,))
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one(self, env_a, cap):
+        # a cap of 0 or less would count every path alive as overflowed
+        with pytest.raises(PreconditionError, match="need cap >= 1"):
+            monte_carlo(env_a, 3, 10, cap=cap)
+        with pytest.raises(PreconditionError, match="need cap >= 1"):
+            mode_agreement(env_a, 3, 10, cap=cap)
+        assert monte_carlo(env_a, 3, 10, cap=1).n_overflow >= 0
+
 
 class TestMarginals:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])

@@ -3,12 +3,15 @@
 ``environments._sweep`` forms the points, the log gap and the log ladder
 in one loop.  These tests hold every reader built on it to the two-pass
 algorithm it replaced (a backward sweep for the points, then a forward
-ladder over them), bit for bit, and count its law lookups.
+ladder over them), bit for bit, and count its law lookups.  They also
+hold the split at a repeated-law tail, where generations past the
+orbit's float fixed point are filled in, to the plain loop, bit for bit.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -16,12 +19,18 @@ import pytest
 
 from conftest import LAW_A, LAW_B
 from defbranch import (
+    ConditionedSampler,
     Constant,
     Environment,
     FiniteSupport,
+    LinearFractional,
     NamedFamily,
     OffspringLaw,
     Prefix,
+    absorption_profile,
+    absorption_scan,
+    composed_points,
+    conditioned_mean_bound,
     envelope_ratios,
     growth_rate,
     late_extinction_bounds,
@@ -180,3 +189,133 @@ def test_regularity_report_once_per_law_run(env, reports, monkeypatch):
     survival_bounds(env, 50)
     # generations 11..50 of the prefix share the tail's law object
     assert len(calls) == reports
+
+
+# ---------------------------------------------------------------------------
+# the split at a repeated-law tail
+# ---------------------------------------------------------------------------
+
+FINITE_4 = FiniteSupport([0.3, 0.25, 0.2, 0.15])  # defective, f(0.8) <= 0.8
+SPLIT_ENVS = {
+    "law-a": Constant(LAW_A),
+    "law-b": Constant(LAW_B),
+    "finite-4": Constant(FINITE_4),
+    "prefix-10-law-b": Prefix(PREFIX.laws, LAW_B),
+    "prefix-finite-4": Prefix(PREFIX.laws[:4], FINITE_4),
+    # f(0) = 0: the orbit of 0 is a fixed point from the start
+    "no-extinction": Constant(FiniteSupport([0.0, 0.5, 0.4])),
+    # proper and critical: the orbit of 0 creeps up and never settles
+    "critical": Constant(FiniteSupport([0.25, 0.5, 0.25])),
+}
+SPLIT_HORIZONS = [0, 1, 2, 11, 2000]
+
+
+class Unsplit(Environment):
+    """The same laws, the same objects, with no tail to split off:
+    ``_fixed_from`` is None, so ``_sweep`` runs every generation."""
+
+    def __init__(self, base: Environment):
+        self.base = base
+
+    def law(self, n: int):
+        return self.base.law(n)
+
+
+def _spine_sampler(env, n):
+    cs = ConditionedSampler(env, n, extra_depth=1)
+    rng = np.random.default_rng(5)
+    # a tree alive at depth 2000 can hold millions of nodes: draw shallow ones
+    draws = [cs.sample(rng) for _ in range(3)] if n <= 11 else []
+    return {
+        "live": cs._live, "die": cs._die, "log_surv": cs._log_surv,
+        "spines": [dataclasses.astuple(sp) for sp in cs._spines],
+        "trees": [t.serialize() for t, _ in draws],
+        "records": [(r.d, r.c, r.labels) for _, r in draws],
+    }
+
+
+SPLIT_READERS = {
+    # the proxy search of "late" runs to its 2^20-generation cap on the
+    # critical law, so the split is checked at an explicit proxy horizon
+    **{name: r for name, r in READERS.items() if name != "late"},
+    "late-explicit": lambda env, n: late_extinction_bounds(env, SIGMA, n, proxy_horizon=2 * n),
+    "absorption": absorption_profile,
+    "scan": absorption_scan,
+    "points-1": lambda env, n: composed_points(env, 0, n, 1.0),
+    "points-0": lambda env, n: composed_points(env, 0, n, 0.0),
+    "points-neg-zero": lambda env, n: composed_points(env, 0, n, -0.0),
+    "points-window": lambda env, n: composed_points(env, n // 3, n, 0.3),
+    "points-array": lambda env, n: composed_points(env, 0, n, np.array([0.0, 0.5, 1.0])),
+    # its degree search composes coefficients; its sweep is the one of "rates"
+    "cond-mean": lambda env, n: conditioned_mean_bound(env, min(n, 60)),
+    "spine-first": lambda env, n: spine_dist(env, 1, n),
+    "spine-middle": lambda env, n: spine_dist(env, max(1, n // 2), n),
+    "spine-last": lambda env, n: spine_dist(env, n, n),
+    "sampler": _spine_sampler,
+}
+
+
+def _bits(x):
+    """x with every float as its bytes, so 0.0 and -0.0 differ and nan
+    matches nan."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, float):
+        return struct.pack("<d", x)
+    if isinstance(x, (list, tuple)):
+        return [_bits(v) for v in x]
+    if isinstance(x, dict):
+        return {k: _bits(v) for k, v in x.items()}
+    return x
+
+
+def _fields(reader, env, n):
+    """Every field of the reader's result, or the error it raised."""
+    try:
+        res = reader(env, n)
+    except Exception as exc:  # both paths must fail alike
+        return (type(exc), str(exc))
+    if dataclasses.is_dataclass(res):
+        res = {f.name: getattr(res, f.name) for f in dataclasses.fields(res)}
+    return _bits(res)
+
+
+@pytest.mark.parametrize("n", SPLIT_HORIZONS)
+@pytest.mark.parametrize("env", SPLIT_ENVS.values(), ids=SPLIT_ENVS.keys())
+def test_split_tail_matches_the_loop(env, n):
+    with np.errstate(all="ignore"):
+        for name, reader in SPLIT_READERS.items():
+            got, want = _fields(reader, env, n), _fields(reader, Unsplit(env), n)
+            assert got == want, name
+
+
+@pytest.mark.parametrize("name", [k for k in READERS if k != "late"])
+def test_tail_law_looked_up_once(name):
+    class CountingSplit(Counting):
+        def _fixed_from(self):
+            return self.base._fixed_from()
+
+    env = CountingSplit(Prefix(PREFIX.laws, LAW_B))
+    READERS[name](env, 2000)
+    # the ten head generations once each, the tail's law once in all
+    assert env.calls == Counter(range(1, 12))
+
+
+def test_settled_tail_is_filled_in(monkeypatch):
+    real = LinearFractional.pgf
+    calls = []
+
+    def counting(law, s, order=0):
+        calls.append(order)
+        return real(law, s, order)
+
+    monkeypatch.setattr(LinearFractional, "pgf", counting)
+    for n in (200, 20_000):
+        calls.clear()
+        moments(Constant(LAW_B), n)
+        # the orbit of 1 under LAW_B reaches its float fixed point within
+        # 200 generations; past it no generation calls the kernel
+        assert len(calls) < 3 * 200
+    calls.clear()
+    moments(Unsplit(Constant(LAW_B)), 2000)
+    assert len(calls) == 3 * 2000

@@ -335,6 +335,14 @@ class TestRejectionSampling:
         assert t.cap == 3
         validate_tree(t)
 
+    def test_negative_extra_depth(self, env_a):
+        # as the construction sampler rejects it, before any draw
+        rng = np.random.default_rng(224)
+        with pytest.raises(PreconditionError, match="extra_depth must be >= 0"):
+            rejection_conditioned(env_a, 2, rng, extra_depth=-1)
+        with pytest.raises(PreconditionError, match="extra_depth must be >= 0"):
+            ConditionedSampler(env_a, 2, extra_depth=-1)
+
 
 class TestRejectionBudgets:
     """Both rejection loops draw through the public ``sample_dbtve`` and
