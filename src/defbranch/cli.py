@@ -39,8 +39,9 @@ Artifacts are written atomically into the output directory: the command
 result as ``<command>.json`` or ``<command>.csv`` (tables default to
 CSV, other results are JSON), plus a ``manifest.json`` recording the
 config digest, seed, versions and artifact names.  Result artifacts
-contain no timestamps, so reruns of the same config are byte-identical
-regardless of worker count; the timestamp lives in the manifest only.
+contain no timestamps, so reruns of the same config are byte-identical;
+the timestamp lives in the manifest only.  ``workers`` (the param or the
+``--workers`` flag, at least 1) caps threads, and one thread meets it.
 """
 from __future__ import annotations
 
@@ -362,7 +363,7 @@ class _Table(NamedTuple):
     rows: list[tuple]
 
 
-Handler = Callable[[Environment, dict, int, int], Any]
+Handler = Callable[[Environment, dict, int], Any]
 
 
 def _per_n(env, args, fn, columns: tuple[str, ...], **kwargs) -> _Table:
@@ -372,13 +373,13 @@ def _per_n(env, args, fn, columns: tuple[str, ...], **kwargs) -> _Table:
     return _Table(columns, [row(fn(env, n, **kwargs)) for n in _as_list(args["n"])])
 
 
-def _cmd_pgf(env, args, seed, workers):
+def _cmd_pgf(env, args, seed):
     # a row's first four cells are compose_eval's arguments after env
     cells = [(args["k"], args["n"], s, args["order"]) for s in _as_list(args["s"])]
     return _Table(("k", "n", "s", "order", "value"), [c + (compose_eval(env, *c),) for c in cells])
 
 
-def _cmd_dist(env, args, seed, workers):
+def _cmd_dist(env, args, seed):
     return _plain(
         compose_coeffs(env, args["n"], args["degree"], **_opt(args, "rel_tail", "budget"))
     )
@@ -387,11 +388,11 @@ def _cmd_dist(env, args, seed, workers):
 _MOMENT_COLUMNS = ("n", "mean", "ratio", "second", "log_mean", "log_ratio", "log_second")
 
 
-def _cmd_moments(env, args, seed, workers):
+def _cmd_moments(env, args, seed):
     return _per_n(env, args, moments, _MOMENT_COLUMNS)
 
 
-def _cmd_absorption(env, args, seed, workers):
+def _cmd_absorption(env, args, seed):
     # the columns are AbsorptionScan's fields, in their declared order
     n = args["n"]
     scan = _plain(absorption_scan(env, n))
@@ -405,11 +406,11 @@ _BOUND_COLUMNS = (
 )
 
 
-def _cmd_bounds(env, args, seed, workers):
+def _cmd_bounds(env, args, seed):
     return _per_n(env, args, survival_bounds, _BOUND_COLUMNS, **_opt(args, "c"))
 
 
-def _cmd_check(env, args, seed, workers):
+def _cmd_check(env, args, seed):
     verdicts = criteria_verdicts(env, **_opt(args, "horizons"))
     return {
         "horizons": _plain(verdicts[0].horizons),
@@ -423,7 +424,7 @@ _ENVELOPE_COLUMNS = (
 )
 
 
-def _cmd_rates(env, args, seed, workers):
+def _cmd_rates(env, args, seed):
     # the envelope columns come with all of rho, sigma and eps, or none
     bracket = _opt(args, "rho", "sigma", "eps")
     missing = [k for k in ("rho", "sigma", "eps") if k not in bracket]
@@ -437,23 +438,21 @@ def _cmd_rates(env, args, seed, workers):
     return _Table(_RATE_COLUMNS + _ENVELOPE_COLUMNS, rows)
 
 
-def _cmd_simulate(env, args, seed, workers):
+def _cmd_simulate(env, args, seed):
     kwargs = _opt(args, "mode", "cap", "snapshots")
     if "snapshots" in kwargs:
         kwargs["snapshot_times"] = kwargs.pop("snapshots")
-    summary = monte_carlo(env, args["horizon"], args["reps"], seed, workers=workers, **kwargs)
+    summary = monte_carlo(env, args["horizon"], args["reps"], seed, **kwargs)
     out = summary.to_dict()
     out["snapshots"] = {str(t): _plain(arr) for t, arr in summary.snapshots.items()}
     return out
 
 
-def _cmd_agree(env, args, seed, workers):
-    return mode_agreement(
-        env, args["horizon"], args["reps"], seed, workers=workers, **_opt(args, "cap")
-    ).to_dict()
+def _cmd_agree(env, args, seed):
+    return mode_agreement(env, args["horizon"], args["reps"], seed, **_opt(args, "cap")).to_dict()
 
 
-def _cmd_tree_sample(env, args, seed, workers):
+def _cmd_tree_sample(env, args, seed):
     n, count, sampler, extra = args["n"], args["count"], args["sampler"], args["extra_depth"]
     rng = _rng(seed, _TREE_STREAM[sampler])
     trees, spines = [], []
@@ -483,7 +482,7 @@ def _cmd_tree_sample(env, args, seed, workers):
     return payload
 
 
-def _cmd_tree_validate(env, args, seed, workers):
+def _cmd_tree_validate(env, args, seed):
     return _plain(
         validate_prop4(
             env,
@@ -499,19 +498,19 @@ _COND_MEAN_COLUMNS = (
 )
 
 
-def _cmd_cond_mean(env, args, seed, workers):
+def _cmd_cond_mean(env, args, seed):
     return _per_n(env, args, conditioned_mean_bound, _COND_MEAN_COLUMNS, **_opt(args, "degree"))
 
 
 class _Command(NamedTuple):
     module: str  # the artifact's "module" field
-    handler: Handler  # (env, args, seed, workers) -> a _Table or a JSON payload
+    handler: Handler  # (env, args, seed) -> a _Table or a JSON payload
     params: dict[str, _Param]  # the params it takes; workers is one of them
 
 
 def _command(module: str, handler: Handler, **params: _Param) -> _Command:
-    # main reads workers for every command, so every command takes it
-    return _Command(module, handler, {**params, "workers": _Param("integer", default=1)})
+    # every command accepts workers, a cap on threads that one thread meets
+    return _Command(module, handler, {**params, "workers": _Param("integer", minimum=1, default=1)})
 
 
 _N = _Param("integer", default=_REQUIRED)  # one horizon
@@ -581,12 +580,11 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _run(cfg: dict, env: Environment, command: str, out_dir: str, workers: int | None) -> int:
+def _run(cfg: dict, env: Environment, command: str, out_dir: str) -> int:
     params = cfg.get("params", {})
     seed = int(cfg.get("master_seed", 0))
     cmd = _REGISTRY[command]
-    args = _arguments(cmd.params, params)
-    result = cmd.handler(env, args, seed, args["workers"] if workers is None else workers)
+    result = cmd.handler(env, _arguments(cmd.params, params), seed)
     fmt = cfg.get("output", {}).get("format")
     os.makedirs(out_dir, exist_ok=True)
     if isinstance(result, _Table) and fmt != "json":
@@ -652,12 +650,15 @@ def _parser() -> argparse.ArgumentParser:
         )
         p.add_argument("config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=None, help="worker threads")
+        p.add_argument("--workers", type=int, default=None,
+                       help="thread cap, at least 1; every command runs on one thread")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.workers < 1:
+        return _fail(2, "config", f"--workers must be at least 1, got {args.workers}")
     try:
         override = None if args.subcommand in ("run", "validate") else args.subcommand
         cfg, env = load_config(args.config, override)
@@ -666,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         command = override or cfg["command"]
         out_dir = args.out or cfg.get("output", {}).get("dir", ".")
-        return _run(cfg, env, command, out_dir, args.workers)
+        return _run(cfg, env, command, out_dir)
     except ConfigError as exc:
         return _fail(2, "config", exc)
     except InvalidLawError as exc:

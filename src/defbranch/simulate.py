@@ -9,14 +9,13 @@ Two samplers of the same process:
   size), then advances the size by the normalized law.
 
 Both use one vectorized pass per generation over fixed-size blocks of
-replicates.  Each block owns a counter-based bit stream keyed by
-(master_seed, mode, block index), and reductions run in block order, so
-results are byte-identical no matter how many worker threads ran the
-blocks.
+replicates, run one after another on the calling thread.  Each block
+owns a counter-based bit stream keyed by (master_seed, mode, block
+index), and reductions run in block order, so results depend on neither
+the order nor the place the blocks ran in.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -270,9 +269,11 @@ def monte_carlo(
 
     Replicates are processed in fixed blocks of ``BLOCK``; each block's
     randomness depends only on (master_seed, mode, block index) and the
-    reduction runs in block order, so the summary is identical for any
-    ``workers`` value.  A path whose population passes ``cap`` (at least
-    1) stops and counts as overflowed.
+    reduction runs in block order.  ``workers`` caps the threads the
+    blocks run on, and one thread, the caller's, meets any cap: numpy's
+    binomial draws hold the GIL, so more threads only add switching.  A
+    path whose population passes ``cap`` (at least 1) stops and counts
+    as overflowed.
     """
     if mode not in _MODE_ID:
         raise PreconditionError(f"unknown mode {mode!r}")
@@ -287,16 +288,10 @@ def monte_carlo(
     sizes = [BLOCK] * n_blocks
     if reps % BLOCK:
         sizes[-1] = reps % BLOCK
-
-    def job(b: int) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-        return _run_block(env, horizon, mode, master_seed, b, sizes[b], cap, snaps_at)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(job, range(n_blocks)))
-    else:
-        parts = [job(b) for b in range(n_blocks)]
-
+    parts = [
+        _run_block(env, horizon, mode, master_seed, b, sizes[b], cap, snaps_at)
+        for b in range(n_blocks)
+    ]
     z = np.concatenate([p[0] for p in parts])
     state = np.concatenate([p[1] for p in parts])
     snapshots = {
@@ -430,7 +425,8 @@ def mode_agreement(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
 ) -> AgreementReport:
-    """Run both samplers on disjoint streams and compare terminal laws."""
+    """Run both samplers on disjoint streams and compare terminal laws.
+    ``workers`` is a thread cap, met as ``monte_carlo`` meets it."""
     out = {}
     for mode in ("direct", "coupled"):
         s = monte_carlo(
@@ -440,7 +436,6 @@ def mode_agreement(
             master_seed,
             mode=mode,
             cap=cap,
-            workers=workers,
             keep_paths=True,
         )
         out[mode] = _bin_terminals(s.final_sizes, s.final_states)

@@ -539,6 +539,7 @@ def _malformed():
             yield name, shape, {**base, key: v}
         yield name, "unknown", {**base, "bogus": 1}
         yield name, "workers-string", {**base, "workers": "2"}
+        yield name, "workers-zero", {**base, "workers": 0}
         if spec.default is _REQUIRED:
             yield name, "missing", {k: v for k, v in base.items() if k != key}
             yield name, "null", {**base, key: None}
@@ -577,6 +578,24 @@ def test_malformed_params_exit_two(tmp_path, capsys, command, shape, params):
     err = json.loads(lines[0])
     assert err["error"] == "config"
     assert err["pointer"].startswith("/params")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exit_two(tmp_path, capsys, workers):
+    path, _ = write_cfg(tmp_path, "simulate", {"horizon": 2, "reps": 10, "workers": workers})
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["pointer"] == "/params/workers"
+    # the flag is checked the same way: one JSON error object, no usage text
+    path, _ = write_cfg(tmp_path, "simulate", {"horizon": 2, "reps": 10})
+    assert main(["simulate", str(path), "--out", str(out), "--workers", str(workers)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "config", "message": f"--workers must be at least 1, got {workers}",
+    }
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from defbranch import (
     mu_profile,
     run_path,
 )
-from defbranch.simulate import DEFAULT_CAP, _MODE_ID, _STATE_KIND, _run_block
+from defbranch import simulate
+from defbranch.simulate import BLOCK, DEFAULT_CAP, _MODE_ID, _STATE_KIND, _run_block
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -42,6 +44,17 @@ class TestDeterminism:
             assert other.to_dict() == base.to_dict()
             assert np.array_equal(other.final_sizes, base.final_sizes)
             assert np.array_equal(other.final_states, base.final_states)
+
+    def test_blocks_run_on_the_calling_thread(self, env_a, monkeypatch):
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            return _run_block(*args)
+
+        monkeypatch.setattr(simulate, "_run_block", recording)
+        monte_carlo(env_a, 3, 3 * BLOCK + 1, master_seed=3, workers=4)
+        assert threads == [threading.get_ident()] * 4
 
     def test_partial_final_block(self, env_a):
         s = monte_carlo(env_a, 3, 4097, master_seed=1)

@@ -5,7 +5,8 @@ in one loop.  These tests hold every reader built on it to the two-pass
 algorithm it replaced (a backward sweep for the points, then a forward
 ladder over them), bit for bit, and count its law lookups.  They also
 hold the split at a repeated-law tail, where generations past the
-orbit's float fixed point are filled in, to the plain loop, bit for bit.
+orbit's float fixed point are filled in, to the plain loop and to
+``compose_eval``, bit for bit.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from defbranch import (
     Prefix,
     absorption_profile,
     absorption_scan,
+    compose_eval,
     composed_points,
     conditioned_mean_bound,
     envelope_ratios,
@@ -287,6 +289,21 @@ def test_split_tail_matches_the_loop(env, n):
         for name, reader in SPLIT_READERS.items():
             got, want = _fields(reader, env, n), _fields(reader, Unsplit(env), n)
             assert got == want, name
+
+
+# windows (k, n), the last ones long enough for every settling orbit to
+# settle and be filled in
+SPLIT_WINDOWS = [(0, 0), (0, 1), (1, 2), (0, 11), (3, 11), (0, 2000), (666, 2000),
+                 (2000, 2000), (1000, 8000)]
+
+
+@pytest.mark.parametrize("k, n", SPLIT_WINDOWS)
+@pytest.mark.parametrize("env", SPLIT_ENVS.values(), ids=SPLIT_ENVS.keys())
+def test_split_points_match_compose_eval(env, k, n):
+    # compose_eval runs the plain loop, one law lookup per generation
+    for x in (0.0, 1.0, 0.3, -0.0):
+        got = _sweep(env, k, n, x).points[0]
+        assert _bits(float(got)) == _bits(compose_eval(env, k, n, x)), x
 
 
 @pytest.mark.parametrize("name", [k for k in READERS if k != "late"])
