@@ -410,10 +410,19 @@ def criteria_verdicts(
 
 
 def _logs(x: np.ndarray) -> np.ndarray:
-    """x with each entry replaced by its ``_log``, in place: ``math.log``,
-    which ``np.log`` does not always match in the last bit."""
+    """x with each entry replaced by its ``_log``, in place.
+
+    Per block of 4096 entries, only those > 0 and not 1.0 go through C
+    ``math.log`` (``np.log`` does not always match it in the last bit);
+    the rest are set without a call: -inf where ``_log`` gives -inf (<= 0
+    and NaN), 0.0 for 1.0.  Blocks keep the transient lists short."""
     for i in range(0, x.size, 4096):
-        x[i:i + 4096] = list(map(_log, x[i:i + 4096].tolist()))
+        blk = x[i:i + 4096]
+        pos = blk > 0.0
+        todo = pos & (blk != 1.0)
+        blk[~pos] = -math.inf
+        blk[blk == 1.0] = 0.0  # before the logs, one of which may be 1.0
+        blk[todo] = list(map(math.log, blk[todo].tolist()))
     return x
 
 

@@ -24,7 +24,9 @@ re-sweeps.  Logs turn linear only through ``_exp``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -187,24 +189,71 @@ _META_SINGLE_CHILD = {
 }
 
 
-def _power_defect(n: int, params: dict) -> float:
-    return 1.0 - float(params["a"]) * float(n) ** (-float(params["b"]))
+def _real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _integral(x) -> bool:
+    # 3.0 counts, as in JSON Schema; True does not
+    if isinstance(x, float):
+        return x.is_integer()
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+# every named-family param and the values it takes, as the CLI's config
+# check has them (NaN fails here; the config check leaves it to this one)
+_PARAM_OK: dict[str, Callable[[object], bool]] = {
+    "a": lambda a: _real(a) and 0.0 < a < 1.0,
+    "b": lambda b: _real(b) and b > 0.0,
+    "arity": lambda m: _integral(m) and m >= 1,
+}
+
+
+def _check_params(params: dict) -> None:
+    if not isinstance(params, dict):
+        raise InvalidLawError(f"named-family params must be an object, got {params!r}")
+    for k, v in params.items():
+        if k not in _PARAM_OK or not _PARAM_OK[k](v):
+            raise InvalidLawError(
+                f"named-family params are a in (0, 1), b > 0 and an integral arity >= 1;"
+                f" got {k!r}: {v!r}"
+            )
 
 
 def _check_power_defect(params: dict) -> None:
-    a = float(params.get("a", 0.0))
-    b = float(params.get("b", 0.0))
-    m = int(params.get("arity", 1))
-    if not (0.0 < a < 1.0 and b > 0.0 and m >= 1):
-        raise InvalidLawError("power-defect needs 0 < a < 1, b > 0, arity >= 1")
+    if "a" not in params or "b" not in params:
+        raise InvalidLawError("power-defect needs params a and b")
+
+
+def _power_defect(a: float, neg_b: float, n: int) -> float:
+    return 1.0 - a * float(n) ** neg_b
+
+
+def _c_1a(n: int) -> float:
+    return 0.5 if n == 1 else 1.0 - 1.0 / n
+
+
+def _c_1b(n: int) -> float:
+    return 0.5 if n == 1 else 1.0 - 1.0 / n**2
+
+
+def _c_2a(n: int) -> float:
+    return 1.0 - 0.5**n / n
+
+
+def _c_2b(n: int) -> float:
+    return 1.0 - 0.5**n / n**2
 
 
 class _Family(NamedTuple):
     """A family whose law f_n puts weight c_n in (0, 1] on m children:
-    f_n(s) = c_n s^m.  ``check`` must reject every params for which that
-    fails, because ``NamedFamily.law`` builds the laws unvalidated."""
+    f_n(s) = c_n s^m.  ``coeff`` builds the map n -> c_n from the params
+    once; it must be picklable (a module-level function or a
+    ``functools.partial`` of one), since ``NamedFamily`` keeps it.
+    ``check`` must reject every params for which c_n leaves (0, 1],
+    because ``NamedFamily.law`` builds the laws unvalidated."""
 
-    coeff: Callable[[int, dict], float]  # (n, params) -> c_n
+    coeff: Callable[[dict], Callable[[int], float]]  # params -> (n -> c_n)
     arity: Callable[[dict], int]  # params -> m
     meta: dict[str, str]  # analytic series tags, see Environment.series_meta
     check: Callable[[dict], None] = lambda params: None  # raises on bad params
@@ -213,7 +262,7 @@ class _Family(NamedTuple):
 # The one list of named families (NamedFamily documents each law).
 _FAMILIES: dict[str, _Family] = {
     "example-1a": _Family(
-        lambda n, _: 0.5 if n == 1 else 1.0 - 1.0 / n,
+        lambda _: _c_1a,
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -223,7 +272,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-1b": _Family(
-        lambda n, _: 0.5 if n == 1 else 1.0 - 1.0 / n**2,
+        lambda _: _c_1b,
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -233,7 +282,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2a": _Family(
-        lambda n, _: 1.0 - 0.5**n / n,
+        lambda _: _c_2a,
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -244,7 +293,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2b": _Family(
-        lambda n, _: 1.0 - 0.5**n / n**2,
+        lambda _: _c_2b,
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -255,7 +304,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "power-defect": _Family(
-        _power_defect,
+        lambda params: partial(_power_defect, float(params["a"]), -float(params["b"])),
         lambda params: int(params.get("arity", 1)),
         {},
         _check_power_defect,
@@ -276,29 +325,36 @@ class NamedFamily(Environment):
         example-2a: f_n(s) = (1 - 1/(n 2^n)) s^2.
         example-2b: f_n(s) = (1 - 1/(n^2 2^n)) s^2.
         power-defect: f_n(s) = (1 - a n^(-b)) s^m with params a in (0,1),
-            b > 0, arity m >= 1.
+            b > 0, arity m >= 1 (default 1).
+
+    Params take no other keys, and are checked as the CLI's config check
+    checks them (non-bool reals, an integral arity) for every id; the
+    example ids ignore them.
     """
 
     family: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        fam = _FAMILIES.get(self.family)
+        if fam is None:
             raise InvalidLawError(f"unknown family {self.family!r}")
-        _FAMILIES[self.family].check(self.params)
+        _check_params(self.params)
+        fam.check(self.params)
+        # built once and kept outside the fields, so equality, repr and
+        # to_dict still read (family, params) alone
+        object.__setattr__(self, "_coeff", fam.coeff(self.params))
+        object.__setattr__(self, "_zeros", [0.0] * fam.arity(self.params))
 
     def law(self, n: int) -> OffspringLaw:
         if n < 1:
             raise ValueError("generation index starts at 1")
-        fam = _FAMILIES[self.family]
-        weights = [0.0] * fam.arity(self.params) + [fam.coeff(n, self.params)]
-        return FiniteSupport._trusted(weights)
+        return FiniteSupport._trusted(self._zeros + [self._coeff(n)])
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
         # _series_stats of c s^m in closed form, with its operations
-        fam = _FAMILIES[self.family]
-        c = np.fromiter((fam.coeff(i, self.params) for i in range(1, n + 1)), float, n)
-        m = fam.arity(self.params)
+        c = np.fromiter(map(self._coeff, range(1, n + 1)), float, n)
+        m = len(self._zeros)
         mean = m * c
         if m == 1:
             return c, 1.0 - c, mean, np.zeros(n), np.zeros(n)

@@ -391,6 +391,73 @@ def test_criteria_default_horizons_match_loop():
     _assert_matches_loop(criteria_verdicts(env, hs), env, hs)
 
 
+_SPECIAL = [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf, 5e-324, 1.0,
+            math.nextafter(1.0, 0.0), math.e]  # math.log(math.e) is 1.0
+
+
+@pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
+def test_logs_is_log_entry_by_entry(size):
+    from defbranch.analysis import _logs
+
+    rng = np.random.default_rng(size)
+    x = rng.lognormal(0.0, 3.0, size)
+    x[rng.random(size) < 0.2] = 1.0
+    at = rng.choice(size, min(size, 3 * len(_SPECIAL)), replace=False)
+    x[at] = np.resize(_SPECIAL, at.size)
+    want = np.array([_log(v) for v in x.tolist()])
+    assert _logs(x) is x
+    assert x.tobytes() == want.tobytes()
+
+
+def _per_entry_logs(x):
+    x[:] = [_log(v) for v in x.tolist()]
+    return x
+
+
+_DEFAULT_HORIZON_ENVS = {
+    **{f: NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")},
+    **{f"power-defect-{m}": NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": m})
+       for m in (1, 2, 3)},
+    "power-defect-int-b": NamedFamily("power-defect", {"a": 0.25, "b": 2, "arity": 2}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_HORIZON_ENVS))
+def test_criteria_default_horizons_match_per_entry_logs(name, monkeypatch):
+    env = _DEFAULT_HORIZON_ENVS[name]
+    out = criteria_verdicts(env)
+    monkeypatch.setattr("defbranch.analysis._logs", _per_entry_logs)
+    assert repr(out) == repr(criteria_verdicts(env))
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_HORIZON_ENVS))
+def test_criteria_columns_write_the_law_coefficient(name):
+    # n = 2000 takes 0.5**n past 1074 and 1075, where it turns subnormal and 0
+    env = _DEFAULT_HORIZON_ENVS[name]
+    n = 2000
+    w1, defect, mean, _, _ = env._criteria_columns(n)
+    laws = [env.law(i) for i in range(1, n + 1)]
+    m = laws[0].weights.size - 1
+    c = np.array([law.weights[-1] for law in laws])
+    assert defect.tobytes() == (1.0 - c).tobytes()
+    assert mean.tobytes() == (m * c).tobytes()
+    if m == 1:
+        assert w1.tobytes() == c.tobytes()
+
+
+def test_criteria_verdicts_memory_peak():
+    # transient lists one column long in _logs take the peak to about 10.6 MB
+    env = NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": 2})
+    criteria_verdicts(env, (100, 1_000))  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        criteria_verdicts(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.6e6
+
+
 class TestFixedPointBracket:
     def test_alternating_envelope(self, alt_env):
         br = fixed_point_bracket(alt_env, upto=16)

@@ -44,6 +44,37 @@ class TestNamedFamilies:
         with pytest.raises(InvalidLawError):
             NamedFamily("no-such-family")
 
+    @pytest.mark.parametrize("params", [
+        {"a": 0.5, "b": 1.5, "arity": 2.5},
+        {"a": 0.5, "b": 1.5, "arity": True},
+        {"a": 0.5, "b": 1.5, "arity": "2"},
+        {"a": 0.5, "b": 1.5, "arity": 0},
+        {"a": "0.5", "b": 1.5},
+        {"a": 0.5, "b": True},
+        {"a": math.nan, "b": 1.5},
+        {"a": 0.5, "b": 1.5, "zzz": 1},
+        {"a": 0.5},
+    ], ids=["arity-2.5", "arity-true", "arity-str", "arity-0", "a-str", "b-true", "a-nan",
+            "unknown-key", "no-b"])
+    def test_power_defect_rejects_what_the_config_check_rejects(self, params):
+        with pytest.raises(InvalidLawError):
+            NamedFamily("power-defect", params)
+
+    def test_power_defect_integral_float_arity(self):
+        env = NamedFamily("power-defect", {"a": 0.5, "b": 2, "arity": 3.0})
+        assert env.law(2).weights.tobytes() == np.array([0.0, 0.0, 0.0, 1 - 0.5 / 4]).tobytes()
+
+    def test_pickle_round_trip_after_law(self):
+        import pickle
+
+        for env in (NamedFamily("example-2a"),
+                    NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": 3})):
+            env.law(7)
+            back = pickle.loads(pickle.dumps(env))
+            assert back == env and repr(back) == repr(env)
+            for n in (1, 7, 1075):
+                assert back.law(n).weights.tobytes() == env.law(n).weights.tobytes()
+
     def test_laws_equal_validated_construction(self):
         envs = [NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")]
         envs += [NamedFamily("power-defect", {"a": 0.3, "b": 0.7, "arity": m}) for m in (1, 2, 5)]
