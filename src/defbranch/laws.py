@@ -231,6 +231,11 @@ class OffspringLaw:
         """
         raise NotImplementedError
 
+    def _draws(self, rng: np.random.Generator, z: int) -> list[int]:
+        """``z`` draws as a list of ints, from the uniforms ``sample``
+        would take, in the same order."""
+        return self.sample(rng, size=z).tolist()
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -348,13 +353,18 @@ class FiniteSupport(OffspringLaw):
         return m1, m2
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        # bisect_right on the float thresholds finds the index that
-        # searchsorted(side="right") would find
-        cum, draw = self._draw_table
         if size is None:
-            return draw[bisect_right(cum, rng.random())]
-        u = rng.random(size).tolist()
-        return np.array([draw[bisect_right(cum, x)] for x in u], dtype=np.int64)
+            return self._draws(rng, 1)[0]
+        return np.array(self._draws(rng, size), dtype=np.int64)
+
+    def _draws(self, rng: np.random.Generator, z: int) -> list[int]:
+        # bisect_right on the float thresholds finds the index that
+        # searchsorted(side="right") would find; one draw takes the scalar
+        # uniform, which is the one rng.random(1) holds
+        cum, draw = self._draw_table
+        if z == 1:
+            return [draw[bisect_right(cum, rng.random())]]
+        return [draw[bisect_right(cum, x)] for x in rng.random(z).tolist()]
 
     def to_dict(self) -> dict:
         return {"kind": "finite", "weights": [float(x) for x in self.weights]}
@@ -463,16 +473,26 @@ class LinearFractional(OffspringLaw):
         return r * (s1 - p), r * (s2 - p)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        scalar = size is None
-        u = rng.random(1 if scalar else size)
-        out = np.zeros(u.shape, dtype=np.int64)
-        out[u >= self.mass] = DELTA
-        geo = (u >= self.q + self.r) & (u < self.mass)
-        if np.any(geo):
-            y = 1.0 - (u[geo] - self.q - self.r) * (1.0 - self.p) / (self.r * self.p)
-            y = np.clip(y, 1e-320, None)
-            out[geo] = np.floor(np.log(y) / math.log(self.p)).astype(np.int64) + 1
-        return int(out[0]) if scalar else out
+        if size is None:
+            return self._draws(rng, 1)[0]
+        return np.array(self._draws(rng, size), dtype=np.int64)
+
+    def _draws(self, rng: np.random.Generator, z: int) -> list[int]:
+        # u < q + r gives 0 children, u >= f(1) the graveyard, and the band
+        # between inverts the geometric tail; only that band's logs are
+        # taken, with np.log as an array, since math.log can round them
+        # differently
+        q, r, p = self.q, self.r, self.p
+        u = [rng.random()] if z == 1 else rng.random(z).tolist()
+        low, top = q + r, self.mass
+        out = [DELTA if x >= top else 0 for x in u]
+        geo = [i for i, x in enumerate(u) if low <= x < top]
+        if geo:
+            y = [max(1.0 - (u[i] - q - r) * (1.0 - p) / (r * p), 1e-320) for i in geo]
+            k = np.floor(np.log(y) / math.log(p)).astype(np.int64) + 1
+            for i, ki in zip(geo, k.tolist()):
+                out[i] = ki
+        return out
 
     def to_dict(self) -> dict:
         return {"kind": "lf", "q": self.q, "r": self.r, "p": self.p}

@@ -1,10 +1,19 @@
 """Family trees of populations with a graveyard state.
 
-A tree is stored as a map from node label to the number of children that
-node drew, with DELTA standing for the draw that sent the whole
-population to the graveyard.  Labels are tuples of 1-based child
-indices; the root is the empty tuple.  Nodes of the last sampled
-generation carry no count: they are the frontier.
+A tree is stored as its child counts in breadth-first order, one list
+per generation: ``gens[g]`` holds the number of children of each node of
+generation g, in label order, with DELTA standing for the draw that sent
+the whole population to the graveyard.  The children of the last counted
+generation carry no count: they are the frontier.  This is the
+Ulam-Harris-Neveu coding of a plane tree taken generation by generation
+(Neveu, Ann. IHP 1986): the labels, tuples of 1-based child indices with
+the root as the empty tuple, are a function of the counts.  They are
+built only where they leave the module: ``serialize_tree``,
+``prefix_key`` and ``EnumeratedLaw.atoms`` write ``label,count``
+records, and ``DefectiveTree.child_count``, which ``validate_tree``
+reads, is derived on first use.  ``DefectiveTree(child_count)`` and
+``parse_tree`` build a tree from labels.  The samplers' prefixes are
+counted by their count tuples.
 
 Absorption shows up structurally: an extinct tree ends in a generation
 of zero counts, a killed tree ends in a generation whose counts are
@@ -14,7 +23,9 @@ generation exists.
 The conditioned sampler builds a tree that is alive at depth n directly:
 a spine of ancestors chosen by size-biased-like two-point marginals,
 subtrees left of the spine conditioned to die in time, subtrees right of
-the spine conditioned to dodge the graveyard.  Its output law on depth-n
+the spine conditioned to dodge the graveyard.  It splices them
+generation by generation, the spine decomposition of a tree conditioned
+to survive (Geiger, J. Appl. Probab. 1999).  Its output law on depth-n
 prefixes matches the unconditioned law given survival, which
 ``validate_prop4`` checks against exact enumeration and plain rejection.
 """
@@ -72,44 +83,68 @@ class InvalidTreeError(ValueError):
     """Structurally impossible tree."""
 
 
-@dataclass
+def _children(frontier: list, counts: list[int]) -> list:
+    """Labels of the children of the nodes ``frontier``, which drew
+    ``counts``, in label order (a DELTA draw has none)."""
+    return [v + (j,) for v, c in zip(frontier, counts) for j in range(1, c + 1)]
+
+
 class DefectiveTree:
     """A sampled (possibly infinite, hence capped) family tree.
 
-    child_count maps node label to its number of children, DELTA when
-    the node's brood drew the graveyard.  cap is the sampling depth the
-    tree was cut at (None when unknown, e.g. after parsing); it is
-    metadata, not part of equality.  A tree from sample_dbtve also
-    carries the generation sizes recorded while drawing it, which
-    gen_sizes returns without walking child_count; changing the count
-    map of such a tree leaves them stale, so set ``_sizes`` to None first.
+    gens[g] lists the child counts of the generation-g nodes in label
+    order, DELTA for a brood that drew the graveyard; a generation is
+    counted whole or not at all.  cap is the sampling depth the tree was
+    cut at (None when unknown, e.g. after parsing); it is metadata, not
+    part of equality.
+
+    ``DefectiveTree(child_count)`` builds a tree from a label -> count
+    map: its generations are those the root reaches through counted
+    nodes, and the map is kept as ``child_count`` for ``validate_tree``
+    to check.  On a tree a sampler drew, ``child_count`` is derived from
+    gens on first use and cached.
     """
 
-    child_count: dict[Label, int]
-    cap: int | None = field(default=None, compare=False)
-    # None makes gen_sizes walk the count map
-    _sizes: list[int] | None = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("gens", "cap", "_labels")
+
+    def __init__(self, child_count: Mapping[Label, int], cap: int | None = None):
+        cc = self._labels = dict(child_count)
+        self.gens: list[list[int]] = []
+        self.cap = cap
+        frontier: list[Label] = [()]
+        while frontier:
+            counts = [cc.get(v) for v in frontier]
+            if not all(isinstance(c, (int, np.integer)) for c in counts):
+                break  # uncounted, or not a count, which validate_tree names
+            self.gens.append(counts)
+            if DELTA in counts:
+                break
+            frontier = _children(frontier, counts)
+
+    @classmethod
+    def _of(cls, gens: list[list[int]], cap: int | None) -> "DefectiveTree":
+        """The tree with the counts ``gens``, which it takes over."""
+        tree = object.__new__(cls)
+        tree.gens, tree.cap, tree._labels = gens, cap, None
+        return tree
+
+    @property
+    def child_count(self) -> dict[Label, int]:
+        """Node label -> child count."""
+        if self._labels is None:
+            cc: dict[Label, int] = {}
+            frontier: list[Label] = [()]
+            for counts in self.gens:
+                cc.update(zip(frontier, counts))
+                frontier = _children(frontier, counts)
+            self._labels = cc
+        return self._labels
 
     def gen_sizes(self) -> list[int]:
         """Population per generation; ends with DELTA if killed, 0 if
-        extinct, a positive count if the scan hit uncounted frontier."""
-        if self._sizes is not None:
-            return list(self._sizes)
-        sizes = [1]
-        frontier: list[Label] = [()]
-        while frontier:
-            counts = [self.child_count.get(v) for v in frontier]
-            if any(c is None for c in counts):
-                break
-            if any(c == DELTA for c in counts):
-                sizes.append(DELTA)
-                break
-            total = sum(counts)
-            sizes.append(total)
-            if total == 0:
-                break
-            frontier = [v + (j,) for v, c in zip(frontier, counts) for j in range(1, c + 1)]
-        return sizes
+        extinct, a positive count if the tree is alive at its last
+        counted generation."""
+        return [1] + [DELTA if DELTA in counts else sum(counts) for counts in self.gens]
 
     def height(self) -> int | None:
         """Generation of the last individual, None when the tree is
@@ -125,29 +160,49 @@ class DefectiveTree:
         return len(z) - 1 if z[-1] == DELTA else None
 
     def subtree(self, child: int) -> "DefectiveTree":
-        cc = {
-            lab[1:]: c
-            for lab, c in self.child_count.items()
-            if lab[:1] == (child,)
-        }
-        return DefectiveTree(cc, cap=None if self.cap is None else self.cap - 1)
+        """The subtree rooted at the root's child ``child`` (1-based)."""
+        gens: list[list[int]] = []
+        lo, hi = child - 1, child  # its nodes' positions in the generation read
+        for counts in self.gens[1:]:
+            part = counts[lo:hi]
+            if not part:
+                break
+            gens.append(part)
+            lo = sum(c for c in counts[:lo] if c > 0)
+            hi = lo + sum(c for c in part if c > 0)
+        return DefectiveTree._of(gens, None if self.cap is None else self.cap - 1)
 
     def serialize(self) -> str:
         return serialize_tree(self)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DefectiveTree):
+            return NotImplemented
+        return self.child_count == other.child_count
+
+    __hash__ = None
+
     def __repr__(self) -> str:
-        return f"DefectiveTree({len(self.child_count)} counted nodes, cap={self.cap})"
+        return f"DefectiveTree({sum(map(len, self.gens))} counted nodes, cap={self.cap})"
 
 
-def _records(items) -> str:
-    """``label,count`` lines of (label, count) pairs, in the order given."""
-    return "\n".join(f"{'.'.join(map(str, lab))},{'D' if c == DELTA else c}" for lab, c in items)
+def _records(gens) -> str:
+    """``label,count`` lines of the counts ``gens``, breadth-first."""
+    lines: list[str] = []
+    frontier = [""]
+    for counts in gens:
+        nxt: list[str] = []
+        for lab, c in zip(frontier, counts):
+            lines.append(f"{lab},{'D' if c == DELTA else c}")
+            nxt += [f"{lab}.{j}" if lab else str(j) for j in range(1, c + 1)]
+        frontier = nxt
+    return "\n".join(lines)
 
 
 def serialize_tree(tree: DefectiveTree) -> str:
     """Newline-delimited ``label,count`` records, breadth-first, with the
     root as the empty label and the graveyard count written as ``D``."""
-    return _records(sorted(tree.child_count.items(), key=lambda it: (len(it[0]), it[0])))
+    return _records(tree.gens)
 
 
 def parse_tree(text: str) -> DefectiveTree:
@@ -174,24 +229,15 @@ def parse_tree(text: str) -> DefectiveTree:
     return tree
 
 
-def _prefix_items(tree: DefectiveTree, h: int) -> tuple[tuple[Label, int], ...]:
-    """The (label, count) pairs of the nodes above depth h, breadth-first.
-    A tree as sample_dbtve drew it holds its labels in that order already,
-    and its recorded generation sizes count the nodes above depth h, so
-    only other trees are sorted."""
-    cc, sizes = tree.child_count, tree._sizes
-    if sizes is not None:
-        # generation g < len(sizes) - 1 is fully counted; the last may be DELTA
-        return tuple(itertools.islice(cc.items(), sum(sizes[: max(0, min(h, len(sizes) - 1))])))
-    labels = sorted([lab for lab in cc if len(lab) < h])
-    labels.sort(key=len)  # stable: by generation, and in label order within one
-    return tuple([(lab, cc[lab]) for lab in labels])
+def _prefix(tree: DefectiveTree, h: int) -> tuple[tuple[int, ...], ...]:
+    """The prefix key of depth h: the count tuples of generations 0..h-1."""
+    return tuple(map(tuple, tree.gens[: max(h, 0)]))
 
 
 def prefix_key(tree: DefectiveTree, h: int) -> str:
     """Canonical identity of the depth-h prefix, for comparing laws: the
     records of ``serialize_tree`` for the nodes above depth h."""
-    return _records(_prefix_items(tree, h))
+    return _records(_prefix(tree, h))
 
 
 def validate_tree(tree: DefectiveTree) -> None:
@@ -247,43 +293,35 @@ def sample_dbtve(
     """
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
-    cc: dict[Label, int] = {}
-    tree = DefectiveTree(cc, cap=depth_cap)
-    tree._sizes = [1] + _grow_frontier(cc, env, 0, depth_cap, rng)
-    return tree
+    gens: list[list[int]] = []
+    _grow_frontier(gens, env, depth_cap, rng)
+    return DefectiveTree._of(gens, depth_cap)
 
 
 def _grow_frontier(
-    cc: dict[Label, int],
-    env: Environment,
-    depth: int,
-    extra: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """Extend a tree alive at ``depth`` by ``extra`` more generations,
-    drawing whole generations at a time (in label order) and stopping
-    at extinction or at the first generation that holds a DELTA.
-
-    Returns the size of each generation drawn, DELTA for a killed one.
-    """
-    frontier = [()] if depth == 0 else sorted(
-        lab + (j,)
-        for lab, c in cc.items()
-        if len(lab) == depth - 1 and c != DELTA
-        for j in range(1, c + 1)
-    )
-    sizes: list[int] = []
+    gens: list[list[int]], env: Environment, extra: int, rng: np.random.Generator
+) -> None:
+    """Extend the counts ``gens`` of a tree alive at depth len(gens) by
+    ``extra`` more generations, drawing whole generations at a time (in
+    label order) and stopping at extinction or at the first generation
+    that holds a DELTA."""
+    depth = len(gens)
+    z = sum(gens[-1]) if gens else 1
     for g in range(depth + 1, depth + extra + 1):
-        if not frontier:
+        if not z:
             break
-        draws = env.law(g).sample(rng, size=len(frontier)).tolist()
-        cc.update(zip(frontier, draws))
-        if DELTA in draws:
-            sizes.append(DELTA)
+        counts = env.law(g)._draws(rng, z)
+        gens.append(counts)
+        if DELTA in counts:
             break
-        frontier = [v + (j,) for v, c in zip(frontier, draws) for j in range(1, c + 1)]
-        sizes.append(len(frontier))
-    return sizes
+        z = sum(counts)
+
+
+def _last_size(gens: list[list[int]]) -> int:
+    """The last of the generation sizes of the tree with counts ``gens``."""
+    if not gens:
+        return 1
+    return DELTA if DELTA in gens[-1] else sum(gens[-1])
 
 
 def _draw_until(
@@ -291,15 +329,15 @@ def _draw_until(
     depth_cap: int,
     rng: np.random.Generator,
     tries: int,
-    accept: Callable[[list[int]], bool],
+    accept: Callable[[int, int], bool],
     what: str,
 ) -> DefectiveTree:
     """The first of at most ``tries`` draws of ``sample_dbtve`` whose
-    generation sizes pass ``accept``; BudgetError names ``what`` when
-    none does."""
+    number of counted generations and last generation size pass
+    ``accept``; BudgetError names ``what`` when none does."""
     for _ in range(tries):
         t = sample_dbtve(env, rng, depth_cap=depth_cap)
-        if accept(t.gen_sizes()):
+        if accept(len(t.gens), _last_size(t.gens)):
             return t
     raise BudgetError(f"{what} budget of {tries} exhausted")
 
@@ -328,9 +366,9 @@ def prefix_prob(env: Environment, tree: DefectiveTree, h: int) -> float:
     # a DELTA sits at depth (kill generation - 1), so it counts once h
     # reaches the kill generation, and then every counted node does
     p = 1.0
-    for lab, c in tree.child_count.items():
-        if len(lab) < h:
-            law = env.law(len(lab) + 1)
+    for g, counts in enumerate(tree.gens[:h]):
+        law = env.law(g + 1)
+        for c in counts:
             p *= law.defect if c == DELTA else law.weight(c)
     return p
 
@@ -451,27 +489,32 @@ class ConditionedSampler:
 
     def sample(self, rng: np.random.Generator) -> tuple[DefectiveTree, SpineRecord]:
         n = self.n
-        cc: dict[Label, int] = {}
-        spine: Label = ()
         ds, cs, labels = [], [], [()]
+        gens: list[list[int]] = []
+        # the rows still to come of the subtrees hung left of the spine, in
+        # level order, and of those hung right of it, deepest level first
+        lo: list = []
+        hi: list = []
         for l in range(1, n + 1):
             d, c = self._spines[l - 1].sample(rng)
-            cc[spine] = c
+            # generation l - 1 in label order: the left subtrees of levels
+            # 1..l-1, the spine node, the right subtrees of levels l-1..1
+            counts: list[int] = []
+            for sub in lo:
+                counts += next(sub, ())
+            counts.append(c)
+            for sub in hi:
+                counts += next(sub, ())
+            gens.append(counts)
             m = n - l
-            for i in range(1, c + 1):
-                if i == d:
-                    continue
-                want_dead = i < d
-                sub = self._off_spine(l, m, want_dead, rng)
-                for rl, cnt in sub.child_count.items():
-                    cc[spine + (i,) + rl] = cnt
-            spine = spine + (d,)
+            lo += [iter(self._off_spine(l, m, True, rng).gens) for _ in range(1, d)]
+            hi[:0] = [iter(self._off_spine(l, m, False, rng).gens) for _ in range(d + 1, c + 1)]
             ds.append(d)
             cs.append(c)
-            labels.append(spine)
+            labels.append(labels[-1] + (d,))
         if self.extra_depth:
-            _grow_frontier(cc, self.env, n, self.extra_depth, rng)
-        tree = DefectiveTree(cc, cap=n + self.extra_depth)
+            _grow_frontier(gens, self.env, self.extra_depth, rng)
+        tree = DefectiveTree._of(gens, n + self.extra_depth)
         return tree, SpineRecord(d=tuple(ds), c=tuple(cs), labels=tuple(labels))
 
     def _off_spine(
@@ -486,7 +529,7 @@ class ConditionedSampler:
                 f"requested subtree event has probability 0 at generation {l}"
             )
         budget = max(1, math.ceil(self.budget_factor / accept_p))
-        accept = (lambda z: z[-1] == 0) if want_dead else (lambda z: z[-1] != DELTA)
+        accept = (lambda k, z: z == 0) if want_dead else (lambda k, z: z != DELTA)
         return _draw_until(self._shifted[l], m, rng, budget, accept, "subtree rejection")
 
 
@@ -533,13 +576,10 @@ def rejection_conditioned(
         raise PreconditionError(
             f"expected {expected:.1f} tries; too rare for a budget of {max_tries}"
         )
-    t = _draw_until(
-        env, n, rng, max_tries, lambda z: len(z) == n + 1 and z[-1] >= 1, "rejection"
-    )
+    t = _draw_until(env, n, rng, max_tries, lambda k, z: k == n and z >= 1, "rejection")
     if extra_depth:
-        t._sizes = None  # the sizes recorded while drawing stop at n
-        t.cap = n + extra_depth
-        _grow_frontier(t.child_count, env, n, extra_depth, rng)
+        _grow_frontier(t.gens, env, extra_depth, rng)
+        t = DefectiveTree._of(t.gens, n + extra_depth)
     return t
 
 
@@ -602,57 +642,58 @@ def enumerate_conditioned(
             complete = False
         options.append(opts)
 
-    alive: dict[str, float] = {}
+    alive: dict[tuple, float] = {}  # by prefix key
     total_mass = 0.0
     survival_mass = 0.0
     marg: list[dict[int, float]] = [dict() for _ in range(n + 1)]
     count = 0
     sizes: list[int] = [1]
+    rows: list[tuple[int, ...]] = []
 
-    def record(cc: dict[Label, int], p: float, alive_at_n: bool) -> None:
+    def record(p: float, alive_at_n: bool) -> None:
         nonlocal total_mass, survival_mass, count
         count += 1
         if count > budget:
             raise BudgetError(f"atom budget of {budget} exhausted")
         total_mass += p
         if alive_at_n:
-            key = serialize_tree(DefectiveTree(dict(cc)))
+            key = tuple(rows)
             alive[key] = alive.get(key, 0.0) + p
             survival_mass += p
             for g, z in enumerate(sizes):
                 marg[g][z] = marg[g].get(z, 0.0) + p
 
-    def rec(g: int, frontier: list[Label], cc: dict[Label, int], p: float) -> None:
+    def rec(g: int, z: int, p: float) -> None:
         if g == n:
-            record(cc, p, alive_at_n=True)
+            record(p, alive_at_n=True)
             return
-        # every assignment of options to the frontier, the first node's
-        # option changing fastest
-        for choice in itertools.product(options[g], repeat=len(frontier)):
+        # every assignment of options to the z nodes of generation g, the
+        # first node's option changing fastest
+        for choice in itertools.product(options[g], repeat=z):
             choice = choice[::-1]
             q = p
-            for v, (k, wk) in zip(frontier, choice):
-                cc[v] = k
+            for _, wk in choice:
                 q *= wk
             if q <= 0.0:
                 continue
-            if any(k == DELTA for k, _ in choice):
-                record(cc, q, alive_at_n=False)
+            counts = tuple(k for k, _ in choice)
+            if DELTA in counts:
+                record(q, alive_at_n=False)
                 continue
-            nxt = [v + (j,) for v, (k, _) in zip(frontier, choice) for j in range(1, k + 1)]
-            if nxt:
-                sizes.append(len(nxt))
-                rec(g + 1, nxt, cc, q)
+            nz = sum(counts)
+            if nz:
+                rows.append(counts)
+                sizes.append(nz)
+                rec(g + 1, nz, q)
+                rows.pop()
                 sizes.pop()
             else:
-                record(cc, q, alive_at_n=False)
-        for v in frontier:
-            cc.pop(v, None)
+                record(q, alive_at_n=False)
 
-    rec(0, [()], {}, 1.0)
+    rec(0, 1, 1.0)
     exact_surv = absorption_profile(env, n).survival
     norm = survival_mass
-    atoms = {k: v / norm for k, v in alive.items()} if norm > 0.0 else {}
+    atoms = {_records(k): v / norm for k, v in alive.items()} if norm > 0.0 else {}
     marginals = tuple(
         {z: v / norm for z, v in d.items()} if norm > 0.0 else {} for d in marg
     )
@@ -691,13 +732,13 @@ def tree_stats(tree: DefectiveTree, n: int) -> TreeStats:
     h = tree.height()
     height = float(h) if h is not None else math.inf
     rank = math.inf
-    z1 = tree.child_count.get(())
-    if z1 is not None and z1 not in (DELTA, 0):
-        for i in range(1, z1 + 1):
-            zs = tree.subtree(i).gen_sizes()
-            if len(zs) == n and zs[-1] >= 1:
-                rank = float(i)
-                break
+    # alive at generation n - 1 of its own, however deep the tree is counted
+    z1 = tree.gens[0][0] if tree.gens else 0
+    for i in range(1, z1 + 1):
+        zs = tree.subtree(i).gen_sizes()
+        if len(zs) >= n >= 1 and zs[n - 1] >= 1:
+            rank = float(i)
+            break
     return TreeStats(n=n, height=height, gen_sizes=tuple(z), rank=rank)
 
 
@@ -744,15 +785,15 @@ def validate_prop4(
     rng_c = _rng(master_seed, _TREE_STREAM["construction"])
     rng_r = _rng(master_seed, _TREE_STREAM["rejection"])
     surv = _exp(cons._log_surv)  # the survival absorption_profile(env, n) gives
-    # count prefixes by their (label, count) pairs, and write each distinct
-    # one as its prefix_key once
-    items_c: Counter[tuple] = Counter()
-    items_r: Counter[tuple] = Counter()
+    # count prefixes by their count tuples, and write each distinct one as
+    # its prefix_key once
+    keys_c: Counter[tuple] = Counter()
+    keys_r: Counter[tuple] = Counter()
     for _ in range(samples):
-        items_c[_prefix_items(cons.sample(rng_c)[0], n)] += 1
-        items_r[_prefix_items(rejection_conditioned(env, n, rng_r, survival=surv), n)] += 1
-    counts_c = {_records(k): v for k, v in items_c.items()}
-    counts_r = {_records(k): v for k, v in items_r.items()}
+        keys_c[_prefix(cons.sample(rng_c)[0], n)] += 1
+        keys_r[_prefix(rejection_conditioned(env, n, rng_r, survival=surv), n)] += 1
+    counts_c = {_records(k): v for k, v in keys_c.items()}
+    counts_r = {_records(k): v for k, v in keys_r.items()}
 
     keys = set(counts_c) | set(counts_r)
     if exact is not None:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -142,6 +143,8 @@ class TestValidation:
     def test_bad_count_value(self):
         with pytest.raises(InvalidTreeError, match="count"):
             validate_tree(DefectiveTree({(): -5}))
+        with pytest.raises(InvalidTreeError, match="count"):
+            validate_tree(DefectiveTree({(): 2, (1,): 1.5, (2,): 0}))
 
     def test_bad_label(self):
         with pytest.raises(InvalidTreeError, match="label"):
@@ -627,3 +630,192 @@ class TestSamplingFastPaths:
             for h in range(-1, (t.cap or 3) + 2):
                 cut = {lab: c for lab, c in t.child_count.items() if len(lab) < h}
                 assert prefix_key(t, h) == serialize_tree(DefectiveTree(cut))
+
+
+def _lf_reference(law, u):
+    """LinearFractional draws from the uniforms u, by the array formula."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros(u.shape, dtype=np.int64)
+    out[u >= law.mass] = DELTA
+    geo = (u >= law.q + law.r) & (u < law.mass)
+    if np.any(geo):
+        y = 1.0 - (u[geo] - law.q - law.r) * (1.0 - law.p) / (law.r * law.p)
+        y = np.clip(y, 1e-320, None)
+        out[geo] = np.floor(np.log(y) / math.log(law.p)).astype(np.int64) + 1
+    return out.tolist()
+
+
+LF_LAWS = [
+    LinearFractional(0.1, 0.4, 0.5),
+    LinearFractional(0.0, 0.05, 0.95),
+    LinearFractional(0.3, 0.0005, 0.999),
+    LinearFractional(0.2, 0.7, 1e-3),
+]
+
+
+class TestListDraws:
+    """``_draws`` takes the uniforms ``sample`` takes, in order, and maps
+    them as the array formulas do."""
+
+    @pytest.mark.parametrize("law", LF_LAWS, ids=range(len(LF_LAWS)))
+    def test_lf_draws_match_the_array_formula(self, law):
+        for seed in range(100):
+            for z in (1, 2, 3, 8, 50):
+                rng, ref = np.random.default_rng([seed, z]), np.random.default_rng([seed, z])
+                got = law._draws(rng, z)
+                assert got == _lf_reference(law, ref.random(z))
+                assert all(type(k) is int for k in got)
+                assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("law", LF_LAWS, ids=range(len(LF_LAWS)))
+    def test_lf_draws_at_the_band_edges(self, law):
+        u = [0.0, np.nextafter(1.0, 0.0)]
+        for c in (law.q + law.r, law.mass):
+            u += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
+        u = [float(x) for x in u if 0.0 <= x < 1.0]
+        want = _lf_reference(law, u)
+        assert law._draws(_Uniforms(u), len(u)) == want
+        assert law.sample(_Uniforms(u), size=len(u)).tolist() == want
+        assert [law.sample(_Uniforms([x])) for x in u] == want
+
+    @pytest.mark.parametrize("law", list(STREAM_LAWS.values()), ids=list(STREAM_LAWS))
+    def test_one_draw_takes_the_scalar_uniform(self, law):
+        for seed in range(200):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            (got,) = law._draws(rng, 1)
+            assert got == law.sample(ref, size=1)[0]
+            assert rng.random() == ref.random()
+
+
+def _labelled_trees(law, rng):
+    env = Constant(STREAM_LAWS[law])
+    trees = [sample_dbtve(env, rng, depth_cap=cap) for cap in (0, 1, 4) for _ in range(40)]
+    for extra in (0, 2):
+        trees += [rejection_conditioned(env, 2, rng, extra_depth=extra) for _ in range(40)]
+        sampler = ConditionedSampler(env, 3, extra_depth=extra)
+        trees += [sampler.sample(rng)[0] for _ in range(40)]
+    return env, trees
+
+
+class TestCountLists:
+    """The derived label view and the count lists describe one tree."""
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_label_view_round_trips(self, law):
+        env, trees = _labelled_trees(law, np.random.default_rng(41))
+        for t in trees:
+            again = DefectiveTree(t.child_count)
+            assert parse_tree(t.serialize()) == t
+            assert again == t
+            assert again.gens == t.gens
+            assert again.gen_sizes() == t.gen_sizes()
+            assert again.height() == t.height()
+            for h in range(len(t.gens) + 1):
+                assert prefix_prob(env, again, h) == prefix_prob(env, t, h)
+                assert prefix_key(again, h) == prefix_key(t, h)
+            root = t.gens[0][0] if t.gens else 0
+            for i in range(1, max(root, 0) + 2):
+                sub = t.subtree(i)
+                below = {lab[1:]: c for lab, c in t.child_count.items() if lab[:1] == (i,)}
+                assert sub == again.subtree(i) == DefectiveTree(below)
+                assert sub.gens == again.subtree(i).gens
+                assert sub.gen_sizes() == DefectiveTree(below).gen_sizes()
+
+    def test_figure_counts(self):
+        assert FIGURE.gens == [[3], [2, 0, 2], [1, DELTA, 0, 2]]
+        assert FIGURE.subtree(3).gens == [[2], [0, 2]]
+        assert DefectiveTree({}).gens == []
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_rank_is_the_rank_of_the_depth_n_prefix(self, law):
+        env = Constant(STREAM_LAWS[law])
+        rng = np.random.default_rng(42)
+        n = 3
+        trees = [sample_dbtve(env, rng, depth_cap=n + 2) for _ in range(100)]
+        trees += [rejection_conditioned(env, n, rng, extra_depth=2) for _ in range(50)]
+        sampler = ConditionedSampler(env, n, extra_depth=3)
+        drawn = [sampler.sample(rng) for _ in range(50)]
+        trees += [t for t, _ in drawn]
+        for t in trees:
+            cut = DefectiveTree({lab: c for lab, c in t.child_count.items() if len(lab) < n})
+            assert tree_stats(t, n).rank == tree_stats(cut, n).rank
+        # a tree alive at n has a root child alive at n - 1: the spine's
+        for t, spine in drawn:
+            assert tree_stats(t, n).rank == spine.d[0]
+
+    def test_deep_conditioned_tree_memory(self):
+        # 40391 nodes at this seed; held as label tuples they took 85.5 MB
+        sampler = ConditionedSampler(Constant(FiniteSupport([0.25, 0.5, 0.25])), 400)
+        rng = np.random.default_rng(1)
+        tracemalloc.start()
+        try:
+            tree, _ = sampler.sample(rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tree.gens)) == 40391
+        assert peak <= 5.7e6
+
+
+class TestTriesGoThroughTheSampler:
+    """Every rejection try is one call of the module-level
+    ``sample_dbtve``, which the benchmark's tracer wraps to count them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from defbranch import trees
+
+        log = []
+        draw = trees.sample_dbtve
+
+        def counted(env, rng, depth_cap):
+            t = draw(env, rng, depth_cap)
+            log.append((depth_cap, t))
+            return t
+
+        monkeypatch.setattr(trees, "sample_dbtve", counted)
+        return log
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_rejection_tries(self, env_a, calls, extra):
+        rng = np.random.default_rng(43)
+        n = 3
+        for _ in range(30):
+            del calls[:]
+            t = rejection_conditioned(env_a, n, rng, extra_depth=extra)
+            *rejected, (cap, last) = calls
+            assert cap == n and {c for c, _ in rejected} <= {n}
+            assert all(len(r.gens) < n or r.gen_sizes()[-1] < 1 for _, r in rejected)
+            assert last.gens[:n] == t.gens[:n] and len(t.gens) >= n
+            if not extra:
+                assert t is last
+
+    @pytest.mark.parametrize("law", STREAM_LAWS)
+    def test_construction_tries(self, calls, law):
+        env = Constant(STREAM_LAWS[law])
+        rng = np.random.default_rng(44)
+        n = 3
+        sampler = ConditionedSampler(env, n)
+        for _ in range(30):
+            del calls[:]
+            tree, spine = sampler.sample(rng)
+            # the subtree requests in draw order, each a run of tries that
+            # ends at the first accepted draw; the accepted ones, hung
+            # under their spine labels, are the tree
+            pending = iter(calls)
+            want = {}
+            for l, (d, c) in enumerate(zip(spine.d, spine.c), start=1):
+                want[spine.labels[l - 1]] = c
+                for i in range(1, c + 1):
+                    if i == d:
+                        continue
+                    while True:
+                        cap, sub = next(pending)
+                        assert cap == n - l
+                        z = sub.gen_sizes()
+                        if (z[-1] == 0) if i < d else (z[-1] != DELTA):
+                            break
+                    for lab, cnt in sub.child_count.items():
+                        want[spine.labels[l - 1] + (i,) + lab] = cnt
+            assert next(pending, None) is None
+            assert tree.child_count == want
