@@ -142,8 +142,7 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     hi = np.ones(n + 1)
     lo = np.zeros(n + 1)
     logd = np.zeros(n + 1)
-    top = env._fixed_from()
-    top = n + 1 if top is None else min(top, n + 1)
+    top = min(env._fixed_from() or n + 1, n + 1)
     with np.errstate(divide="ignore"):
         if top <= n:
             hi[top - 1:] = _sweep(env, top - 1, n, 1.0).points[::-1]
@@ -790,7 +789,9 @@ def conditioned_mean_bound(
 
 
 def _check_upper(env: Environment, sigma: float, k: int, n: int) -> None:
-    """Raise unless f_i(sigma) <= sigma for generations k < i <= n."""
-    for i in range(k + 1, n + 1):
+    """Raise unless f_i(sigma) <= sigma for generations k < i <= n, reading
+    a repeated tail law once, at its first generation in the window."""
+    last = min(n, max(env._fixed_from() or n, k + 1))
+    for i in range(k + 1, last + 1):
         if env.law(i).pgf(sigma) > sigma + 1e-12:
             raise PreconditionError(f"f(sigma) > sigma at generation {i}")

@@ -461,7 +461,7 @@ def _cmd_tree_sample(env, args, seed):
         for _ in range(count):
             t, s = cs.sample(rng)
             trees.append(t)
-            spines.append(_plain(s, skip=("labels",)))
+            spines.append(_plain(s))
     elif sampler == "rejection":
         surv = absorption_profile(env, n).survival
         for _ in range(count):

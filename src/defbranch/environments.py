@@ -15,8 +15,9 @@ linear-fractional generations composes in closed form, as one Moebius
 map, so no geometric tail is cut and ``DistVector.dropped`` is 0.
 
 Exact readers rest on one private backward pass, ``_sweep``: at each
-generation it looks the law up once and forms the points, the log gap
-and the log ladder terms its reader asks for; where one law repeats, the
+generation it looks the law up once and forms the points (for the
+readers that return them), the log gap, the log ladder terms or the
+chain-rule derivatives its reader asks for; where one law repeats, the
 generations past the orbit's float fixed point are filled in.  Each
 reader makes one such pass per horizon and starting point, and never
 re-sweeps.  Logs turn linear only through ``_exp``.
@@ -437,18 +438,19 @@ def composed_points(env: Environment, k: int, n: int, s) -> np.ndarray:
 
 
 class _Sweep(NamedTuple):
-    points: np.ndarray | None  # f_{k+j,n}(hi), j = 0..n-k; None with ladder
+    points: np.ndarray | None  # f_{k+j,n}(hi), j = 0..n-k; None with ladder or order
     lo_points: np.ndarray | None  # f_{k+j,n}(lo), j = 0..n-k
     log_gap: float | None  # log(f_{k,n}(hi) - f_{k,n}(lo))
     log_ladder: np.ndarray | None  # log0 + running sums of log f_j'(t_j), j = k..n
     log_var: np.ndarray | None  # log f_j''(t_j) - log f_j'(t_j) - log_ladder[j], j = k+1..n
     at: tuple[np.ndarray, ...]  # per fixed s: log f_j'(s), j = k+1..n
     c12: float  # max(0, max_j c12 of f_j)
+    chain: tuple | None  # (f_{k,n}(hi), f_{k,n}'(hi), f_{k,n}''(hi)) with order
 
 
 def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
            ladder: bool = False, log0: float = 0.0, second: bool = False,
-           at: Sequence[float] = (), regularity: bool = False) -> _Sweep:
+           at: Sequence[float] = (), regularity: bool = False, order: int | None = None) -> _Sweep:
     """The one backward pass: generations n down to k+1, one law lookup and
     one pgf call each for the points of hi (an array only without lo and
     ladder).  lo adds one divided difference and one pgf call for the
@@ -457,19 +459,21 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
     adds one pgf call for log f_j'(t_j), t_j = f_{j,n}(hi), ``second`` one
     for log f_j''(t_j), ``at`` one per s for log f_j'(s) and ``regularity``
     one report for c12 per run of generations sharing one law object.
-    Fields not asked for are None, () or 0, and so are the points with
-    ladder: no ladder reader keeps them alive.
+    ``order`` (0, 1 or 2) adds one pgf call per derivative for ``chain``,
+    the value and first ``order`` derivatives by the chain rule.  Fields
+    not asked for are None, () or 0, and so are the points with ladder or
+    order: only the readers that return them get a column of points.
 
     A scalar hi splits the window at ``env._fixed_from()``: the tail's law
     is looked up once, and once a tail generation maps its points to
     themselves, bit for bit, the tail generations below it repeat its
-    points and terms, which are filled in; log_gap still adds the term once
-    per generation, from n down, so the split keeps the loop's bits."""
+    points and terms, which are filled in; log_gap and chain still step
+    once per generation, from n down, so the split keeps the loop's bits."""
     _check_window(k, n)
-    h = np.asarray(hi, dtype=float)
-    his = np.empty((n - k + 1,) + h.shape)
-    his[-1] = h
+    h = np.array(hi, dtype=float)  # a copy: an array hi may come back as f_{n,n}(hi)
+    his = None if ladder or order is not None else np.full((n - k + 1,) + h.shape, h)
     top = None if h.ndim else env._fixed_from()  # a tail to split off, for scalar hi
+    g1, g2 = (np.ones_like(h), np.zeros_like(h)) if h.ndim else (1.0, 0.0)
     if h.ndim == 0:
         h = float(h)  # the laws' plain-float path
     los = l = log_gap = log_ladder = log_var = None
@@ -494,11 +498,16 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
             if regularity and law is not prev:  # a repeated law cannot raise the max
                 c12 = max(c12, law.regularity().c12)
                 prev = law
+        if order:  # f'(t) and f''(t) before t moves on
+            fp, f2 = law.pgf(h, 1), law.pgf(h, 2) if order == 2 else None
+            g1, g2 = fp * g1, f2 * g1 * g1 + fp * g2 if order == 2 else g2
         x, y = h, l
         if los is not None:
             log_gap += (gap := _log(law.divided_difference(h, l)))
             los[j] = l = law.pgf(l)
-        his[j] = h = law.pgf(h)
+        h = law.pgf(h)
+        if his is not None:
+            his[j] = h
         if j > head and h == x and _same(h, x) and (los is None or _same(l, y)):
             # a fixed point of the tail: steps head..j-1 repeat step j
             for col in (his, los, d1, d2, *ats):
@@ -506,12 +515,15 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
                     col[head:j] = col[j]
             for _ in range(j - head if los is not None else 0):
                 log_gap += gap
+            for _ in range(j - head if order else 0):
+                g1, g2 = fp * g1, f2 * g1 * g1 + fp * g2 if order == 2 else g2
             j = head
         j -= 1
     if ladder:
         log_ladder = _running(d1, log0)
         log_var = d2 - d1 - log_ladder[1:] if second else None
-    return _Sweep(None if ladder else his, los, log_gap, log_ladder, log_var, tuple(ats), c12)
+    return _Sweep(his, los, log_gap, log_ladder, log_var, tuple(ats), c12,
+                  None if order is None else (h, g1, g2))
 
 
 def _same(x: float, y: float) -> bool:
@@ -522,8 +534,8 @@ def _same(x: float, y: float) -> bool:
 def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
     """Evaluate f_{k,n}(s) or its first or second derivative.
 
-    Derivatives follow the chain rule along the same innermost-first
-    sweep: with v = f_{i,n}(s),
+    Derivatives follow the chain rule along the innermost-first sweep
+    (``_sweep``): with v = f_{i,n}(s),
 
         (f_{i-1,n})'(s)  = f_i'(v) v'
         (f_{i-1,n})''(s) = f_i''(v) (v')^2 + f_i'(v) v''.
@@ -532,27 +544,11 @@ def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
     overflow go quietly to inf.  An entry of an array s equals, bit for
     bit, the result for that entry alone.
     """
-    _check_window(k, n)
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
-    scalar = np.ndim(s) == 0
-    if scalar:
-        v, d1, d2 = float(s), 1.0, 0.0
-    else:
-        v = np.asarray(s, dtype=float).copy()
-        d1 = np.ones_like(v)
-        d2 = np.zeros_like(v)
     with np.errstate(over="ignore"):
-        for i in range(n, k, -1):
-            law = env.law(i)
-            if order >= 1:
-                fp = law.pgf(v, 1)
-                if order == 2:
-                    d2 = law.pgf(v, 2) * d1 * d1 + fp * d2
-                d1 = fp * d1
-            v = law.pgf(v)
-    out = (v, d1, d2)[order]
-    return float(out) if scalar else out
+        out = _sweep(env, k, n, s, order=order).chain[order]
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,10 @@ Ulam-Harris-Neveu coding of a plane tree taken generation by generation
 the root as the empty tuple, are a function of the counts.  They are
 built only where they leave the module: ``serialize_tree``,
 ``prefix_key`` and ``EnumeratedLaw.atoms`` write ``label,count``
-records, and ``DefectiveTree.child_count``, which ``validate_tree``
-reads, is derived on first use.  ``DefectiveTree(child_count)`` and
-``parse_tree`` build a tree from labels.  The samplers' prefixes are
-counted by their count tuples.
+records, and ``DefectiveTree.child_count`` derives them on each use.
+``DefectiveTree(child_count)`` and ``parse_tree`` build a tree from
+labels; only such a tree needs ``validate_tree``.  The samplers'
+prefixes are counted by their count tuples.
 
 Absorption shows up structurally: an extinct tree ends in a generation
 of zero counts, a killed tree ends in a generation whose counts are
@@ -101,8 +101,8 @@ class DefectiveTree:
     ``DefectiveTree(child_count)`` builds a tree from a label -> count
     map: its generations are those the root reaches through counted
     nodes, and the map is kept as ``child_count`` for ``validate_tree``
-    to check.  On a tree a sampler drew, ``child_count`` is derived from
-    gens on first use and cached.
+    to check.  On a tree a sampler drew, which is valid by construction,
+    ``child_count`` is derived from gens on each use and not kept.
     """
 
     __slots__ = ("gens", "cap", "_labels")
@@ -131,14 +131,14 @@ class DefectiveTree:
     @property
     def child_count(self) -> dict[Label, int]:
         """Node label -> child count."""
-        if self._labels is None:
-            cc: dict[Label, int] = {}
-            frontier: list[Label] = [()]
-            for counts in self.gens:
-                cc.update(zip(frontier, counts))
-                frontier = _children(frontier, counts)
-            self._labels = cc
-        return self._labels
+        if self._labels is not None:
+            return self._labels
+        cc: dict[Label, int] = {}
+        frontier: list[Label] = [()]
+        for counts in self.gens:
+            cc.update(zip(frontier, counts))
+            frontier = _children(frontier, counts)
+        return cc
 
     def gen_sizes(self) -> list[int]:
         """Population per generation; ends with DELTA if killed, 0 if
@@ -359,7 +359,8 @@ def prefix_prob(env: Environment, tree: DefectiveTree, h: int) -> float:
     """
     if h < 0:
         raise PreconditionError("h must be >= 0")
-    validate_tree(tree)
+    if tree._labels is not None:  # built from labels; a sampler's tree is valid by construction
+        validate_tree(tree)
     z = tree.gen_sizes()
     if z[-1] > 0 and len(z) - 1 < h:
         raise PreconditionError("tree not counted deep enough for this prefix")
@@ -449,7 +450,10 @@ class SpineRecord:
 
     d: tuple[int, ...]
     c: tuple[int, ...]
-    labels: tuple[Label, ...]
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        return tuple(self.d[:l] for l in range(len(self.d) + 1))
 
 
 class ConditionedSampler:
@@ -489,7 +493,7 @@ class ConditionedSampler:
 
     def sample(self, rng: np.random.Generator) -> tuple[DefectiveTree, SpineRecord]:
         n = self.n
-        ds, cs, labels = [], [], [()]
+        ds, cs = [], []
         gens: list[list[int]] = []
         # the rows still to come of the subtrees hung left of the spine, in
         # level order, and of those hung right of it, deepest level first
@@ -511,11 +515,10 @@ class ConditionedSampler:
             hi[:0] = [iter(self._off_spine(l, m, False, rng).gens) for _ in range(d + 1, c + 1)]
             ds.append(d)
             cs.append(c)
-            labels.append(labels[-1] + (d,))
         if self.extra_depth:
             _grow_frontier(gens, self.env, self.extra_depth, rng)
         tree = DefectiveTree._of(gens, n + self.extra_depth)
-        return tree, SpineRecord(d=tuple(ds), c=tuple(cs), labels=tuple(labels))
+        return tree, SpineRecord(d=tuple(ds), c=tuple(cs))
 
     def _off_spine(
         self, l: int, m: int, want_dead: bool, rng: np.random.Generator

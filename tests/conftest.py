@@ -140,6 +140,30 @@ def brute_compose(env: Environment, k: int, n: int, s: float) -> float:
     return s
 
 
+def plain_compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
+    """f_{k,n}(s) or its first or second derivative by the plain loop: one
+    law lookup and the chain rule at every generation, innermost first,
+    with no split at a repeated tail."""
+    scalar = np.ndim(s) == 0
+    if scalar:
+        v, d1, d2 = float(s), 1.0, 0.0
+    else:
+        v = np.asarray(s, dtype=float).copy()
+        d1 = np.ones_like(v)
+        d2 = np.zeros_like(v)
+    with np.errstate(over="ignore"):
+        for i in range(n, k, -1):
+            law = env.law(i)
+            if order >= 1:
+                fp = law.pgf(v, 1)
+                if order == 2:
+                    d2 = law.pgf(v, 2) * d1 * d1 + fp * d2
+                d1 = fp * d1
+            v = law.pgf(v)
+    out = (v, d1, d2)[order]
+    return float(out) if scalar else out
+
+
 def brute_dist(env: Environment, n: int) -> tuple[dict[int, float], float]:
     """Exact law of the population at n by dictionary convolution.
 

@@ -250,6 +250,7 @@ class TestComposeCoeffs:
             raise AssertionError("compose_coeffs swept the window twice")
 
         monkeypatch.setattr(environments, "compose_eval", no_second_sweep)
+        monkeypatch.setattr(environments, "_sweep", no_second_sweep)
         # bit for bit the value the separate backward pass gave
         assert [compose_coeffs(env, n, degree=8).delta_mass for env, n in cases] == want
 

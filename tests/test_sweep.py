@@ -1,12 +1,13 @@
 """The one backward generation pass behind every exact reader.
 
 ``environments._sweep`` forms the points, the log gap and the log ladder
-in one loop.  These tests hold every reader built on it to the two-pass
-algorithm it replaced (a backward sweep for the points, then a forward
-ladder over them), bit for bit, and count its law lookups.  They also
-hold the split at a repeated-law tail, where generations past the
-orbit's float fixed point are filled in, to the plain loop and to
-``compose_eval``, bit for bit.
+in one loop, and carries the chain rule for ``compose_eval``.  These
+tests hold every reader built on it to the two-pass algorithm it
+replaced (a backward sweep for the points, then a forward ladder over
+them), bit for bit, and count its law lookups.  They also hold the split
+at a repeated-law tail, where generations past the orbit's float fixed
+point are filled in, to the plain loop (conftest's
+``plain_compose_eval``), bit for bit.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import LAW_A, LAW_B
+from conftest import LAW_A, LAW_B, plain_compose_eval
 from defbranch import (
     ConditionedSampler,
     Constant,
@@ -27,6 +28,7 @@ from defbranch import (
     LinearFractional,
     NamedFamily,
     OffspringLaw,
+    PreconditionError,
     Prefix,
     absorption_profile,
     absorption_scan,
@@ -69,10 +71,11 @@ READERS = {
 
 
 def two_pass(env, k, n, hi, lo=None, *, ladder=False, log0=0.0, second=False, at=(),
-             regularity=False):
-    """Reference: the backward sweep for the points and the gap, then the
-    forward ladder loop over the stored points, generation 1 first."""
-    sw = _sweep(env, k, n, hi, lo)
+             regularity=False, order=None):
+    """Reference: the backward sweep for the points and the gap (and the
+    chain rule, passed through), then the forward ladder loop over the
+    stored points, generation 1 first."""
+    sw = _sweep(env, k, n, hi, lo, order=order)
     if not ladder:
         return sw
     assert k == 0
@@ -300,22 +303,52 @@ SPLIT_WINDOWS = [(0, 0), (0, 1), (1, 2), (0, 11), (3, 11), (0, 2000), (666, 2000
 @pytest.mark.parametrize("k, n", SPLIT_WINDOWS)
 @pytest.mark.parametrize("env", SPLIT_ENVS.values(), ids=SPLIT_ENVS.keys())
 def test_split_points_match_compose_eval(env, k, n):
-    # compose_eval runs the plain loop, one law lookup per generation
-    for x in (0.0, 1.0, 0.3, -0.0):
+    # the reference runs the plain loop, one law lookup per generation
+    xs = (0.0, 1.0, 0.3, -0.0)
+    for x in xs:
         got = _sweep(env, k, n, x).points[0]
-        assert _bits(float(got)) == _bits(compose_eval(env, k, n, x)), x
+        assert _bits(float(got)) == _bits(plain_compose_eval(env, k, n, x)), x
+    for order in (0, 1, 2):
+        for x in xs:
+            got = compose_eval(env, k, n, x, order)
+            assert type(got) is float, (x, order)
+            assert _bits(got) == _bits(plain_compose_eval(env, k, n, x, order)), (x, order)
+        arr = np.array(xs)
+        got = compose_eval(env, k, n, arr, order)
+        assert _bits(got) == _bits(plain_compose_eval(env, k, n, arr, order)), order
+
+
+class CountingSplit(Counting):
+    """A counting environment that keeps its base's repeated tail."""
+
+    def _fixed_from(self):
+        return self.base._fixed_from()
 
 
 @pytest.mark.parametrize("name", [k for k in READERS if k != "late"])
 def test_tail_law_looked_up_once(name):
-    class CountingSplit(Counting):
-        def _fixed_from(self):
-            return self.base._fixed_from()
-
     env = CountingSplit(Prefix(PREFIX.laws, LAW_B))
     READERS[name](env, 2000)
     # the ten head generations once each, the tail's law once in all
     assert env.calls == Counter(range(1, 12))
+
+
+def test_compose_eval_looks_the_tail_law_up_once():
+    env = CountingSplit(Prefix(PREFIX.laws, LAW_B))
+    compose_eval(env, 0, 2000, 0.5, order=2)
+    assert env.calls == Counter(range(1, 12))
+
+
+def test_invariance_check_reads_the_tail_law_once():
+    env = CountingSplit(Prefix(PREFIX.laws, LAW_B))
+    analysis._check_upper(env, SIGMA, 0, 2000)
+    # the ten head generations once each, the tail's law at generation 11
+    assert env.calls == Counter(range(1, 12))
+    bad = Prefix(PREFIX.laws, FiniteSupport([0.3, 0.7]))  # f(0.8) = 0.86 > 0.8
+    for k, first in ((0, 11), (10, 11), (20, 21)):
+        with pytest.raises(PreconditionError, match=f"at generation {first}$"):
+            analysis._check_upper(bad, SIGMA, k, 2000)
+    analysis._check_upper(bad, SIGMA, 0, 10)  # the window ends before the tail
 
 
 def test_settled_tail_is_filled_in(monkeypatch):

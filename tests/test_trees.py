@@ -173,6 +173,25 @@ class TestPrefixProb:
         assert prefix_prob(env_a, t, 2) == pytest.approx(0.45 * 0.45 * 0.1, rel=1e-14)
         assert prefix_prob(env_a, t, 1) == pytest.approx(0.45, abs=1e-15)
 
+    def test_label_built_tree_is_validated(self, env_a):
+        # generation 1 is half counted: without the check h = 1 would read 0.45
+        with pytest.raises(InvalidTreeError, match="partially"):
+            prefix_prob(env_a, DefectiveTree({(): 2, (1,): 1}), 1)
+
+    def test_sampled_tree_keeps_no_label_map(self):
+        # 40391 nodes at this seed; validating the tree built their label
+        # map and kept it, 81.5 MB
+        env = Constant(FiniteSupport([0.25, 0.5, 0.25]))
+        tree, _ = ConditionedSampler(env, 400).sample(np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            prefix_prob(env, tree, 400)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, tree.gens)) == 40391
+        assert held <= 1e6 and peak <= 1e6
+
     def test_prefix_masses_sum_to_one(self, env_a):
         # every depth-2 atom, alive or not, through the enumerator
         law = enumerate_conditioned(env_a, 2)
