@@ -407,13 +407,16 @@ def environment_from_dict(obj: dict) -> Environment:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidLawError("environment literal must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "constant":
-        return Constant(law_from_dict(obj["law"]))
-    if kind == "prefix":
-        laws = tuple(law_from_dict(o) for o in obj["laws"])
-        return Prefix(laws, law_from_dict(obj["tail"]))
-    if kind == "named":
-        return NamedFamily(obj["id"], dict(obj.get("params", {})))
+    try:
+        if kind == "constant":
+            return Constant(law_from_dict(obj["law"]))
+        if kind == "prefix":
+            laws = tuple(law_from_dict(o) for o in obj["laws"])
+            return Prefix(laws, law_from_dict(obj["tail"]))
+        if kind == "named":
+            return NamedFamily(obj["id"], dict(obj.get("params", {})))
+    except KeyError as exc:
+        raise InvalidLawError(f"{kind!r} environment literal has no {exc.args[0]!r}") from exc
     raise InvalidLawError(f"unknown environment kind {kind!r}")
 
 
@@ -694,9 +697,9 @@ def compose_coeffs(
     _check_window(0, n)
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    if (degree + 1) * max(n, 1) > budget:
+    if (work := (degree + 1) * max(n, 1)) > budget:
         raise BudgetError(
-            f"compose_coeffs work (degree+1)*n = {(degree + 1) * n} exceeds budget {budget}"
+            f"compose_coeffs work (degree+1)*max(n,1) = {work} exceeds budget {budget}"
         )
     q = None  # coefficients of f_{i,n} below the pending run; None while f_{i,n}(s) = s
     run: list[LinearFractional] = []  # the pending run, innermost first

@@ -564,8 +564,11 @@ def law_from_dict(obj: dict) -> OffspringLaw:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise InvalidLawError("law literal must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind == "finite":
-        return FiniteSupport(obj["weights"])
-    if kind == "lf":
-        return LinearFractional(float(obj["q"]), float(obj["r"]), float(obj["p"]))
+    try:
+        if kind == "finite":
+            return FiniteSupport(obj["weights"])
+        if kind == "lf":
+            return LinearFractional(float(obj["q"]), float(obj["r"]), float(obj["p"]))
+    except KeyError as exc:
+        raise InvalidLawError(f"{kind!r} law literal has no {exc.args[0]!r}") from exc
     raise InvalidLawError(f"unknown law kind {kind!r}")

@@ -7,13 +7,13 @@ the whole population to the graveyard.  The children of the last counted
 generation carry no count: they are the frontier.  This is the
 Ulam-Harris-Neveu coding of a plane tree taken generation by generation
 (Neveu, Ann. IHP 1986): the labels, tuples of 1-based child indices with
-the root as the empty tuple, are a function of the counts.  They are
-built only where they leave the module: ``serialize_tree``,
-``prefix_key`` and ``EnumeratedLaw.atoms`` write ``label,count``
-records, and ``DefectiveTree.child_count`` derives them on each use.
-``DefectiveTree(child_count)`` and ``parse_tree`` build a tree from
-labels; only such a tree needs ``validate_tree``.  The samplers'
-prefixes are counted by their count tuples.
+the root as the empty tuple, are a function of the counts.  They exist
+only at the edges of the module: ``serialize_tree``, ``prefix_key`` and
+``EnumeratedLaw.atoms`` write ``label,count`` records,
+``DefectiveTree.child_count`` derives them on each use, and
+``DefectiveTree(child_count)`` and ``parse_tree`` check a label map once
+and keep only its counts.  The samplers' prefixes are counted by their
+count tuples.
 
 Absorption shows up structurally: an extinct tree ends in a generation
 of zero counts, a killed tree ends in a generation whose counts are
@@ -99,40 +99,52 @@ class DefectiveTree:
     part of equality.
 
     ``DefectiveTree(child_count)`` builds a tree from a label -> count
-    map: its generations are those the root reaches through counted
-    nodes, and the map is kept as ``child_count`` for ``validate_tree``
-    to check.  On a tree a sampler drew, which is valid by construction,
-    ``child_count`` is derived from gens on each use and not kept.
+    map, which it checks once (InvalidTreeError) and does not keep;
+    ``child_count`` derives the map from gens on each use.
     """
 
-    __slots__ = ("gens", "cap", "_labels")
+    __slots__ = ("gens", "cap")
 
     def __init__(self, child_count: Mapping[Label, int], cap: int | None = None):
-        cc = self._labels = dict(child_count)
-        self.gens: list[list[int]] = []
-        self.cap = cap
-        frontier: list[Label] = [()]
-        while frontier:
-            counts = [cc.get(v) for v in frontier]
-            if not all(isinstance(c, (int, np.integer)) for c in counts):
-                break  # uncounted, or not a count, which validate_tree names
+        cc = dict(child_count)
+        for lab, c in cc.items():
+            if not isinstance(lab, tuple) or any(not isinstance(x, int) or x < 1 for x in lab):
+                raise InvalidTreeError(f"bad label {lab!r}")
+            if not isinstance(c, (int, np.integer)) or (c < 0 and c != DELTA):
+                raise InvalidTreeError(f"bad count {c!r} at {lab!r}")
+        if cc and () not in cc:
+            raise InvalidTreeError("no root count")
+        self.gens, self.cap = [], cap
+        rest, frontier = dict(cc), [()]
+        while frontier:  # a generation is counted whole or not at all
+            counts = [rest.pop(v, None) for v in frontier]
+            if None in counts:
+                if any(c is not None for c in counts):
+                    raise InvalidTreeError(f"generation {len(self.gens)} only partially counted")
+                break
             self.gens.append(counts)
             if DELTA in counts:
                 break
             frontier = _children(frontier, counts)
+        for lab in rest:  # what the root does not reach
+            pc = cc.get(lab[:-1])
+            if pc is None:
+                raise InvalidTreeError(f"orphan node {lab!r}")
+            if pc == DELTA or lab[-1] > pc:
+                raise InvalidTreeError(f"node {lab!r} beyond parent count {pc}")
+        if rest:
+            raise InvalidTreeError("counts recorded below the graveyard generation")
 
     @classmethod
     def _of(cls, gens: list[list[int]], cap: int | None) -> "DefectiveTree":
         """The tree with the counts ``gens``, which it takes over."""
         tree = object.__new__(cls)
-        tree.gens, tree.cap, tree._labels = gens, cap, None
+        tree.gens, tree.cap = gens, cap
         return tree
 
     @property
     def child_count(self) -> dict[Label, int]:
         """Node label -> child count."""
-        if self._labels is not None:
-            return self._labels
         cc: dict[Label, int] = {}
         frontier: list[Label] = [()]
         for counts in self.gens:
@@ -178,7 +190,7 @@ class DefectiveTree:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DefectiveTree):
             return NotImplemented
-        return self.child_count == other.child_count
+        return self.gens == other.gens
 
     __hash__ = None
 
@@ -224,9 +236,7 @@ def parse_tree(text: str) -> DefectiveTree:
         if lab in cc:
             raise InvalidTreeError(f"duplicate node {head!r}")
         cc[lab] = cnt
-    tree = DefectiveTree(cc)
-    validate_tree(tree)
-    return tree
+    return DefectiveTree(cc)
 
 
 def _prefix(tree: DefectiveTree, h: int) -> tuple[tuple[int, ...], ...]:
@@ -241,41 +251,19 @@ def prefix_key(tree: DefectiveTree, h: int) -> str:
 
 
 def validate_tree(tree: DefectiveTree) -> None:
-    """Raise InvalidTreeError unless the count map is a possible tree."""
-    cc = tree.child_count
-    if not cc:
-        return  # bare root, nothing recorded yet
-    by_depth: dict[int, set[Label]] = {}
-    for lab, c in cc.items():
-        if not isinstance(lab, tuple) or any(not isinstance(x, int) or x < 1 for x in lab):
-            raise InvalidTreeError(f"bad label {lab!r}")
-        if not isinstance(c, (int, np.integer)) or (c < 0 and c != DELTA):
-            raise InvalidTreeError(f"bad count {c!r} at {lab!r}")
-        by_depth.setdefault(len(lab), set()).add(lab)
-    if () not in cc:
-        raise InvalidTreeError("no root count")
-    for lab in cc:
-        if lab:
-            parent = lab[:-1]
-            pc = cc.get(parent)
-            if pc is None:
-                raise InvalidTreeError(f"orphan node {lab!r}")
-            if pc == DELTA or lab[-1] > pc:
-                raise InvalidTreeError(f"node {lab!r} beyond parent count {pc}")
-    # generations are drawn atomically: any counted generation is fully counted
-    max_d = max(by_depth)
-    implied: set[Label] = {()}
-    for d in range(0, max_d + 1):
-        here = by_depth.get(d, set())
-        if here and here != implied:
-            raise InvalidTreeError(f"generation {d} only partially counted")
-        implied = {
-            lab + (j,) for lab in here if cc[lab] != DELTA for j in range(1, cc[lab] + 1)
-        }
-    # nothing may exist below the graveyard generation
-    kill_depths = [len(lab) for lab, c in cc.items() if c == DELTA]
-    if kill_depths and max_d > min(kill_depths):
-        raise InvalidTreeError("counts recorded below the graveyard generation")
+    """Raise InvalidTreeError unless ``tree.gens`` is a possible tree: one
+    count (an int >= 0 or DELTA) per node of each generation, and none
+    below a DELTA or an extinction, as every tree built here has."""
+    width = 1  # the nodes of generation g
+    for g, counts in enumerate(tree.gens):
+        if width < 1:
+            raise InvalidTreeError(f"generation {g} counted below the graveyard or extinction")
+        if len(counts) != width:
+            raise InvalidTreeError(f"generation {g} has {len(counts)} counts for {width} nodes")
+        for c in counts:
+            if not isinstance(c, (int, np.integer)) or (c < 0 and c != DELTA):
+                raise InvalidTreeError(f"bad count {c!r} in generation {g}")
+        width = DELTA if DELTA in counts else sum(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +347,6 @@ def prefix_prob(env: Environment, tree: DefectiveTree, h: int) -> float:
     """
     if h < 0:
         raise PreconditionError("h must be >= 0")
-    if tree._labels is not None:  # built from labels; a sampler's tree is valid by construction
-        validate_tree(tree)
     z = tree.gen_sizes()
     if z[-1] > 0 and len(z) - 1 < h:
         raise PreconditionError("tree not counted deep enough for this prefix")

@@ -234,6 +234,14 @@ class TestComposeCoeffs:
         with pytest.raises(BudgetError):
             compose_coeffs(env_a, 100, degree=1000, budget=10)
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_budget_message_prints_the_work_it_tested(self, env_a, n):
+        # the guard tests (degree + 1) * max(n, 1); at n = 0 that is not 0
+        with pytest.raises(BudgetError) as err:
+            compose_coeffs(env_a, n, degree=10, budget=5)
+        work = int(str(err.value).split(" = ")[1].split()[0])
+        assert work == 11 * max(n, 1) > 5
+
     def test_mass_accounting(self, env_b):
         dv = compose_coeffs(env_b, 5, degree=40)
         total = dv.probs.sum() + dv.delta_mass + dv.tail_mass
@@ -266,6 +274,21 @@ class TestSerialization:
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidLawError):
             environment_from_dict({"kind": "mystery"})
+
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"kind": "constant"}, "law"),
+            ({"kind": "prefix", "tail": {"kind": "finite", "weights": [1.0]}}, "laws"),
+            ({"kind": "prefix", "laws": []}, "tail"),
+            ({"kind": "named", "params": {}}, "id"),
+            ({"kind": "constant", "law": {"kind": "finite"}}, "weights"),
+            ({"kind": "prefix", "laws": [{"kind": "lf", "q": 0.1}], "tail": {}}, "r"),
+        ],
+    )
+    def test_missing_key_names_it(self, obj, key):
+        with pytest.raises(InvalidLawError, match=repr(key)):
+            environment_from_dict(obj)
 
     def test_named_params_round_trip(self):
         env = NamedFamily("power-defect", {"a": 0.3, "b": 1.5, "arity": 2})

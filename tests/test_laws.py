@@ -50,6 +50,18 @@ class TestConstruction:
         with pytest.raises(InvalidLawError):
             LinearFractional(0.7, 0.4, 0.5)  # mass 1.5
 
+    @pytest.mark.parametrize(
+        "obj, key",
+        [
+            ({"kind": "finite"}, "weights"),
+            ({"kind": "lf", "q": 0.1, "r": 0.4}, "p"),
+            ({"kind": "lf", "r": 0.4, "p": 0.5}, "q"),
+        ],
+    )
+    def test_dict_missing_key_names_it(self, obj, key):
+        with pytest.raises(InvalidLawError, match=repr(key)):
+            law_from_dict(obj)
+
     def test_dict_round_trip(self, law_a, law_b):
         for law in (law_a, law_b):
             clone = law_from_dict(law.to_dict())

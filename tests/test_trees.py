@@ -1,6 +1,7 @@
 """Tree objects, prefix laws, spine construction, exact enumeration."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import math
 import os
@@ -83,6 +84,15 @@ class TestTreeBasics:
         b = DefectiveTree({(): 0}, cap=9)
         assert a == b
 
+    def test_equality_reads_the_counts(self, env_a, monkeypatch):
+        def no_labels(self):
+            raise AssertionError("== built a label map")
+
+        trees = [sample_dbtve(env_a, np.random.default_rng(s), depth_cap=4) for s in (7, 7, 5)]
+        monkeypatch.setattr(DefectiveTree, "child_count", property(no_labels))
+        assert trees[0] == trees[1]
+        assert trees[0] != trees[2]  # they part at generation 2
+
 
 class TestSerialization:
     def test_exact_format(self):
@@ -136,8 +146,8 @@ class TestValidation:
             validate_tree(DefectiveTree({(): 2, (1,): 1}))
 
     def test_counts_below_graveyard(self):
-        bad = DefectiveTree({(): 2, (1,): DELTA, (2,): 2, (2, 1): 0, (2, 2): 0})
         with pytest.raises(InvalidTreeError, match="graveyard"):
+            bad = DefectiveTree({(): 2, (1,): DELTA, (2,): 2, (2, 1): 0, (2, 2): 0})
             validate_tree(bad)
 
     def test_bad_count_value(self):
@@ -149,6 +159,44 @@ class TestValidation:
     def test_bad_label(self):
         with pytest.raises(InvalidTreeError, match="label"):
             validate_tree(DefectiveTree({(): 1, (0,): 0}))
+
+    @pytest.mark.parametrize(
+        "cc, pattern",
+        [
+            ({(): 1, (1, 1): 0}, "orphan|partially"),
+            ({(): 1, (1,): 0, (2,): 0}, "beyond"),
+            ({(): 2, (1,): 1}, "partially"),
+            ({(): 2, (1,): DELTA, (2,): 2, (2, 1): 0, (2, 2): 0}, "graveyard"),
+            ({(): -5}, "count"),
+            ({(): 2, (1,): 1.5, (2,): 0}, "count"),
+            ({(): 1, (0,): 0}, "label"),
+            ({(1,): 0}, "no root count"),
+            ({(): DELTA, (1,): 0}, "beyond"),
+        ],
+    )
+    def test_map_is_checked_when_built(self, cc, pattern):
+        with pytest.raises(InvalidTreeError, match=pattern):
+            DefectiveTree(cc)
+
+    @pytest.mark.parametrize(
+        "gens, pattern",
+        [
+            ([[3], [2, 0]], "2 counts for 3 nodes"),
+            ([[3], [2, 0, 2, 1]], "4 counts for 3 nodes"),
+            ([[2, 1]], "2 counts for 1 nodes"),
+            ([[2], [1, DELTA], [0]], "below the graveyard"),
+            ([[2], [0, 0], [1]], "below the graveyard or extinction"),
+            ([[0], []], "below the graveyard or extinction"),
+            ([[2], [1, 1.0]], "bad count"),
+            ([[2], [1, -3]], "bad count"),
+        ],
+    )
+    def test_edited_counts_are_caught(self, gens, pattern):
+        t = DefectiveTree({(): 2, (1,): 1, (2,): 0})
+        validate_tree(t)
+        t.gens = gens
+        with pytest.raises(InvalidTreeError, match=pattern):
+            validate_tree(t)
 
 
 class TestPrefixProb:
@@ -191,6 +239,23 @@ class TestPrefixProb:
             tracemalloc.stop()
         assert sum(map(len, tree.gens)) == 40391
         assert held <= 1e6 and peak <= 1e6
+
+    def test_parsed_tree_keeps_no_label_map(self):
+        # the 40391-node tree above, whose label map takes 85.8 MB; what the
+        # tree holds is summed over what it reaches, far cheaper than
+        # tracing the parse's allocations
+        env = Constant(FiniteSupport([0.25, 0.5, 0.25]))
+        tree, _ = ConditionedSampler(env, 400).sample(np.random.default_rng(1))
+        parsed = parse_tree(serialize_tree(tree))
+        assert parsed == tree
+        seen, todo, held = set(), [parsed], 0
+        while todo:
+            obj = todo.pop()
+            if id(obj) not in seen and not isinstance(obj, type):
+                seen.add(id(obj))
+                held += sys.getsizeof(obj)
+                todo += gc.get_referents(obj)
+        assert held <= 1e6
 
     def test_prefix_masses_sum_to_one(self, env_a):
         # every depth-2 atom, alive or not, through the enumerator
