@@ -36,13 +36,14 @@ Exit codes: 0 success, 2 config/schema/params/law violations, 3 domain
 precondition failures, 4 budget exhaustion, 1 anything unexpected.
 Errors go to stderr as one JSON object.
 
-Artifacts are written atomically into the output directory: the command
-result as ``<command>.json`` or ``<command>.csv`` (tables default to
-CSV, other results are JSON), plus a ``manifest.json`` recording the
-config digest, seed, versions and artifact names.  Result artifacts
-contain no timestamps, so reruns of the same config are byte-identical;
-the timestamp lives in the manifest only.  ``workers`` (the param or the
-``--workers`` flag, at least 1) caps threads, and one thread meets it.
+Artifacts are streamed to a temp file in the output directory and
+renamed into place: the command result as ``<command>.json`` or
+``<command>.csv`` (tables default to CSV, other results are JSON), plus
+a ``manifest.json`` recording the config digest, seed, versions and
+artifact names.  Result artifacts contain no timestamps, so reruns of
+the same config are byte-identical; the timestamp lives in the manifest
+only.  ``workers`` (the param or the ``--workers`` flag, at least 1)
+caps threads, and one thread meets it.
 """
 from __future__ import annotations
 
@@ -50,7 +51,6 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
 import os
 import platform
@@ -545,24 +545,36 @@ _REGISTRY: dict[str, _Command] = {
 }
 
 
-def _atomic_write(path: str, data: str) -> None:
+def _atomic_write(path: str, write: Callable[[Any], None]) -> None:
+    """Stream an artifact into a temp file beside ``path`` through
+    ``write(fh)``, then rename it into place."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(data)
+        write(fh)
     os.replace(tmp, path)
 
 
+# the encoder json.dumps(obj, indent=2, sort_keys=True) builds, so the
+# streamed chunks join to the same text
+_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
+def _write_json(path: str, doc) -> None:
+    def write(fh):
+        fh.writelines(_JSON.iterencode(doc))
+        fh.write("\n")
+
+    _atomic_write(path, write)
+
+
 def _write_rows_csv(path: str, module: str, command: str, table: _Table) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("module", "operation") + table.columns)
-    prefix = (module, command)
-    writer.writerows(prefix + row for row in table.rows)
-    _atomic_write(path, buf.getvalue())
+    def write(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("module", "operation") + table.columns)
+        prefix = (module, command)
+        writer.writerows(prefix + row for row in table.rows)
 
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _atomic_write(path, write)
 
 
 def _run(cfg: dict, env: Environment, command: str, out_dir: str) -> int:
@@ -587,7 +599,7 @@ def _run(cfg: dict, env: Environment, command: str, out_dir: str) -> int:
             "master_seed": seed,
             "result": result,
         }
-        _atomic_write(os.path.join(out_dir, name), _json_text(doc))
+        _write_json(os.path.join(out_dir, name), doc)
     manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(
@@ -602,7 +614,7 @@ def _run(cfg: dict, env: Environment, command: str, out_dir: str) -> int:
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "artifacts": [name],
     }
-    _atomic_write(os.path.join(out_dir, "manifest.json"), _json_text(manifest))
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"wrote {name} and manifest.json to {out_dir}")
     return 0
 

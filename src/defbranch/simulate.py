@@ -9,10 +9,11 @@ Two samplers of the same process:
   size), then advances the size by the normalized law.
 
 Both use one vectorized pass per generation over fixed-size blocks of
-replicates, run one after another on the calling thread.  Each block
-owns a counter-based bit stream keyed by (master_seed, mode, block
-index), and reductions run in block order, so results depend on neither
-the order nor the place the blocks ran in.
+replicates, run one after another on the calling thread; each block
+writes its sizes, states and snapshots into the run's arrays, which are
+allocated once.  Each block owns a counter-based bit stream keyed by
+(master_seed, mode, block index), and reductions run in block order, so
+results depend on neither the order nor the place the blocks ran in.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .environments import Environment, mu_profile
+from .environments import Environment, _is_int, mu_profile
 from .laws import (
     DELTA,
     FiniteSupport,
@@ -282,27 +283,34 @@ def monte_carlo(
     blocks run on, and one thread, the caller's, meets any cap: numpy's
     binomial draws hold the GIL, so more threads only add switching.  A
     path whose population passes ``cap`` (at least 1) stops and counts
-    as overflowed.
+    as overflowed.  Snapshot times are integers (3.0 is one) in
+    1..horizon.
+
+    A run holds one int64 size and one int8 state per replicate, one
+    int64 per replicate per snapshot time, and one float64 W per
+    replicate that did not overflow.  Unless ``keep_paths`` is set, the
+    size and state columns are released before W's moments are taken.
     """
     _check_run(mode, horizon, cap)
     if reps < 1:
         raise PreconditionError(f"need reps >= 1, got reps={reps}")
-    snaps_at = tuple(sorted(set(int(t) for t in snapshot_times)))
+    times = tuple(snapshot_times)
+    for t in times:
+        if not _is_int(t):
+            raise PreconditionError(f"snapshot times must be integers, got {t!r}")
+    snaps_at = tuple(sorted(set(int(t) for t in times)))
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")
-    n_blocks = -(-reps // BLOCK)
-    sizes = [BLOCK] * n_blocks
-    if reps % BLOCK:
-        sizes[-1] = reps % BLOCK
-    parts = [
-        _run_block(env, horizon, mode, master_seed, b, sizes[b], cap, snaps_at)
-        for b in range(n_blocks)
-    ]
-    z = np.concatenate([p[0] for p in parts])
-    state = np.concatenate([p[1] for p in parts])
-    snapshots = {
-        t: np.concatenate([p[2][t] for p in parts]) for t in snaps_at
-    }
+    z = np.empty(reps, dtype=np.int64)
+    state = np.empty(reps, dtype=np.int8)
+    snapshots = {t: np.empty(reps, dtype=np.int64) for t in snaps_at}
+    for b, lo in enumerate(range(0, reps, BLOCK)):
+        hi = min(lo + BLOCK, reps)
+        bz, bstate, bsnaps = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, snaps_at)
+        z[lo:hi] = bz
+        state[lo:hi] = bstate
+        for t, col in snapshots.items():
+            col[lo:hi] = bsnaps[t]
 
     n_ext = int(np.sum(state == _EXTINCT))
     n_kill = int(np.sum(state == _KILLED))
@@ -321,13 +329,16 @@ def monte_carlo(
         )
     else:
         mean_alive, mean_alive_se = float("nan"), float("nan")
-    clipped = np.minimum(alive, 20)
-    hist = np.bincount(clipped, minlength=21)[:21]
+    hist = np.bincount(np.minimum(alive, 20), minlength=21)[:21]
     tail = int(np.sum(alive >= 20))
+    del alive
 
     log_mu = mu_profile(env, horizon).log_mu
-    keep = state != _OVERFLOW
-    w = np.maximum(z[keep], 0).astype(np.float64)
+    w = np.maximum(z, 0.0)
+    if n_over:
+        w = w[state != _OVERFLOW]
+    final_sizes, final_states = (z, state) if keep_paths else (None, None)
+    del z, state  # W's moments are the peak; the columns are not needed there
     # dead paths keep W = 0 exactly, also where exp(-log_mu) overflows
     pos = w > 0
     if pos.any():
@@ -364,8 +375,8 @@ def monte_carlo(
         w_se=w_se,
         log_mu=log_mu,
         snapshots=snapshots,
-        final_sizes=z if keep_paths else None,
-        final_states=state if keep_paths else None,
+        final_sizes=final_sizes,
+        final_states=final_states,
     )
 
 

@@ -554,6 +554,8 @@ def rejection_conditioned(
     sets the budget only, and a value for another environment or
     horizon gives a wrong budget.  None computes it here.
     """
+    if n < 1:
+        raise PreconditionError("need n >= 1")
     if extra_depth < 0:
         raise PreconditionError("extra_depth must be >= 0")
     surv = absorption_profile(env, n).survival if survival is None else survival

@@ -6,6 +6,7 @@ import copy
 import csv
 import hashlib
 import inspect
+import io
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defbranch import CRITERIA, compose_coeffs, compose_eval, Constant, FiniteSupport
+from defbranch import CRITERIA, compose_coeffs, compose_eval, Constant, FiniteSupport, PreconditionError
 from defbranch.cli import main
 
 LAW_A = {"kind": "finite", "weights": [0.45, 0.0, 0.45]}
@@ -166,6 +167,14 @@ class TestExitCodes:
         assert err["error"] == "config"
         assert err["pointer"] == "/params/extra_depth"
         assert not out.exists()
+
+    # the plain sampler conditions on nothing, so it draws at n = 0 too
+    @pytest.mark.parametrize("sampler", ["construction", "rejection"])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_tree_sample_horizon_below_one_is_three(self, tmp_path, capsys, sampler, n):
+        path, _ = write_cfg(tmp_path, "tree-sample", {"n": n, "sampler": sampler})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "precondition"
 
     @pytest.mark.parametrize("horizons", [[10], [10, 10]])
     def test_check_needs_two_horizons(self, tmp_path, capsys, horizons):
@@ -821,6 +830,71 @@ def test_checker_agrees_with_the_schema(data):
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(data, doc)
     assert cli._conforms(doc) == cli._validator().is_valid(doc)
+
+
+# every JSON value an artifact can hold, and the ones the encoder must escape
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 1e308, 5e-324]),
+    st.text(), st.sampled_from(['"quoted"', "back\\slash", "tab\tand\nnewline", "\u00e9\u6f22\U0001f600", "\x00"]),
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+        st.sampled_from([[], (), {}, [[]], {"": {}}, [{}, ()]]),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None)
+@given(doc=st.dictionaries(st.text(max_size=8), JSON_DOCS, max_size=6),
+       long=st.none() | st.integers(10_001, 12_000))
+def test_json_artifacts_are_what_json_dumps_writes(tmp_path_factory, doc, long):
+    from defbranch import cli
+
+    if long is not None:  # an int list as long as a simulation's paths
+        doc["paths"] = [i * i - long for i in range(long)]
+    path = tmp_path_factory.getbasetemp() / "streamed.json"
+    cli._write_json(str(path), doc)
+    assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+
+
+def _csv_in_memory(module: str, command: str, table) -> bytes:
+    """A row table as the CSV writer once built it: whole, in a StringIO."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("module", "operation") + table.columns)
+    writer.writerows((module, command) + row for row in table.rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def test_csv_artifacts_are_what_the_in_memory_writer_built(tmp_path):
+    from defbranch import cli
+    from defbranch.environments import environment_from_dict
+
+    checked = set()
+    for i, doc in enumerate(BASES):
+        cmd = cli._REGISTRY[doc["command"]]
+        env = environment_from_dict(doc["environment"])
+        try:
+            table = cmd.handler(env, cli._arguments(cmd.params, doc["params"]), doc["master_seed"])
+        except PreconditionError:  # a window the command refuses writes nothing
+            continue
+        if not isinstance(table, cli._Table):
+            continue
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / f"out{i}"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        written = (out / f"{doc['command']}.csv").read_bytes()
+        assert written == _csv_in_memory(cmd.module, doc["command"], table), doc
+        checked.add(doc["command"])
+    assert checked == {"pgf", "moments", "absorption", "bounds", "rates", "cond-mean"}
 
 
 # where Python's comparisons and JSON Schema's types part ways

@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from conftest import BinarySplitter
+from conftest import LAW_A, LAW_B, BinarySplitter
 from defbranch import (
     DELTA,
     Constant,
@@ -107,6 +108,17 @@ class TestDeterminism:
             monte_carlo(env_a, 3, 10, snapshot_times=(5,))
         with pytest.raises(PreconditionError):
             monte_carlo(env_a, 3, 10, snapshot_times=(0,))
+
+    @pytest.mark.parametrize("t", [1.5, 2.000001, float("nan"), "3", True])
+    def test_non_integral_snapshot_time(self, env_a, t):
+        with pytest.raises(PreconditionError, match=f"^snapshot times must be integers, got {t!r}$"):
+            monte_carlo(env_a, 3, 10, snapshot_times=(2, t))
+
+    def test_integral_float_snapshot_time(self, env_a):
+        # 3.0 is an integer, as it is to the CLI
+        s = monte_carlo(env_a, 3, 10, 1, snapshot_times=(3.0,), keep_paths=True)
+        assert list(s.snapshots) == [3]
+        assert np.array_equal(s.snapshots[3], s.final_sizes)
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one(self, env_a, cap):
@@ -296,3 +308,21 @@ class TestModeAgreement:
         r1 = mode_agreement(env_a, 2, 10_000, master_seed=34, workers=1)
         r4 = mode_agreement(env_a, 2, 10_000, master_seed=34, workers=4)
         assert r1.to_dict() == r4.to_dict()
+
+
+@pytest.mark.parametrize("env, reps, kwargs", [
+    (Constant(LAW_A), 200_000, {}),
+    (Constant(LAW_B), 100_000, {"mode": "coupled", "snapshot_times": (5, 10)}),
+], ids=["law-a", "law-b-coupled-snapshots"])
+def test_monte_carlo_memory_peak(env, reps, kwargs):
+    # a run holds a size, a state and a W per replicate (17 bytes) and one
+    # size per snapshot time; one more 8-byte column breaks the bound
+    monte_carlo(env, 20, 5_000, 1, **kwargs)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        monte_carlo(env, 20, reps, 7, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    k = len(kwargs.get("snapshot_times", ()))
+    assert peak <= (20 + 9 * k) * reps

@@ -464,6 +464,22 @@ class TestRejectionSampling:
         with pytest.raises(PreconditionError, match="extra_depth must be >= 0"):
             ConditionedSampler(env_a, 2, extra_depth=-1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_horizon_below_one(self, env_a, monkeypatch, n):
+        # refused before the survival sweep, in the words of the other two samplers
+        from defbranch import trees
+
+        def sweep(*args):
+            raise AssertionError("the survival sweep ran")
+
+        monkeypatch.setattr(trees, "absorption_profile", sweep)
+        rng = np.random.default_rng(225)
+        for sample in (lambda: rejection_conditioned(env_a, n, rng),
+                       lambda: ConditionedSampler(env_a, n),
+                       lambda: enumerate_conditioned(env_a, n)):
+            with pytest.raises(PreconditionError, match="^need n >= 1$"):
+                sample()
+
 
 class TestRejectionBudgets:
     """Both rejection loops draw through the public ``sample_dbtve`` and
