@@ -86,6 +86,7 @@ from .laws import BudgetError, InvalidLawError, PreconditionError, _plain, _rng
 from .simulate import _MODE_ID, mode_agreement, monte_carlo
 from .trees import (
     _TREE_STREAM,
+    _check_conditioning,
     ConditionedSampler,
     rejection_conditioned,
     sample_dbtve,
@@ -448,6 +449,7 @@ def _cmd_tree_sample(env, args, seed):
             trees.append(t)
             spines.append(_plain(s))
     elif sampler == "rejection":
+        _check_conditioning(n, extra)  # before the survival sweep
         surv = absorption_profile(env, n).survival
         for _ in range(count):
             trees.append(

@@ -11,9 +11,12 @@ the root as the empty tuple, are a function of the counts.  They exist
 only at the edges of the module: ``serialize_tree``, ``prefix_key`` and
 ``EnumeratedLaw.atoms`` write ``label,count`` records,
 ``DefectiveTree.child_count`` derives them on each use, and
-``DefectiveTree(child_count)`` and ``parse_tree`` check a label map in
-the one walk that reads it and keep only its counts.  The samplers'
-prefixes are counted by their count tuples.
+``DefectiveTree(child_count)`` checks a label map in the one walk that
+reads it and keeps only its counts.  The text format is defined by its
+writer: ``parse_tree`` reads each record's count by position and accepts
+exactly the text ``serialize_tree`` writes for those counts, give or take
+blank lines and the spaces around a record.  The samplers' prefixes are
+counted by their count tuples.
 
 Absorption shows up structurally: an extinct tree ends in a generation
 of zero counts, a killed tree ends in a generation whose counts are
@@ -36,6 +39,7 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Mapping
 
 import numpy as np
@@ -83,6 +87,11 @@ class InvalidTreeError(ValueError):
     """Structurally impossible tree."""
 
 
+def _is_count(c) -> bool:
+    """Whether ``c`` is a child count: an int >= 0 or DELTA, not a bool."""
+    return isinstance(c, (int, np.integer)) and not isinstance(c, bool) and (c >= 0 or c == DELTA)
+
+
 def _children(frontier: list, counts: list[int]) -> list:
     """Labels of the children of the nodes ``frontier``, which drew
     ``counts``, in label order (a DELTA draw has none)."""
@@ -114,7 +123,7 @@ class DefectiveTree:
         while frontier:  # a generation is counted whole or not at all
             counts = [rest.pop(v, None) for v in frontier]
             for v, c in zip(frontier, counts):  # before _children reads it
-                if not isinstance(c, (int, np.integer)) or (c < 0 and c != DELTA):
+                if not _is_count(c):
                     if c is not None or v in cc:  # a bare None: v has no count
                         raise InvalidTreeError(f"bad count {c!r} at {v!r}")
             if None in counts:
@@ -122,7 +131,7 @@ class DefectiveTree:
                     raise InvalidTreeError(f"generation {len(self.gens)} only partially counted")
                 break
             self.gens.append(counts)
-            if DELTA in counts:
+            if DELTA in counts or not rest:  # no count is left for a next generation
                 break
             frontier = _children(frontier, counts)
         for lab in rest:  # what the root does not reach: a reached label is a valid one
@@ -148,9 +157,10 @@ class DefectiveTree:
         """Node label -> child count."""
         cc: dict[Label, int] = {}
         frontier: list[Label] = [()]
-        for counts in self.gens:
+        for g, counts in enumerate(self.gens):
             cc.update(zip(frontier, counts))
-            frontier = _children(frontier, counts)
+            if g + 1 < len(self.gens):  # no labels past the last counted generation
+                frontier = _children(frontier, counts)
         return cc
 
     def gen_sizes(self) -> list[int]:
@@ -174,6 +184,9 @@ class DefectiveTree:
 
     def subtree(self, child: int) -> "DefectiveTree":
         """The subtree rooted at the root's child ``child`` (1-based)."""
+        z1 = self.gens[0][0] if self.gens else 0  # an uncounted or killed root has no children
+        if not 1 <= child <= z1:
+            raise PreconditionError(f"need 1 <= child <= {max(z1, 0)}, got child={child}")
         gens: list[list[int]] = []
         lo, hi = child - 1, child  # its nodes' positions in the generation read
         for counts in self.gens[1:]:
@@ -200,44 +213,60 @@ class DefectiveTree:
 
 
 def _records(gens) -> str:
-    """``label,count`` lines of the counts ``gens``, breadth-first."""
+    """``label,count`` lines of the counts ``gens``, breadth-first; this
+    writer is the definition of the tree text format."""
     lines: list[str] = []
     frontier = [""]
-    for counts in gens:
-        nxt: list[str] = []
-        for lab, c in zip(frontier, counts):
-            lines.append(f"{lab},{'D' if c == DELTA else c}")
-            nxt += [f"{lab}.{j}" if lab else str(j) for j in range(1, c + 1)]
-        frontier = nxt
+    for g, counts in enumerate(gens):
+        lines += [f"{lab},{'D' if c == DELTA else c}" for lab, c in zip(frontier, counts)]
+        if g + 1 < len(gens):  # no labels past the last counted generation
+            frontier = [
+                f"{lab}.{j}" if lab else str(j)
+                for lab, c in zip(frontier, counts)
+                for j in range(1, c + 1)
+            ]
     return "\n".join(lines)
 
 
 def serialize_tree(tree: DefectiveTree) -> str:
     """Newline-delimited ``label,count`` records, breadth-first, with the
-    root as the empty label and the graveyard count written as ``D``."""
+    root as the empty label and the graveyard count written as ``D``.
+    Labels are dotted 1-based child indices without leading zeros or
+    signs, and counts are plain decimal numbers; ``parse_tree`` accepts
+    exactly this text."""
     return _records(tree.gens)
 
 
 def parse_tree(text: str) -> DefectiveTree:
-    cc: dict[Label, int] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        head, _, tail = line.rpartition(",")
-        if not _:
-            raise InvalidTreeError(f"missing count field in {line!r}")
+    """The tree whose ``serialize_tree`` text is ``text``, where blank
+    lines and the spaces around a record are allowed.
+
+    Each record's count, the field after its last comma, is read by
+    position: generation g is the next records, as many as generation
+    g-1's counts sum to, and reading stops at a DELTA or an extinction.
+    The counts must pass ``validate_tree``, and the records must then be
+    the lines ``serialize_tree`` writes for them, one by one; anything
+    else raises InvalidTreeError.
+    """
+    records = [line.strip() for line in text.splitlines() if line.strip()]
+    counts: list[int] = []
+    for line in records:
+        tail = line.rpartition(",")[2]
         try:
-            lab = tuple(int(x) for x in head.split(".")) if head else ()
-            cnt = DELTA if tail == "D" else int(tail)
-        except ValueError as exc:
-            raise InvalidTreeError(f"bad record {line!r}") from exc
-        if cnt < 0 and tail != "D":  # the graveyard is written D, never as a number
-            raise InvalidTreeError(f"bad count {tail!r} in {line!r}")
-        if lab in cc:
-            raise InvalidTreeError(f"duplicate node {head!r}")
-        cc[lab] = cnt
-    return DefectiveTree(cc)
+            counts.append(DELTA if tail == "D" else int(tail))
+        except ValueError:
+            raise InvalidTreeError(f"bad count field in {line!r}") from None
+    gens, start, width = [], 0, 1  # width: the nodes of the next generation
+    while width > 0 and start < len(counts):
+        gens.append(counts[start : start + width])
+        start += width
+        width = DELTA if DELTA in gens[-1] else sum(gens[-1])
+    tree = DefectiveTree._of(gens, None)
+    validate_tree(tree)
+    for line, want in zip_longest(records, _records(gens).splitlines(), fillvalue="nothing"):
+        if line != want:
+            raise InvalidTreeError(f"record {line!r}, where serialize_tree writes {want}")
+    return tree
 
 
 def _prefix(tree: DefectiveTree, h: int) -> tuple[tuple[int, ...], ...]:
@@ -253,8 +282,8 @@ def prefix_key(tree: DefectiveTree, h: int) -> str:
 
 def validate_tree(tree: DefectiveTree) -> None:
     """Raise InvalidTreeError unless ``tree.gens`` is a possible tree: one
-    count (an int >= 0 or DELTA) per node of each generation, and none
-    below a DELTA or an extinction, as every tree built here has."""
+    count (an int >= 0 or DELTA, not a bool) per node of each generation,
+    and none below a DELTA or an extinction, as every tree built here has."""
     width = 1  # the nodes of generation g
     for g, counts in enumerate(tree.gens):
         if width < 1:
@@ -262,7 +291,7 @@ def validate_tree(tree: DefectiveTree) -> None:
         if len(counts) != width:
             raise InvalidTreeError(f"generation {g} has {len(counts)} counts for {width} nodes")
         for c in counts:
-            if not isinstance(c, (int, np.integer)) or (c < 0 and c != DELTA):
+            if not _is_count(c):
                 raise InvalidTreeError(f"bad count {c!r} in generation {g}")
         width = DELTA if DELTA in counts else sum(counts)
 
@@ -443,6 +472,15 @@ class SpineRecord:
         return tuple(self.d[:l] for l in range(len(self.d) + 1))
 
 
+def _check_conditioning(n: int, extra_depth: int) -> None:
+    """The preconditions of both conditioned samplers, checked before any
+    sweep: a horizon n >= 1 to be alive at, and extra_depth >= 0."""
+    if n < 1:
+        raise PreconditionError("need n >= 1")
+    if extra_depth < 0:
+        raise PreconditionError("extra_depth must be >= 0")
+
+
 class ConditionedSampler:
     """Draws trees distributed as the process conditioned to be alive at
     depth n, without rejection at the top level.
@@ -460,10 +498,7 @@ class ConditionedSampler:
         extra_depth: int = 0,
         budget_factor: float = 20.0,
     ):
-        if n < 1:
-            raise PreconditionError("need n >= 1")
-        if extra_depth < 0:
-            raise PreconditionError("extra_depth must be >= 0")
+        _check_conditioning(n, extra_depth)
         # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
         live, die, self._log_surv = _sweep(env, 0, n, 1.0, 0.0)[:3]
         self._live, self._die = live.tolist(), die.tolist()
@@ -554,10 +589,7 @@ def rejection_conditioned(
     sets the budget only, and a value for another environment or
     horizon gives a wrong budget.  None computes it here.
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    if extra_depth < 0:
-        raise PreconditionError("extra_depth must be >= 0")
+    _check_conditioning(n, extra_depth)
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")

@@ -172,9 +172,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("sampler", ["construction", "rejection"])
     @pytest.mark.parametrize("n", [0, -1])
     def test_tree_sample_horizon_below_one_is_three(self, tmp_path, capsys, sampler, n):
+        # both conditioned samplers check n before any sweep reads it
         path, _ = write_cfg(tmp_path, "tree-sample", {"n": n, "sampler": sampler})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
-        assert json.loads(capsys.readouterr().err)["error"] == "precondition"
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition", "message": "need n >= 1"}
 
     @pytest.mark.parametrize("horizons", [[10], [10, 10]])
     def test_check_needs_two_horizons(self, tmp_path, capsys, horizons):

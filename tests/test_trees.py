@@ -1,6 +1,7 @@
 """Tree objects, prefix laws, spine construction, exact enumeration."""
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import math
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defbranch import (
     BudgetError,
@@ -79,6 +82,22 @@ class TestTreeBasics:
         assert sub.child_count == {(): 2, (1,): 1, (2,): DELTA}
         assert sub.gen_sizes() == [1, 2, DELTA]
 
+    @pytest.mark.parametrize(
+        "tree, child, bound",
+        [
+            (FIGURE, 0, 3),
+            (FIGURE, 4, 3),
+            (FIGURE, -1, 3),
+            (DefectiveTree({(): 0}), 1, 0),
+            (DefectiveTree({(): DELTA}), 1, 0),  # a killed root has no children
+            (DefectiveTree({}), 1, 0),  # nor has an uncounted one
+        ],
+    )
+    def test_subtree_out_of_range(self, tree, child, bound):
+        want = f"need 1 <= child <= {bound}, got child={child}$"
+        with pytest.raises(PreconditionError, match=want):
+            tree.subtree(child)
+
     def test_equality_ignores_cap(self):
         a = DefectiveTree({(): 0}, cap=3)
         b = DefectiveTree({(): 0}, cap=9)
@@ -122,6 +141,42 @@ class TestSerialization:
         for text in (",2\n1,-1\n2,0", ",-1", ",-2"):  # the graveyard is D, not -1
             with pytest.raises(InvalidTreeError):
                 parse_tree(text)
+
+    @pytest.mark.parametrize(
+        "text, record, written",
+        [
+            (",1\n01,0", "01,0", "1,0"),
+            (",1\n1,1\n1.01,0", "1.01,0", "1.1,0"),
+            (",2\n2,0\n1,0", "2,0", "1,0"),  # out of breadth-first order
+            (",+1\n1,0", ",+1", ",1"),
+            (",1\n1, 0", "1, 0", "1,0"),
+            (",1\n1 ,0", "1 ,0", "1,0"),
+            (",0\n1,0", "1,0", "nothing"),  # a record below the extinction
+        ],
+    )
+    def test_text_is_what_serialize_writes(self, text, record, written):
+        with pytest.raises(InvalidTreeError) as info:
+            parse_tree(text)
+        assert str(info.value) == f"record {record!r}, where serialize_tree writes {written}"
+
+    def test_blank_lines_and_spaces_around_records(self):
+        tree = parse_tree("\n  ,2 \n\n\t1,0\n2,D  \n")
+        assert tree == DefectiveTree({(): 2, (1,): 0, (2,): DELTA})
+
+    def test_no_labels_past_the_last_generation(self):
+        # labelling the root's million children took 71 MB to write this
+        # text and 97 MB to read it
+        text = ",1000000"
+        tracemalloc.start()
+        try:
+            tree = parse_tree(text)
+            assert serialize_tree(tree) == text
+            assert tree == DefectiveTree({(): 10**6})
+            assert tree.child_count == {(): 10**6}
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1e6
 
     def test_prefix_key_cuts_depth(self):
         assert prefix_key(FIGURE, 1) == ",3"
@@ -206,6 +261,7 @@ class TestValidation:
             # a count the walk reaches is checked before it is read
             ({(): None}, "bad count None"),
             ({(): 2, (1,): np.array([1, 2]), (2,): 0}, "bad count"),
+            ({(): True, (1,): False}, r"bad count True at \(\)"),
         ],
     )
     def test_map_is_checked_in_one_walk(self, cc, pattern):
@@ -223,6 +279,7 @@ class TestValidation:
             ([[0], []], "below the graveyard or extinction"),
             ([[2], [1, 1.0]], "bad count"),
             ([[2], [1, -3]], "bad count"),
+            ([[True], [False]], "bad count True in generation 0"),
         ],
     )
     def test_edited_counts_are_caught(self, gens, pattern):
@@ -858,8 +915,10 @@ class TestCountLists:
             for h in range(len(t.gens) + 1):
                 assert prefix_prob(env, again, h) == prefix_prob(env, t, h)
                 assert prefix_key(again, h) == prefix_key(t, h)
-            root = t.gens[0][0] if t.gens else 0
-            for i in range(1, max(root, 0) + 2):
+            root = max(t.gens[0][0] if t.gens else 0, 0)
+            with pytest.raises(PreconditionError, match=f"need 1 <= child <= {root}"):
+                t.subtree(root + 1)  # one past the root's children
+            for i in range(1, root + 1):
                 sub = t.subtree(i)
                 below = {lab[1:]: c for lab, c in t.child_count.items() if lab[:1] == (i,)}
                 assert sub == again.subtree(i) == DefectiveTree(below)
@@ -900,6 +959,62 @@ class TestCountLists:
             tracemalloc.stop()
         assert sum(map(len, tree.gens)) == 40391
         assert peak <= 5.7e6
+
+
+@functools.cache
+def _sampled_texts() -> list[str]:
+    """The texts of the trees every sampler draws on every stream law."""
+    texts = set()
+    for law in STREAM_LAWS:
+        texts.update(map(serialize_tree, _labelled_trees(law, np.random.default_rng(43))[1]))
+    return sorted(texts)
+
+
+def _edit_text(data, recs: list[str]) -> None:
+    """One random edit of the records ``recs``: change a label or count
+    field; add a leading zero, a sign or an inner space; swap, drop or
+    duplicate a record."""
+    if not recs:
+        return
+    op = data.draw(st.sampled_from(("field", "zero", "sign", "space", "swap", "drop", "dup")))
+    i = data.draw(st.integers(0, len(recs) - 1))
+    j = data.draw(st.integers(0, len(recs) - 1))
+    rec = recs[i]
+    if op == "field":
+        label, _, count = rec.rpartition(",")
+        if data.draw(st.booleans()):
+            parts = data.draw(st.lists(st.integers(0, 4).map(str), max_size=4))
+            label = ".".join(parts)
+        else:
+            count = data.draw(st.integers(-2, 5).map(str) | st.sampled_from(["D", "", "x"]))
+        recs[i] = f"{label},{count}"
+    elif op in ("zero", "sign"):  # at the start of a label entry or of the count
+        at = data.draw(st.sampled_from([0] + [k + 1 for k, ch in enumerate(rec) if ch in ".,"]))
+        mark = "0" if op == "zero" else data.draw(st.sampled_from("+-"))
+        recs[i] = rec[:at] + mark + rec[at:]
+    elif op == "space" and len(rec) > 1:
+        at = data.draw(st.integers(1, len(rec) - 1))
+        recs[i] = rec[:at] + " " + rec[at:]
+    elif op == "swap":
+        recs[i], recs[j] = recs[j], recs[i]
+    elif op == "drop":
+        del recs[i]
+    elif op == "dup":
+        recs.insert(i, recs[j])
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_parse_accepts_only_what_serialize_writes(data):
+    recs = data.draw(st.sampled_from(_sampled_texts())).split("\n")
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_text(data, recs)
+    text = "\n".join(recs)
+    try:
+        tree = parse_tree(text)
+    except InvalidTreeError:
+        return
+    assert serialize_tree(tree) == "\n".join(r.strip() for r in recs if r.strip())
 
 
 class TestTriesGoThroughTheSampler:
