@@ -1,22 +1,23 @@
 """Family trees of populations with a graveyard state.
 
-A tree is stored as its child counts in breadth-first order, one list
-per generation: ``gens[g]`` holds the number of children of each node of
+A tree is its child counts in breadth-first order, one list per
+generation: ``gens[g]`` holds the number of children of each node of
 generation g, in label order, with DELTA standing for the draw that sent
 the whole population to the graveyard.  The children of the last counted
 generation carry no count: they are the frontier.  This is the
 Ulam-Harris-Neveu coding of a plane tree taken generation by generation
 (Neveu, Ann. IHP 1986): the labels, tuples of 1-based child indices with
-the root as the empty tuple, are a function of the counts.  They exist
-only at the edges of the module: ``serialize_tree``, ``prefix_key`` and
-``EnumeratedLaw.atoms`` write ``label,count`` records,
-``DefectiveTree.child_count`` derives them on each use, and
-``DefectiveTree(child_count)`` checks a label map in the one walk that
-reads it and keeps only its counts.  The text format is defined by its
-writer: ``parse_tree`` reads each record's count by position and accepts
-exactly the text ``serialize_tree`` writes for those counts, give or take
-blank lines and the spaces around a record.  The samplers' prefixes are
-counted by their count tuples.
+the root as the empty tuple, are a function of the counts, and no tree
+holds them.  They appear only in what the module hands out: the
+``label,count`` records of ``serialize_tree`` and ``prefix_key``, the
+keys of ``EnumeratedLaw.atoms`` and ``SpineRecord.labels``.  The text
+format is defined by its writer: ``parse_tree`` reads each record's
+count by position and accepts exactly the text ``serialize_tree`` writes
+for those counts, give or take blank lines and the spaces around a
+record.  ``validate_tree`` is the one check of count lists, which
+``DefectiveTree(gens)`` and ``parse_tree`` build through; the samplers
+skip it for the counts they draw.  The samplers' prefixes are counted
+by their count tuples.
 
 Absorption shows up structurally: an extinct tree ends in a generation
 of zero counts, a killed tree ends in a generation whose counts are
@@ -34,8 +35,10 @@ prefixes matches the unconditioned law given survival, which
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -82,20 +85,13 @@ Label = tuple[int, ...]
 # the random stream key, after the master seed, of each tree sampler
 _TREE_STREAM = {"plain": 10, "construction": 11, "rejection": 12}
 
+# a rejection loop gives up, with BudgetError, after this many times the
+# number of tries it expects to need
+_BUDGET_FACTOR = 20.0
+
 
 class InvalidTreeError(ValueError):
     """Structurally impossible tree."""
-
-
-def _is_count(c) -> bool:
-    """Whether ``c`` is a child count: an int >= 0 or DELTA, not a bool."""
-    return isinstance(c, (int, np.integer)) and not isinstance(c, bool) and (c >= 0 or c == DELTA)
-
-
-def _children(frontier: list, counts: list[int]) -> list:
-    """Labels of the children of the nodes ``frontier``, which drew
-    ``counts``, in label order (a DELTA draw has none)."""
-    return [v + (j,) for v, c in zip(frontier, counts) for j in range(1, c + 1)]
 
 
 class DefectiveTree:
@@ -107,61 +103,29 @@ class DefectiveTree:
     cut at (None when unknown, e.g. after parsing); it is metadata, not
     part of equality.
 
-    ``DefectiveTree(child_count)`` builds a tree from a label -> count
-    map, which it checks in the one walk that reads it (InvalidTreeError)
-    and does not keep; ``child_count`` derives the map from gens on each use.
+    ``DefectiveTree(gens)`` takes count lists in the form of ``tree.gens``,
+    a list of one list per generation, copies them and checks the copy
+    with ``validate_tree``; anything else, or counts that are not a
+    possible tree, raise InvalidTreeError.
     """
 
     __slots__ = ("gens", "cap")
 
-    def __init__(self, child_count: Mapping[Label, int], cap: int | None = None):
-        cc = dict(child_count)
-        if cc and () not in cc:
-            raise InvalidTreeError("no root count")
-        self.gens, self.cap = [], cap
-        rest, frontier = dict(cc), [()]
-        while frontier:  # a generation is counted whole or not at all
-            counts = [rest.pop(v, None) for v in frontier]
-            for v, c in zip(frontier, counts):  # before _children reads it
-                if not _is_count(c):
-                    if c is not None or v in cc:  # a bare None: v has no count
-                        raise InvalidTreeError(f"bad count {c!r} at {v!r}")
-            if None in counts:
-                if any(c is not None for c in counts):
-                    raise InvalidTreeError(f"generation {len(self.gens)} only partially counted")
-                break
-            self.gens.append(counts)
-            if DELTA in counts or not rest:  # no count is left for a next generation
-                break
-            frontier = _children(frontier, counts)
-        for lab in rest:  # what the root does not reach: a reached label is a valid one
-            if not isinstance(lab, tuple) or any(not isinstance(x, int) or x < 1 for x in lab):
-                raise InvalidTreeError(f"bad label {lab!r}")
-            pc = None if lab[:-1] in rest else cc.get(lab[:-1])  # a parent the root reaches
-            if pc is None:
-                raise InvalidTreeError(f"orphan node {lab!r}")
-            if pc == DELTA or lab[-1] > pc:
-                raise InvalidTreeError(f"node {lab!r} beyond parent count {pc}")
-        if rest:
-            raise InvalidTreeError("counts recorded below the graveyard generation")
+    def __init__(self, gens: list[list[int]], cap: int | None = None):
+        if not isinstance(gens, list) or not all(isinstance(counts, list) for counts in gens):
+            raise InvalidTreeError(
+                "DefectiveTree takes count lists: a list of one list per generation"
+            )
+        self.gens, self.cap = [counts[:] for counts in gens], cap
+        validate_tree(self)
 
     @classmethod
     def _of(cls, gens: list[list[int]], cap: int | None) -> "DefectiveTree":
-        """The tree with the counts ``gens``, which it takes over."""
+        """The tree with the counts ``gens``, which it takes over unchecked:
+        for counts the samplers drew or cut from a tree."""
         tree = object.__new__(cls)
         tree.gens, tree.cap = gens, cap
         return tree
-
-    @property
-    def child_count(self) -> dict[Label, int]:
-        """Node label -> child count."""
-        cc: dict[Label, int] = {}
-        frontier: list[Label] = [()]
-        for g, counts in enumerate(self.gens):
-            cc.update(zip(frontier, counts))
-            if g + 1 < len(self.gens):  # no labels past the last counted generation
-                frontier = _children(frontier, counts)
-        return cc
 
     def gen_sizes(self) -> list[int]:
         """Population per generation; ends with DELTA if killed, 0 if
@@ -244,8 +208,8 @@ def parse_tree(text: str) -> DefectiveTree:
     Each record's count, the field after its last comma, is read by
     position: generation g is the next records, as many as generation
     g-1's counts sum to, and reading stops at a DELTA or an extinction.
-    The counts must pass ``validate_tree``, and the records must then be
-    the lines ``serialize_tree`` writes for them, one by one; anything
+    The counts must make a ``DefectiveTree``, and the records must then
+    be the lines ``serialize_tree`` writes for them, one by one; anything
     else raises InvalidTreeError.
     """
     records = [line.strip() for line in text.splitlines() if line.strip()]
@@ -261,8 +225,7 @@ def parse_tree(text: str) -> DefectiveTree:
         gens.append(counts[start : start + width])
         start += width
         width = DELTA if DELTA in gens[-1] else sum(gens[-1])
-    tree = DefectiveTree._of(gens, None)
-    validate_tree(tree)
+    tree = DefectiveTree(gens)
     for line, want in zip_longest(records, _records(gens).splitlines(), fillvalue="nothing"):
         if line != want:
             raise InvalidTreeError(f"record {line!r}, where serialize_tree writes {want}")
@@ -280,10 +243,22 @@ def prefix_key(tree: DefectiveTree, h: int) -> str:
     return _records(_prefix(tree, h))
 
 
+@functools.cache
+def _least_unwritable(digits: int) -> int | float:
+    """The least int ``str`` refuses to write under a limit of ``digits``
+    digits, inf for 0 (no limit)."""
+    return 10**digits if digits else math.inf
+
+
 def validate_tree(tree: DefectiveTree) -> None:
-    """Raise InvalidTreeError unless ``tree.gens`` is a possible tree: one
-    count (an int >= 0 or DELTA, not a bool) per node of each generation,
-    and none below a DELTA or an extinction, as every tree built here has."""
+    """Raise InvalidTreeError unless ``tree.gens`` is a possible tree that
+    ``serialize_tree`` can write: one count per node of each generation,
+    and none below a DELTA or an extinction, as every tree built here has.
+    A count is DELTA or an int >= 0, not a bool, with no more digits than
+    the interpreter's ``str`` writes (``sys.get_int_max_str_digits``,
+    which builds before 3.10.7 lack: they have no limit)."""
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    too_long = _least_unwritable(digits)
     width = 1  # the nodes of generation g
     for g, counts in enumerate(tree.gens):
         if width < 1:
@@ -291,8 +266,11 @@ def validate_tree(tree: DefectiveTree) -> None:
         if len(counts) != width:
             raise InvalidTreeError(f"generation {g} has {len(counts)} counts for {width} nodes")
         for c in counts:
-            if not _is_count(c):
+            is_int = isinstance(c, (int, np.integer)) and not isinstance(c, bool)
+            if not is_int or (c < 0 and c != DELTA):
                 raise InvalidTreeError(f"bad count {c!r} in generation {g}")
+            if c >= too_long:  # not in the message: repr would raise
+                raise InvalidTreeError(f"a count in generation {g} has more than {digits} digits")
         width = DELTA if DELTA in counts else sum(counts)
 
 
@@ -486,8 +464,8 @@ class ConditionedSampler:
     depth n, without rejection at the top level.
 
     Off-spine subtrees still use rejection against their (cheap)
-    absorption events; budgets default to 20x the expected tries and
-    exhaustion raises BudgetError.
+    absorption events, each with a budget of 20x its expected tries,
+    whose exhaustion raises BudgetError.
     """
 
     def __init__(
@@ -496,7 +474,6 @@ class ConditionedSampler:
         n: int,
         *,
         extra_depth: int = 0,
-        budget_factor: float = 20.0,
     ):
         _check_conditioning(n, extra_depth)
         # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
@@ -507,7 +484,6 @@ class ConditionedSampler:
         self.env = env
         self.n = n
         self.extra_depth = extra_depth
-        self.budget_factor = float(budget_factor)
         self._spines = [
             _spine_dist(env, l, n, self._die[l], self._live[l]) for l in range(1, n + 1)
         ]
@@ -553,7 +529,7 @@ class ConditionedSampler:
             raise PreconditionError(
                 f"requested subtree event has probability 0 at generation {l}"
             )
-        budget = max(1, math.ceil(self.budget_factor / accept_p))
+        budget = math.ceil(_BUDGET_FACTOR / accept_p)
         accept = (lambda k, z: z == 0) if want_dead else (lambda k, z: z != DELTA)
         return _draw_until(self._shifted[l], m, rng, budget, accept, "subtree rejection")
 
@@ -574,14 +550,11 @@ def rejection_conditioned(
     n: int,
     rng: np.random.Generator,
     *,
-    max_tries: int | None = None,
     extra_depth: int = 0,
     survival: float | None = None,
 ) -> DefectiveTree:
-    """Conditioned tree by plain rejection: resample until alive at n.
-
-    With an explicit max_tries the expected tries must not exceed a
-    tenth of it; the default budget is 20x the expected tries.
+    """Conditioned tree by plain rejection: resample until alive at n,
+    within a budget of 20x the expected tries (BudgetError).
 
     ``survival`` is P[alive at n] for this ``env`` at this horizon
     ``n``, as ``absorption_profile(env, n).survival`` gives it; a caller
@@ -593,14 +566,8 @@ def rejection_conditioned(
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
-    expected = 1.0 / surv
-    if max_tries is None:
-        max_tries = math.ceil(20.0 * expected)
-    elif expected > max_tries / 10.0:
-        raise PreconditionError(
-            f"expected {expected:.1f} tries; too rare for a budget of {max_tries}"
-        )
-    t = _draw_until(env, n, rng, max_tries, lambda k, z: k == n and z >= 1, "rejection")
+    tries = math.ceil(_BUDGET_FACTOR / surv)
+    t = _draw_until(env, n, rng, tries, lambda k, z: k == n and z >= 1, "rejection")
     if extra_depth:
         _grow_frontier(t.gens, env, extra_depth, rng)
         t = DefectiveTree._of(t.gens, n + extra_depth)
