@@ -26,6 +26,7 @@ import numpy as np
 
 from .environments import (
     Environment,
+    _check_horizon,
     _exp,
     _log,
     _logsumexp,
@@ -90,6 +91,7 @@ class AbsorptionProfile:
 
 def absorption_profile(env: Environment, n: int) -> AbsorptionProfile:
     """Absorption probabilities at horizon n by exact composition."""
+    _check_horizon(n)
     sw = _sweep(env, 0, n, 1.0, 0.0)
     return AbsorptionProfile(
         n=n,
@@ -137,8 +139,7 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     O(n len(laws)) for ``Prefix``.  The terms are added in the order the
     full pass adds them: the same results to the bit.
     """
-    if n < 0:
-        raise PreconditionError("horizon must be >= 0")
+    _check_horizon(n)
     hi = np.ones(n + 1)
     lo = np.zeros(n + 1)
     logd = np.zeros(n + 1)
@@ -197,6 +198,7 @@ def moments(env: Environment, n: int) -> Moments:
 
     with t_j = f_{j,n}(1) and mu_{j,n} the partial mean products.
     """
+    _check_horizon(n)
     sw = _sweep(env, 0, n, 1.0, ladder=True, second=True)
     log_mean = float(sw.log_ladder[-1])
     log_ratio = _logsumexp(np.concatenate(([-log_mean], sw.log_var)))

@@ -18,9 +18,11 @@ Exact readers rest on one private backward pass, ``_sweep``: at each
 generation it looks the law up once and forms the points (for the
 readers that return them), the log gap, the log ladder terms or the
 chain-rule derivatives its reader asks for; where one law repeats, the
-generations past the orbit's float fixed point are filled in.  Each
-reader makes one such pass per horizon and starting point, and never
-re-sweeps.  Logs turn linear only through ``_exp``.
+generations past the orbit's float fixed point are filled in.  A reader
+makes one pass per horizon and starting point; ``late_extinction_bounds``
+sweeps its start f_{n,big}(0) twice (points, then log gap), and
+``compose_coeffs`` carries f_{i,n}(0) and f_{i,n}(1) in its own loop.
+Logs turn linear only through ``_exp``.
 """
 from __future__ import annotations
 
@@ -69,17 +71,21 @@ class Environment:
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
         """(f[1], defect, f'(1), f''(1), c8) of generations 1..n, one
-        array each, with defect = 1 - f(1) unclipped.  The arrays are the
-        caller's to overwrite.  Built from ``law(i)``; each distinct law
-        object is evaluated once per call."""
-        seen: dict[int, tuple[OffspringLaw, tuple[float, ...]]] = {}
-        rows = []
+        array each, with defect = 1 - f(1) unclipped: ``_series_stats`` of
+        ``law(i)``.  The arrays are the caller's to overwrite.  Each
+        distinct law is evaluated once per call, keyed by value: a finite
+        law by the bytes of its weights, any other law by the object."""
+        seen: dict[object, tuple[float, ...]] = {}
+        rows, prev = [], None
         for i in range(1, n + 1):
             law = self.law(i)
-            hit = seen.get(id(law))
-            if hit is None:  # the law is kept, so its id is not reused
-                hit = seen[id(law)] = (law, _series_stats(law))
-            rows.append(hit[1])
+            if law is not prev:  # a repeated law object has the row it had
+                key = law.weights.tobytes() if isinstance(law, FiniteSupport) else law
+                row = seen.get(key)
+                if row is None:
+                    row = seen[key] = _series_stats(law)
+                prev = law
+            rows.append(row)
         return tuple(np.array(rows, dtype=float).T)
 
     @property
@@ -152,33 +158,10 @@ class Prefix(Environment):
 
 
 def _series_stats(law: OffspringLaw) -> tuple[float, float, float, float, float]:
-    """(f[1], 1 - f(1), f'(1), f''(1), c8) of one law, by direct sums."""
-    if isinstance(law, FiniteSupport):
-        wl = law.weights.tolist()
-        mass = mean = second = m1t = m2t = 0.0
-        for k, wk in enumerate(wl):
-            if wk == 0.0:
-                continue
-            mass += wk
-            kw = k * wk
-            mean += kw
-            second += k * (k - 1) * wk
-            if k >= 2:
-                m1t += kw
-                m2t += k * kw
-        w0 = wl[0]
-        w1 = wl[1] if len(wl) > 1 else 0.0
-    else:
-        mean = law.mean
-        second = law.second_factorial
-        mass = law.mass
-        w0 = law.weight(0)
-        w1 = law.weight(1)
-        rep = law.regularity()
-        m1t, m2t = rep.m1_tail, rep.m2_tail
-    p_ge1 = mass - w0
-    c8 = (m2t / m1t) / (mean / p_ge1) if m1t > 0.0 else 0.0
-    return w1, 1.0 - mass, mean, second, c8
+    """(f[1], 1 - f(1), f'(1), f''(1), c8) of one law, each read from the
+    law: ``weight(1)``, ``mass``, ``mean``, ``second_factorial`` and
+    ``regularity().c8``."""
+    return law.weight(1), 1.0 - law.mass, law.mean, law.second_factorial, law.regularity().c8
 
 
 _META_SINGLE_CHILD = {
@@ -355,14 +338,15 @@ class NamedFamily(Environment):
         return FiniteSupport._trusted(self._zeros + [self._coeff(n)])
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
-        # _series_stats of c s^m in closed form, with its operations
+        # _series_stats of c s^m in closed form, with the law's operations:
+        # c8 = (m2_tail / m1_tail) / (mean / P[X >= 1]), m2_tail = m^2 c, m1_tail = mean
         c = np.fromiter(map(self._coeff, range(1, n + 1)), float, n)
         m = len(self._zeros)
         mean = m * c
         if m == 1:
             return c, 1.0 - c, mean, np.zeros(n), np.zeros(n)
-        second = (m * (m - 1)) * c
-        c8 = m * mean  # (m2_tail / m1_tail) / (mean / p_ge1)
+        second = (m - 1) * mean
+        c8 = (m * m) * c
         c8 /= mean
         c8 /= mean / c
         return np.zeros(n), np.subtract(1.0, c, out=c), mean, second, c8
@@ -430,6 +414,11 @@ def environment_from_dict(obj: dict) -> Environment:
 def _check_window(k: int, n: int) -> None:
     if not (0 <= k <= n):
         raise PreconditionError(f"need 0 <= k <= n, got k={k}, n={n}")
+
+
+def _check_horizon(n: int) -> None:
+    if n < 0:
+        raise PreconditionError(f"need n >= 0, got n={n}")
 
 
 def composed_points(env: Environment, k: int, n: int, s) -> np.ndarray:
@@ -605,6 +594,7 @@ def mu_profile(env: Environment, n: int, s: float = 1.0) -> MuProfile:
     exposed as exp of those sums so that overflow degrades to inf
     rather than corrupting neighbours.
     """
+    _check_horizon(n)
     sw = _sweep(env, 0, n, 1.0, ladder=True, at=(1.0, s))
     log_mu_s, log_nu = _mu_at(sw.at[1])
     return MuProfile(
@@ -694,7 +684,7 @@ def compose_coeffs(
     coefficients when the run is innermost (Q(s) = s), a power-series
     division otherwise.  No step is truncated, so ``dropped`` is 0.0 and
     ``rel_tail`` no longer changes the result.  probs[0] and the killed
-    mass are f_{0,n}(0) and 1 - f_{0,n}(1), carried along the same sweep.
+    mass are f_{0,n}(0) and 1 - f_{0,n}(1), which its own loop carries.
     """
     _check_window(0, n)
     if degree < 1:

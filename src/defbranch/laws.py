@@ -199,8 +199,7 @@ class OffspringLaw:
     def regularity(self) -> RegularityReport:
         """Tail-regularity constants, from exact moment sums; see
         RegularityReport."""
-        m1_tail, m2_tail = self._tail_moments()
-        p_ge1 = self.mass - self.weight(0)
+        p_ge1, m1_tail, m2_tail = self._tail_moments()
         if p_ge1 <= 0.0:
             raise PreconditionError("law has no mass on {1, 2, ...}")
         cond_mean = self.mean / p_ge1
@@ -219,7 +218,9 @@ class OffspringLaw:
             c12_finite=math.isfinite(c12),
         )
 
-    def _tail_moments(self) -> tuple[float, float]:
+    def _tail_moments(self) -> tuple[float, float, float]:
+        """(P[X >= 1], E[X; X >= 2], E[X^2; X >= 2]), each from its own
+        terms: f(1) - f[0] cancels to 0.0 when f[0] dwarfs P[X >= 1]."""
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
@@ -345,12 +346,12 @@ class FiniteSupport(OffspringLaw):
             return theta if 0.0 < theta < 1.0 else None
         return _smallest_root_convex(self)
 
-    def _tail_moments(self) -> tuple[float, float]:
+    def _tail_moments(self) -> tuple[float, float, float]:
         w = self.weights
         k = np.arange(w.size)
         m1 = float((k * w)[2:].sum())
         m2 = float((k * k * w)[2:].sum())
-        return m1, m2
+        return float(w[1:].sum()), m1, m2
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is None:
@@ -466,11 +467,13 @@ class LinearFractional(OffspringLaw):
         theta = half - math.sqrt(disc)
         return theta if 0.0 < theta < 1.0 else None
 
-    def _tail_moments(self) -> tuple[float, float]:
-        p, r = self.p, self.r
-        s1 = p / (1.0 - p) ** 2          # sum k p^k
-        s2 = p * (1.0 + p) / (1.0 - p) ** 3  # sum k^2 p^k
-        return r * (s1 - p), r * (s2 - p)
+    def _tail_moments(self) -> tuple[float, float, float]:
+        # r times sum_{k>=1} p^k, sum_{k>=2} k p^k and sum_{k>=2} k^2 p^k, in
+        # closed forms that subtract no near-equal terms
+        p, r, pp = self.p, self.r, self.p * self.p
+        s1 = pp * (2.0 - p) / (1.0 - p) ** 2
+        s2 = pp * (4.0 - 3.0 * p + pp) / (1.0 - p) ** 3
+        return r * p / (1.0 - p), r * s1, r * s2
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if size is None:

@@ -86,8 +86,10 @@ Label = tuple[int, ...]
 _TREE_STREAM = {"plain": 10, "construction": 11, "rejection": 12}
 
 # a rejection loop gives up, with BudgetError, after this many times the
-# number of tries it expects to need
+# number of tries it expects to need, and at once when that is over
+# _MAX_TRIES (about 4 s of n = 2 trees)
 _BUDGET_FACTOR = 20.0
+_MAX_TRIES = 10**6
 
 
 class InvalidTreeError(ValueError):
@@ -324,18 +326,22 @@ def _draw_until(
     env: Environment,
     depth_cap: int,
     rng: np.random.Generator,
-    tries: int,
+    accept_p: float,
     accept: Callable[[int, int], bool],
     what: str,
 ) -> DefectiveTree:
-    """The first of at most ``tries`` draws of ``sample_dbtve`` whose
-    number of counted generations and last generation size pass
-    ``accept``; BudgetError names ``what`` when none does."""
-    for _ in range(tries):
+    """The first draw of ``sample_dbtve`` whose counted generations and last
+    generation size pass ``accept``, as one does with probability ``accept_p``.
+    BudgetError names ``what`` after ceil(_BUDGET_FACTOR / accept_p) failed
+    draws, and before any draw when that is over _MAX_TRIES."""
+    tries = _BUDGET_FACTOR / accept_p
+    if tries > _MAX_TRIES:
+        raise BudgetError(f"{what} budget of {tries:.3g} tries is over the cap of {_MAX_TRIES}")
+    for _ in range(math.ceil(tries)):
         t = sample_dbtve(env, rng, depth_cap=depth_cap)
         if accept(len(t.gens), _last_size(t.gens)):
             return t
-    raise BudgetError(f"{what} budget of {tries} exhausted")
+    raise BudgetError(f"{what} budget of {math.ceil(tries)} exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +535,8 @@ class ConditionedSampler:
             raise PreconditionError(
                 f"requested subtree event has probability 0 at generation {l}"
             )
-        budget = math.ceil(_BUDGET_FACTOR / accept_p)
         accept = (lambda k, z: z == 0) if want_dead else (lambda k, z: z != DELTA)
-        return _draw_until(self._shifted[l], m, rng, budget, accept, "subtree rejection")
+        return _draw_until(self._shifted[l], m, rng, accept_p, accept, "subtree rejection")
 
 
 def sample_conditioned(
@@ -554,7 +559,7 @@ def rejection_conditioned(
     survival: float | None = None,
 ) -> DefectiveTree:
     """Conditioned tree by plain rejection: resample until alive at n,
-    within a budget of 20x the expected tries (BudgetError).
+    within a budget of 20x the expected tries, up to 10^6 (BudgetError).
 
     ``survival`` is P[alive at n] for this ``env`` at this horizon
     ``n``, as ``absorption_profile(env, n).survival`` gives it; a caller
@@ -566,8 +571,7 @@ def rejection_conditioned(
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
-    tries = math.ceil(_BUDGET_FACTOR / surv)
-    t = _draw_until(env, n, rng, tries, lambda k, z: k == n and z >= 1, "rejection")
+    t = _draw_until(env, n, rng, surv, lambda k, z: k == n and z >= 1, "rejection")
     if extra_depth:
         _grow_frontier(t.gens, env, extra_depth, rng)
         t = DefectiveTree._of(t.gens, n + extra_depth)

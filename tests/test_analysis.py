@@ -33,6 +33,7 @@ from defbranch import (
     late_extinction_bounds,
     law_from_dict,
     moments,
+    mu_profile,
     survival_bounds,
 )
 
@@ -314,7 +315,7 @@ class _Rebuilt(Environment):
 _CRITERIA_ENVS = {
     **{f: NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")},
     **{f"power-defect-{m}": NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": m})
-       for m in (1, 2, 3)},
+       for m in (1, 2, 3, 6)},
     "constant-b": Constant(LinearFractional(0.1, 0.4, 0.5)),
     "prefix": Prefix(
         (FiniteSupport([0.2, 0.3, 0.0, 0.4]), LinearFractional(0.2, 0.3, 0.4),
@@ -382,6 +383,36 @@ def _assert_matches_loop(out, env, hs):
     for v in out:
         assert v.partials == tuple(partials[v.criterion])
         assert v.slope == slopes[v.criterion]
+
+
+def test_check_mean_products_are_mu_profiles():
+    # sum_k k f[k] in index order and the law's mean differ in the last
+    # bit on this law; check reads the law's, as mu_profile does
+    env = Constant(FiniteSupport([0.32, 0.18, 0.19, 0.04]))
+    hs = (10, 100, 1000)
+    (v,) = [v for v in criteria_verdicts(env, hs) if v.criterion == "mean_product_infimum"]
+    assert v.partials == tuple(mu_profile(env, h).mu for h in hs)
+
+
+# f(1) - f[0] cancels to 0.0 on both laws, whose mass on {1, 2, ...} is
+# below the float spacing at f(1)
+_TINY_ABOVE_ZERO = [FiniteSupport([0.5, 1e-20]), LinearFractional(0.1, 0.4, 1e-17)]
+
+
+@pytest.mark.parametrize("law", _TINY_ABOVE_ZERO, ids=["finite", "lf"])
+def test_readers_take_a_law_with_tiny_mass_above_zero(law):
+    env = Constant(law)
+    assert survival_bounds(env, 10).holds
+    out = criteria_verdicts(env, (10, 100))
+    assert [v.criterion for v in out] == list(CRITERIA)
+    assert out[-1].partials == (law.regularity().c8,) * 2
+
+
+@pytest.mark.parametrize("reader", [absorption_profile, absorption_scan, moments, mu_profile])
+def test_negative_horizon_is_named(reader):
+    with pytest.raises(PreconditionError) as exc:
+        reader(Constant(FiniteSupport([0.45, 0.0, 0.45])), -1)
+    assert str(exc.value) == "need n >= 0, got n=-1"
 
 
 def test_criteria_default_horizons_match_loop():

@@ -12,6 +12,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,31 @@ class TestExitCodes:
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "precondition", "message": "need n >= 1"}
+
+    @pytest.mark.parametrize("command", ["moments", "absorption"])
+    @pytest.mark.parametrize(
+        "environment",
+        [{"kind": "constant", "law": LAW_A}, {"kind": "constant", "law": LAW_B},
+         {"kind": "named", "id": "example-2a"}],
+        ids=["finite", "lf", "named"],
+    )
+    def test_negative_horizon_is_three(self, tmp_path, capsys, command, environment):
+        path, _ = write_cfg(tmp_path, command, {"n": -1}, environment=environment)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition", "message": "need n >= 0, got n=-1"}
+
+    def test_rejection_over_its_cap_is_four(self, tmp_path, capsys):
+        # survival 1e-20 at n = 1, so the rejection budget would be 2e21 tries
+        law = {"kind": "finite", "weights": [0.5, 1e-20]}
+        path, _ = write_cfg(tmp_path, "tree-validate", {"n": 1, "samples": 1},
+                            environment={"kind": "constant", "law": law})
+        t = time.perf_counter()
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert time.perf_counter() - t < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "budget",
+                       "message": "rejection budget of 2e+21 tries is over the cap of 1000000"}
 
     @pytest.mark.parametrize("horizons", [[10], [10, 10]])
     def test_check_needs_two_horizons(self, tmp_path, capsys, horizons):

@@ -354,6 +354,25 @@ class TestRegularity:
         assert rep.c8 == pytest.approx((m2t / m1t) / (mean / p_ge1), rel=1e-12)
         assert rep.c12 == pytest.approx(m2t / m1t, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "law", [FiniteSupport([0.5, 1e-20]), LinearFractional(0.1, 0.4, 1e-17)], ids=["finite", "lf"]
+    )
+    def test_tiny_mass_above_zero(self, law):
+        # f(1) - f[0] cancels to 0.0 here: P[X >= 1] is summed on its own
+        rep = law.regularity()
+        assert rep.cond_mean == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1e-17, 1e-6, 0.3, 0.9])
+    def test_lf_tails_match_term_sums(self, p):
+        # r (p / (1-p)^2 - p) cancels as p -> 0; the closed forms do not
+        r = 0.4 * (1.0 - p)
+        ks = range(2, 2000)
+        m1t = math.fsum(k * r * p**k for k in ks)
+        m2t = math.fsum(k * k * r * p**k for k in ks)
+        rep = LinearFractional(0.0, r, p).regularity()
+        assert rep.m1_tail == pytest.approx(m1t, rel=4e-15, abs=0.0)
+        assert rep.m2_tail == pytest.approx(m2t, rel=4e-15, abs=0.0)
+
     def test_no_tail_mass_is_vacuous(self):
         rep = FiniteSupport([0.4, 0.5]).regularity()
         assert rep.m1_tail == 0.0

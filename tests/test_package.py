@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,28 @@ def test_each_export_is_the_defining_modules_object():
 def test_demo_imports(path):
     spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+def test_benchmark_tracer_finds_every_name_it_patches(monkeypatch):
+    """perfbench/tracing.py patches package names from outside: a
+    ``Class.method`` target must sit in that class's own ``__dict__``, a
+    function target must be a module attribute.  Installing and
+    uninstalling its tracer fails here when one is renamed or moved, and
+    leaves every patched attribute its original object."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # nothing written under perfbench/
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    originals = {}  # (owner, attr) -> the object before the first patch
+    try:
+        tracer.install()
+        for owner, attr, value in tracer._undo:
+            originals.setdefault((owner, attr), value)
+        swapped = [owner.__dict__[attr] is not value for (owner, attr), value in originals.items()]
+    finally:
+        tracer.uninstall()
+    assert set(tracer.names) >= {name for name, _, _ in tracing.TARGETS + tracing.LOCAL_BINDINGS}
+    assert all(swapped)
+    assert all(owner.__dict__[attr] is value for (owner, attr), value in originals.items())

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -537,6 +538,40 @@ class TestRejectionBudgets:
         assert len(always_killed) in budgets
         assert str(exc.value) == f"subtree rejection budget of {len(always_killed)} exhausted"
         assert set(always_killed) == {1}
+
+    def test_budget_over_the_cap_draws_nothing(self, env_a, always_killed):
+        from defbranch import trees
+
+        rng = np.random.default_rng(226)
+        with pytest.raises(BudgetError) as exc:
+            trees._draw_until(env_a, 1, rng, 1e-20, lambda k, z: True, "subtree rejection")
+        assert str(exc.value) == "subtree rejection budget of 1.36e+21 tries is over the cap of 1000000"
+        assert always_killed == []
+
+
+class TestRejectionCap:
+    """Survival 1e-20 at n = 1: the 2e21 tries a budget would allow are
+    refused at once, before any draw."""
+
+    ENV = Constant(FiniteSupport([0.5, 1e-20]))
+    MESSAGE = "rejection budget of 2e+21 tries is over the cap of 1000000"
+
+    def test_rejection_conditioned(self):
+        rng = np.random.default_rng(227)
+        state = rng.bit_generator.state
+        t = time.perf_counter()
+        with pytest.raises(BudgetError) as exc:
+            rejection_conditioned(self.ENV, 1, rng)
+        assert time.perf_counter() - t < 1.0
+        assert str(exc.value) == self.MESSAGE
+        assert rng.bit_generator.state == state
+
+    def test_validate_prop4(self):
+        t = time.perf_counter()
+        with pytest.raises(BudgetError) as exc:
+            validate_prop4(self.ENV, 1, 1)
+        assert time.perf_counter() - t < 1.0
+        assert str(exc.value) == self.MESSAGE
 
 
 class TestEnumeration:
