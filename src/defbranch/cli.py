@@ -561,9 +561,45 @@ def _atomic_write(path: str, write: Callable[[Any], None]) -> None:
 _JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 
+def _json_chunks(obj, pad: str = "\n"):
+    """The text of ``_JSON.iterencode(obj)`` in chunks, for obj written
+    after ``pad`` (a newline and its parent's indent).  A list of plain
+    ints or of plain floats is joined from their reprs at C speed, 4096
+    at a time, with json's NaN and Infinity spellings; a str-keyed dict
+    or a list that holds a container is walked; any other value goes to
+    the encoder, its newlines indented by pad, since a string it writes
+    holds none."""
+    items = None
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {float}:
+            sep = "," + pad + "  "
+            yield "[" + sep[1:]
+            for lo in range(0, len(obj), 4096):
+                text = sep.join(map(repr, obj[lo:lo + 4096]))
+                if kinds == {float}:  # the only letters a float repr has
+                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                yield (sep if lo else "") + text
+            yield pad + "]"
+            return
+        items, ends = [("", x) for x in obj], "[]"
+    elif isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        items, ends = [(_JSON.encode(k) + ": ", obj[k]) for k in sorted(obj)], "{}"
+    if not items or not any(isinstance(x, (dict, list, tuple)) for _, x in items):
+        for chunk in _JSON.iterencode(obj):
+            yield chunk.replace("\n", pad)
+        return
+    inner = pad + "  "
+    yield ends[0]
+    for i, (key, x) in enumerate(items):
+        yield ("," if i else "") + inner + key
+        yield from _json_chunks(x, inner)
+    yield pad + ends[1]
+
+
 def _write_json(path: str, doc) -> None:
     def write(fh):
-        fh.writelines(_JSON.iterencode(doc))
+        fh.writelines(_json_chunks(doc))
         fh.write("\n")
 
     _atomic_write(path, write)

@@ -384,6 +384,9 @@ class _Normalized(Environment):
     def law(self, n: int) -> OffspringLaw:
         return self._base.law(n).normalize()
 
+    def _fixed_from(self) -> int | None:
+        return self._base._fixed_from()  # its tail law has one normalized law
+
     def __repr__(self) -> str:
         return f"{self._base!r}.normalized()"
 

@@ -183,7 +183,11 @@ class OffspringLaw:
 
     def normalize(self) -> "OffspringLaw":
         """The proper law f(s)/f(1) obtained by conditioning on survival
-        of the draw."""
+        of the draw: built on the first call, the same object after."""
+        return self._normalized
+
+    @cached_property
+    def _normalized(self) -> "OffspringLaw":
         raise NotImplementedError
 
     def fixed_point(self) -> float | None:
@@ -326,7 +330,8 @@ class FiniteSupport(OffspringLaw):
     def coeff_vector(self, rel_tail: float = 1e-14) -> np.ndarray:
         return self.weights.copy()
 
-    def normalize(self) -> "FiniteSupport":
+    @cached_property
+    def _normalized(self) -> "FiniteSupport":
         return FiniteSupport(self.weights / self.mass)
 
     def fixed_point(self) -> float | None:
@@ -453,7 +458,8 @@ class LinearFractional(OffspringLaw):
         out[0] = self.q + self.r
         return out
 
-    def normalize(self) -> "LinearFractional":
+    @cached_property
+    def _normalized(self) -> "LinearFractional":
         m = self.mass
         return LinearFractional(self.q / m, self.r / m, self.p)
 

@@ -9,14 +9,18 @@ Two samplers of the same process:
   size), then advances the size by the normalized law.
 
 Both use one vectorized pass per generation over fixed-size blocks of
-replicates, run one after another on the calling thread; each block
-writes its sizes, states and snapshots into the run's arrays, which are
-allocated once.  Each block owns a counter-based bit stream keyed by
-(master_seed, mode, block index), and reductions run in block order, so
-results depend on neither the order nor the place the blocks ran in.
+replicates, run one after another on the calling thread.  Each block is
+reduced as it returns, to state counts, the alive histogram and the
+exact integer sums of the alive sizes and of their squares; a run keeps
+per-replicate columns only for snapshot times and, with ``keep_paths``,
+the final sizes and states.  Each block owns a counter-based bit stream
+keyed by (master_seed, mode, block index), and reductions run in block
+order, so results depend on neither the order nor the place the blocks
+ran in.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -286,10 +290,14 @@ def monte_carlo(
     as overflowed.  Snapshot times are integers (3.0 is one) in
     1..horizon.
 
-    A run holds one int64 size and one int8 state per replicate, one
-    int64 per replicate per snapshot time, and one float64 W per
-    replicate that did not overflow.  Unless ``keep_paths`` is set, the
-    size and state columns are released before W's moments are taken.
+    Each block is reduced as it returns, so the only memory per
+    replicate is one int64 per snapshot time and, with ``keep_paths``,
+    the int64 size and int8 state columns of ``final_sizes`` and
+    ``final_states``.  The means, variances and standard errors are
+    formed from exact integer sums of the alive sizes and their squares,
+    each rounded once from its exact value (W's taking exp(-log_mu) as
+    the float it rounds to), so the summary does not depend on
+    ``keep_paths``.
     """
     _check_run(mode, horizon, cap)
     if reps < 1:
@@ -301,54 +309,35 @@ def monte_carlo(
     snaps_at = tuple(sorted(set(int(t) for t in times)))
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")
-    z = np.empty(reps, dtype=np.int64)
-    state = np.empty(reps, dtype=np.int8)
+    z = np.empty(reps, dtype=np.int64) if keep_paths else None
+    state = np.empty(reps, dtype=np.int8) if keep_paths else None
     snapshots = {t: np.empty(reps, dtype=np.int64) for t in snaps_at}
+    counts = np.zeros(4, dtype=np.int64)  # paths per state
+    hist = np.zeros(21, dtype=np.int64)
+    s1 = s2 = 0  # sums of the alive sizes and of their squares
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
         bz, bstate, bsnaps = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, snaps_at)
-        z[lo:hi] = bz
-        state[lo:hi] = bstate
+        if keep_paths:
+            z[lo:hi] = bz
+            state[lo:hi] = bstate
         for t, col in snapshots.items():
             col[lo:hi] = bsnaps[t]
+        counts += np.bincount(bstate, minlength=4)
+        alive = bz[bstate == _ACTIVE]
+        hist += np.bincount(np.minimum(alive, 20), minlength=21)
+        b1, b2 = _sums(alive)
+        s1 += b1
+        s2 += b2
 
-    n_ext = int(np.sum(state == _EXTINCT))
-    n_kill = int(np.sum(state == _KILLED))
-    n_alive = int(np.sum(state == _ACTIVE))
-    n_over = int(np.sum(state == _OVERFLOW))
+    n_alive, n_ext, n_kill, n_over = (int(c) for c in counts)
     n_eff = reps - n_over
     p_surv, se_surv = _prop(n_alive, n_eff)
     p_ext, se_ext = _prop(n_ext, n_eff)
     p_kill, se_kill = _prop(n_kill, n_eff)
-
-    alive = z[state == _ACTIVE]
-    if alive.size:
-        mean_alive = float(alive.mean())
-        mean_alive_se = (
-            float(alive.std(ddof=1) / np.sqrt(alive.size)) if alive.size > 1 else 0.0
-        )
-    else:
-        mean_alive, mean_alive_se = float("nan"), float("nan")
-    hist = np.bincount(np.minimum(alive, 20), minlength=21)[:21]
-    tail = int(np.sum(alive >= 20))
-    del alive
-
+    mean_alive, _, mean_alive_se = _moments(n_alive, s1, s2)
     log_mu = mu_profile(env, horizon).log_mu
-    w = np.maximum(z, 0.0)
-    if n_over:
-        w = w[state != _OVERFLOW]
-    final_sizes, final_states = (z, state) if keep_paths else (None, None)
-    del z, state  # W's moments are the peak; the columns are not needed there
-    # dead paths keep W = 0 exactly, also where exp(-log_mu) overflows
-    pos = w > 0
-    if pos.any():
-        w[pos] *= np.exp(-log_mu)
-    if w.size:
-        w_mean = float(w.mean())
-        w_var = float(w.var(ddof=1)) if w.size > 1 else 0.0
-        w_se = float(np.sqrt(w_var / w.size))
-    else:
-        w_mean = w_var = w_se = float("nan")
+    w_mean, w_var, w_se = _w_moments(n_eff, s1, s2, log_mu)
 
     return McSummary(
         horizon=horizon,
@@ -369,14 +358,14 @@ def monte_carlo(
         mean_alive=mean_alive,
         mean_alive_se=mean_alive_se,
         alive_hist=hist,
-        alive_hist_tail=tail,
+        alive_hist_tail=int(hist[20]),
         w_mean=w_mean,
         w_var=w_var,
         w_se=w_se,
         log_mu=log_mu,
         snapshots=snapshots,
-        final_sizes=final_sizes,
-        final_states=final_states,
+        final_sizes=z,
+        final_states=state,
     )
 
 
@@ -385,6 +374,71 @@ def _prop(k: int, n: int) -> tuple[float, float]:
         return float("nan"), float("nan")
     p = k / n
     return p, float(np.sqrt(p * (1.0 - p) / n))
+
+
+def _sums(z: np.ndarray) -> tuple[int, int]:
+    """The exact sums of the sizes z >= 1 and of their squares: in int64
+    where neither can wrap, in Python ints otherwise (cap is any int)."""
+    if not z.size:
+        return 0, 0
+    top = int(z.max())
+    if top * top * z.size < 2**63:
+        return int(z.sum()), int(z @ z)
+    zs = z.tolist()
+    return sum(zs), sum(x * x for x in zs)
+
+
+def _quotient(num: int, den: int) -> float:
+    """num / den for ints num >= 0 and den > 0, rounded once; inf past
+    the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _sqrt_quotient(num: int, den: int) -> float:
+    """sqrt(num / den) for ints num >= 0 and den > 0, rounded once."""
+    # r = floor(sqrt(num / den) 2**k) has at least 56 bits, where every
+    # float and every tie between two is an even integer, so setting r's
+    # low bit when the root is inexact keeps float(r) from a false tie
+    k = max(0, 56 - (num.bit_length() - den.bit_length()) // 2)
+    scaled = num << 2 * k
+    r = math.isqrt(scaled // den)
+    if r * r * den != scaled:
+        r |= 1
+    try:
+        return math.ldexp(float(r), -k)
+    except OverflowError:
+        return math.inf
+
+
+def _moments(n: int, s1: int, s2: int, p: int = 1, q: int = 1) -> tuple[float, float, float]:
+    """Mean, variance (ddof=1) and standard error sqrt(variance / n) of n
+    values x p / q, from the sums s1 of the x and s2 of their squares,
+    each rounded once from its exact value: nan for no value, spread 0.0
+    for one."""
+    if n == 0:
+        return math.nan, math.nan, math.nan
+    mean = _quotient(s1 * p, n * q)
+    if n == 1:
+        return mean, 0.0, 0.0
+    ss = (n * s2 - s1 * s1) * p * p  # n (n - 1) q**2 times the variance
+    den = n * (n - 1) * q * q
+    return mean, _quotient(ss, den), _sqrt_quotient(ss, den * n)
+
+
+def _w_moments(n: int, s1: int, s2: int, log_mu: float) -> tuple[float, float, float]:
+    """``_moments`` of W = Z_n exp(-log_mu) over n paths whose alive sizes
+    sum to s1, squares to s2: absorbed paths have W = 0 exactly, also
+    where exp(-log_mu) overflows."""
+    if s1 == 0:
+        return _moments(n, 0, 0)
+    e = float(np.exp(-log_mu))  # numpy's inf and overflow warning, where math.exp raises
+    if not math.isfinite(e):  # the array formula's inf (or nan) mean, and nan spread
+        spread = math.nan if n > 1 else 0.0
+        return e, spread, spread
+    return _moments(n, s1, s2, *e.as_integer_ratio())
 
 
 # ---------------------------------------------------------------------------

@@ -879,14 +879,34 @@ JSON_DOCS = st.recursive(
 )
 
 
+def _long_list(size: int, floats: bool, inserts: list) -> list:
+    """A list as long as a simulation's paths, of ints or of floats, with
+    values the joined writer must spell as json does, or must leave to the
+    encoder (a bool or None among ints, an int among floats), put in."""
+    out = [(i * i - size) / 7 if floats else i * i - size for i in range(size)]
+    for at, x in inserts:
+        out.insert(at % (len(out) + 1), x)
+    return out
+
+
+LONG_LISTS = st.builds(
+    _long_list,
+    st.integers(1, 12_000),
+    st.booleans(),
+    st.lists(st.tuples(st.integers(0, 12_000), st.sampled_from(
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e308, 2**70, -1, True, False, None])),
+        min_size=1, max_size=3),
+)
+
+
 @settings(deadline=None)
 @given(doc=st.dictionaries(st.text(max_size=8), JSON_DOCS, max_size=6),
-       long=st.none() | st.integers(10_001, 12_000))
-def test_json_artifacts_are_what_json_dumps_writes(tmp_path_factory, doc, long):
+       long=st.none() | LONG_LISTS, nested=st.booleans())
+def test_json_artifacts_are_what_json_dumps_writes(tmp_path_factory, doc, long, nested):
     from defbranch import cli
 
-    if long is not None:  # an int list as long as a simulation's paths
-        doc["paths"] = [i * i - long for i in range(long)]
+    if long is not None:
+        doc["paths"] = {"at": [long, (long,)], "n": len(long)} if nested else long
     path = tmp_path_factory.getbasetemp() / "streamed.json"
     cli._write_json(str(path), doc)
     assert path.read_bytes() == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()

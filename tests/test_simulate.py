@@ -5,6 +5,8 @@ import math
 import threading
 import tracemalloc
 import warnings
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,16 @@ from defbranch import (
     run_path,
 )
 from defbranch import simulate
-from defbranch.simulate import BLOCK, DEFAULT_CAP, _MODE_ID, _STATE_KIND, _run_block
+from defbranch.simulate import (
+    _ACTIVE,
+    _MODE_ID,
+    _OVERFLOW,
+    _STATE_KIND,
+    BLOCK,
+    DEFAULT_CAP,
+    _offspring_counts,
+    _run_block,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -250,6 +261,25 @@ class TestNormalizedSizes:
         assert s.log_mu < -709
         assert s.n_alive == 0
         assert s.w_mean == s.w_var == s.w_se == 0.0
+        assert math.isnan(s.mean_alive) and math.isnan(s.mean_alive_se)
+
+    @pytest.mark.parametrize("env, reps", [
+        (Constant(LAW_A), 50),
+        (Constant(FiniteSupport([0.0, 0.0, 1.0])), 1),
+    ], ids=["some-alive", "one-path"])
+    def test_w_past_exp_overflow_with_alive_paths(self, env, reps, monkeypatch):
+        # exp(-log_mu) is inf: the values the array formula W = Z_n exp(-log_mu)
+        # gives, with numpy's overflow warning (math.exp would raise)
+        monkeypatch.setattr(simulate, "mu_profile", lambda env, n: SimpleNamespace(log_mu=-800.0))
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            s = monte_carlo(env, 1, reps, 5, keep_paths=True)
+        assert s.n_alive > 0
+        with np.errstate(all="ignore"):
+            w = np.maximum(s.final_sizes, 0.0)
+            w[w > 0] *= np.exp(800.0)
+            var = float(w.var(ddof=1)) if w.size > 1 else 0.0
+            expected = (float(w.mean()), var, float(np.sqrt(var / w.size)))
+        assert repr((s.w_mean, s.w_var, s.w_se)) == repr(expected)
 
     def test_martingale_correlation_across_horizons(self):
         env = BinarySplitter()
@@ -282,6 +312,72 @@ class TestNormalizedSizes:
         assert killed_now.sum() >= (snap3 == DELTA).sum()
 
 
+def _within_ulps(got: float, exact: Fraction, ulps: int = 2) -> bool:
+    return abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(got))
+
+
+def _sqrt_within_ulps(got: float, square: Fraction, ulps: int = 2) -> bool:
+    # got is within ulps of sqrt(square), checked on squares, in Fractions
+    slack = ulps * Fraction(math.ulp(got))
+    return max(Fraction(got) - slack, 0) ** 2 <= square <= (Fraction(got) + slack) ** 2
+
+
+def _exact_moments(values: np.ndarray, scale: Fraction = Fraction(1)) -> tuple[Fraction, ...]:
+    """Mean, variance (ddof=1) and variance / n of the values times scale,
+    as Fractions, summed as deviations from the mean over distinct values."""
+    distinct, counts = np.unique(values, return_counts=True)
+    pairs = [(Fraction(int(x)) * scale, int(c)) for x, c in zip(distinct, counts)]
+    n = values.size
+    mean = sum(x * c for x, c in pairs) / n
+    var = sum(c * (x - mean) ** 2 for x, c in pairs) / (n - 1)
+    return mean, var, var / n
+
+
+class TestExactMoments:
+    @pytest.mark.parametrize("env, horizon, reps, cap", [
+        (Constant(LAW_A), 6, 3 * BLOCK + 5, DEFAULT_CAP),
+        (Constant(LAW_B), 5, 2 * BLOCK, DEFAULT_CAP),
+        (Constant(FiniteSupport([0.2, 0.3, 0.5])), 12, BLOCK, 1000),  # some paths overflow
+        # sizes past 2**32, so their squares pass int64
+        (Constant(FiniteSupport([0.1, 0, 0, 0, 0, 0, 0, 0, 0.9])), 12, 300, 10**12),
+    ], ids=["law-a", "law-b", "capped", "past-2-32"])
+    @pytest.mark.parametrize("mode", ["direct", "coupled"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_moments_are_exact_ones_rounded(self, env, horizon, reps, cap, mode, seed):
+        s = monte_carlo(env, horizon, reps, seed, mode=mode, cap=cap, keep_paths=True)
+        z, state = s.final_sizes, s.final_states
+        if cap == 10**12:
+            assert z.max() > 2**32
+        alive = z[state == _ACTIVE]
+        assert alive.size > 1
+        mean, var, var_n = _exact_moments(alive)
+        assert _within_ulps(s.mean_alive, mean)
+        assert _sqrt_within_ulps(s.mean_alive_se, var_n)
+        e = Fraction(float(np.exp(-s.log_mu)))
+        mean, var, var_n = _exact_moments(np.maximum(z[state != _OVERFLOW], 0), e)
+        assert _within_ulps(s.w_mean, mean)
+        assert _within_ulps(s.w_var, var)
+        assert _sqrt_within_ulps(s.w_se, var_n)
+        kept = repr(s.to_dict())
+        assert repr(monte_carlo(env, horizon, reps, seed, mode=mode, cap=cap).to_dict()) == kept
+
+    def test_one_path_has_no_spread(self):
+        s = monte_carlo(Constant(FiniteSupport([0.0, 0.0, 1.0])), 3, 1, 1)
+        assert (s.mean_alive, s.mean_alive_se) == (8.0, 0.0)
+        assert s.w_var == s.w_se == 0.0
+
+    def test_coupled_mode_normalizes_each_law_once(self, monkeypatch):
+        law, seen = FiniteSupport([0.45, 0.0, 0.45]), []
+
+        def spy(rng, z, lw):
+            seen.append(lw)
+            return _offspring_counts(rng, z, lw)
+
+        monkeypatch.setattr(simulate, "_offspring_counts", spy)
+        monte_carlo(Constant(law), 5, 2 * BLOCK, 1, mode="coupled")
+        assert seen and all(lw is law.normalize() for lw in seen)
+
+
 class TestModeAgreement:
     def test_small_horizons_agree(self, env_a):
         rep = mode_agreement(env_a, 3, 20_000, master_seed=31)
@@ -312,11 +408,14 @@ class TestModeAgreement:
 
 @pytest.mark.parametrize("env, reps, kwargs", [
     (Constant(LAW_A), 200_000, {}),
+    (Constant(LAW_A), 1_000_000, {}),
     (Constant(LAW_B), 100_000, {"mode": "coupled", "snapshot_times": (5, 10)}),
-], ids=["law-a", "law-b-coupled-snapshots"])
+    (Constant(LAW_B), 400_000, {"mode": "coupled", "snapshot_times": (5, 10)}),
+], ids=["law-a", "law-a-1e6", "law-b-coupled-snapshots", "law-b-coupled-snapshots-4e5"])
 def test_monte_carlo_memory_peak(env, reps, kwargs):
-    # a run holds a size, a state and a W per replicate (17 bytes) and one
-    # size per snapshot time; one more 8-byte column breaks the bound
+    # blocks are reduced as they return: a run holds one size per replicate
+    # per snapshot time and nothing else per replicate, so past the snapshot
+    # columns the peak is a block's working arrays, the same at any reps
     monte_carlo(env, 20, 5_000, 1, **kwargs)  # first-call allocations out of the count
     tracemalloc.start()
     try:
@@ -325,4 +424,4 @@ def test_monte_carlo_memory_peak(env, reps, kwargs):
     finally:
         tracemalloc.stop()
     k = len(kwargs.get("snapshot_times", ()))
-    assert peak <= (20 + 9 * k) * reps
+    assert peak <= 8 * k * reps + 2**20
