@@ -370,6 +370,10 @@ class _Shifted(Environment):
     def law(self, n: int) -> OffspringLaw:
         return self._base.law(n + self._by)
 
+    def _fixed_from(self) -> int | None:
+        f = self._base._fixed_from()  # law(n) is the base's law(n + by)
+        return None if f is None else max(1, f - self._by)
+
     def shift(self, by: int) -> Environment:
         return self._base.shift(self._by + by)
 

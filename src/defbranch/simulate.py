@@ -12,11 +12,10 @@ Both use one vectorized pass per generation over fixed-size blocks of
 replicates, run one after another on the calling thread.  Each block is
 reduced as it returns, to state counts, the alive histogram and the
 exact integer sums of the alive sizes and of their squares; a run keeps
-per-replicate columns only for snapshot times and, with ``keep_paths``,
-the final sizes and states.  Each block owns a counter-based bit stream
-keyed by (master_seed, mode, block index), and reductions run in block
-order, so results depend on neither the order nor the place the blocks
-ran in.
+per-replicate columns only for snapshot times, its one per-path output.
+Each block owns a counter-based bit stream keyed by (master_seed, mode,
+block index), and reductions run in block order, so results depend on
+neither the order nor the place the blocks ran in.
 """
 from __future__ import annotations
 
@@ -234,6 +233,10 @@ class McSummary:
     all non-overflow paths with absorbed paths contributing zero.  When
     any law is defective E[W] sits below one: killing removes mass that
     the mean product does not account for.
+
+    The sizes at the horizon are ``snapshots[horizon]`` for a run asked
+    for that snapshot; each path's state follows from its size and cap:
+    DELTA killed, 0 extinct, above cap overflowed, alive otherwise.
     """
 
     horizon: int
@@ -260,11 +263,9 @@ class McSummary:
     w_se: float
     log_mu: float
     snapshots: Mapping[int, np.ndarray] = field(default_factory=dict)
-    final_sizes: np.ndarray | None = None
-    final_states: np.ndarray | None = None
 
     def to_dict(self) -> dict:
-        return _plain(self, skip=("snapshots", "final_sizes", "final_states"))
+        return _plain(self, skip=("snapshots",))
 
 
 def monte_carlo(
@@ -277,7 +278,6 @@ def monte_carlo(
     cap: int = DEFAULT_CAP,
     workers: int = 1,
     snapshot_times: Iterable[int] = (),
-    keep_paths: bool = False,
 ) -> McSummary:
     """Run replicated paths and aggregate.
 
@@ -291,13 +291,12 @@ def monte_carlo(
     1..horizon.
 
     Each block is reduced as it returns, so the only memory per
-    replicate is one int64 per snapshot time and, with ``keep_paths``,
-    the int64 size and int8 state columns of ``final_sizes`` and
-    ``final_states``.  The means, variances and standard errors are
-    formed from exact integer sums of the alive sizes and their squares,
-    each rounded once from its exact value (W's taking exp(-log_mu) as
-    the float it rounds to), so the summary does not depend on
-    ``keep_paths``.
+    replicate is one int64 per snapshot time: the one per-path output,
+    with the final sizes at ``snapshot_times=(horizon,)``.  The means,
+    variances and standard errors are formed from exact integer sums of
+    the alive sizes and their squares, each rounded once from its exact
+    value (W's taking exp(-log_mu) as the float it rounds to), so the
+    summary does not depend on the snapshot times.
     """
     _check_run(mode, horizon, cap)
     if reps < 1:
@@ -309,8 +308,6 @@ def monte_carlo(
     snaps_at = tuple(sorted(set(int(t) for t in times)))
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")
-    z = np.empty(reps, dtype=np.int64) if keep_paths else None
-    state = np.empty(reps, dtype=np.int8) if keep_paths else None
     snapshots = {t: np.empty(reps, dtype=np.int64) for t in snaps_at}
     counts = np.zeros(4, dtype=np.int64)  # paths per state
     hist = np.zeros(21, dtype=np.int64)
@@ -318,9 +315,6 @@ def monte_carlo(
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
         bz, bstate, bsnaps = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, snaps_at)
-        if keep_paths:
-            z[lo:hi] = bz
-            state[lo:hi] = bstate
         for t, col in snapshots.items():
             col[lo:hi] = bsnaps[t]
         counts += np.bincount(bstate, minlength=4)
@@ -364,8 +358,6 @@ def monte_carlo(
         w_se=w_se,
         log_mu=log_mu,
         snapshots=snapshots,
-        final_sizes=z,
-        final_states=state,
     )
 
 
@@ -477,16 +469,6 @@ class AgreementReport:
         return _plain(self)
 
 
-def _bin_terminals(z: np.ndarray, state: np.ndarray) -> np.ndarray:
-    idx = np.empty(z.shape, dtype=np.int64)
-    idx[state == _KILLED] = 0
-    small = (state != _KILLED) & (z >= 0) & (z < 10)
-    idx[small] = z[small] + 1
-    idx[(state != _KILLED) & (z >= 10)] = 11
-    idx[state == _OVERFLOW] = 11
-    return np.bincount(idx, minlength=12)[:12]
-
-
 def mode_agreement(
     env: Environment,
     horizon: int,
@@ -500,16 +482,11 @@ def mode_agreement(
     ``workers`` is a thread cap, met as ``monte_carlo`` meets it."""
     out = {}
     for mode in ("direct", "coupled"):
-        s = monte_carlo(
-            env,
-            horizon,
-            reps,
-            master_seed,
-            mode=mode,
-            cap=cap,
-            keep_paths=True,
+        s = monte_carlo(env, horizon, reps, master_seed, mode=mode, cap=cap)
+        h = s.alive_hist
+        out[mode] = np.array(
+            [s.n_killed, s.n_extinct, *h[1:10], int(h[10:].sum()) + s.n_overflow], dtype=np.int64
         )
-        out[mode] = _bin_terminals(s.final_sizes, s.final_states)
     c1, c2 = out["direct"], out["coupled"]
     occupied = (c1 + c2) > 0
     b = int(np.sum(occupied))

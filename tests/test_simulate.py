@@ -28,6 +28,8 @@ from defbranch import (
 from defbranch import simulate
 from defbranch.simulate import (
     _ACTIVE,
+    _EXTINCT,
+    _KILLED,
     _MODE_ID,
     _OVERFLOW,
     _STATE_KIND,
@@ -40,22 +42,54 @@ from defbranch.simulate import (
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
 
-def _states_from_sizes(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """killed / extinct / alive masks, assuming no overflow happened."""
-    return z == DELTA, z == 0, z >= 1
+def _states(z: np.ndarray, cap: int) -> np.ndarray:
+    """The state column of paths with sizes z under cap: DELTA killed, 0
+    extinct, above cap overflowed, alive otherwise."""
+    state = np.full(z.shape, _ACTIVE, dtype=np.int8)
+    state[z == 0] = _EXTINCT
+    state[z > cap] = _OVERFLOW
+    state[z == DELTA] = _KILLED
+    return state
+
+
+def _final(env, horizon, reps, seed, **kwargs):
+    """A run with its final sizes, the horizon snapshot (all 1 at horizon 0)."""
+    if horizon == 0:
+        return monte_carlo(env, 0, reps, seed, **kwargs), np.ones(reps, dtype=np.int64)
+    s = monte_carlo(env, horizon, reps, seed, snapshot_times=(horizon,), **kwargs)
+    return s, s.snapshots[horizon]
+
+
+def _bin_terminals(z: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """The {killed, 0, 1..9, 10+} counts of paths, overflow in 10+."""
+    idx = np.empty(z.shape, dtype=np.int64)
+    idx[state == _KILLED] = 0
+    small = (state != _KILLED) & (z >= 0) & (z < 10)
+    idx[small] = z[small] + 1
+    idx[(state != _KILLED) & (z >= 10)] = 11
+    idx[state == _OVERFLOW] = 11
+    return np.bincount(idx, minlength=12)[:12]
+
+
+CAPPED_ENVS = {
+    "law-a": Constant(LAW_A),
+    "law-b": Constant(LAW_B),
+    "finite-3": Constant(FiniteSupport([0.2, 0.3, 0.5])),
+}
 
 
 class TestDeterminism:
     def test_worker_count_is_invisible(self, env_b):
         runs = [
-            monte_carlo(env_b, 5, 10_000, master_seed=42, workers=w, keep_paths=True)
+            monte_carlo(env_b, 5, 10_000, master_seed=42, workers=w, snapshot_times=(3, 5))
             for w in (1, 2, 4)
         ]
         base = runs[0]
         for other in runs[1:]:
             assert other.to_dict() == base.to_dict()
-            assert np.array_equal(other.final_sizes, base.final_sizes)
-            assert np.array_equal(other.final_states, base.final_states)
+            assert other.snapshots.keys() == base.snapshots.keys()
+            for t, col in base.snapshots.items():
+                assert np.array_equal(other.snapshots[t], col)
 
     def test_blocks_run_on_the_calling_thread(self, env_a, monkeypatch):
         threads = []
@@ -74,11 +108,27 @@ class TestDeterminism:
         assert s.n_extinct + s.n_killed + s.n_alive + s.n_overflow == 4097
 
     def test_seed_and_mode_change_results(self, env_a):
-        a = monte_carlo(env_a, 4, 5000, master_seed=1, keep_paths=True)
-        b = monte_carlo(env_a, 4, 5000, master_seed=2, keep_paths=True)
-        c = monte_carlo(env_a, 4, 5000, master_seed=1, mode="coupled", keep_paths=True)
-        assert not np.array_equal(a.final_sizes, b.final_sizes)
-        assert not np.array_equal(a.final_sizes, c.final_sizes)
+        _, a = _final(env_a, 4, 5000, 1)
+        _, b = _final(env_a, 4, 5000, 2)
+        _, c = _final(env_a, 4, 5000, 1, mode="coupled")
+        assert not np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("cap", [1, 5, 1000])
+    @pytest.mark.parametrize("mode", ["direct", "coupled"])
+    @pytest.mark.parametrize("env", CAPPED_ENVS.values(), ids=CAPPED_ENVS.keys())
+    def test_states_follow_from_sizes_and_cap(self, env, mode, cap):
+        # the rule _states applies is the block's own state column, and the
+        # horizon snapshot is the blocks' sizes in block order
+        reps, sizes, overflowed = 2 * BLOCK + 7, [], 0
+        for b, lo in enumerate(range(0, reps, BLOCK)):
+            z, state, _ = _run_block(env, 6, mode, 3, b, min(BLOCK, reps - lo), cap, ())
+            assert np.array_equal(_states(z, cap), state)
+            sizes.append(z)
+            overflowed += int((state == _OVERFLOW).sum())
+        assert np.array_equal(_final(env, 6, reps, 3, mode=mode, cap=cap)[1], np.concatenate(sizes))
+        if cap < 1000:
+            assert overflowed > 0
 
     def test_run_path_reproducible(self, env_b):
         p1 = run_path(env_b, 12, seed=7)
@@ -127,9 +177,9 @@ class TestDeterminism:
 
     def test_integral_float_snapshot_time(self, env_a):
         # 3.0 is an integer, as it is to the CLI
-        s = monte_carlo(env_a, 3, 10, 1, snapshot_times=(3.0,), keep_paths=True)
+        s = monte_carlo(env_a, 3, 10, 1, snapshot_times=(3.0,))
         assert list(s.snapshots) == [3]
-        assert np.array_equal(s.snapshots[3], s.final_sizes)
+        assert np.array_equal(s.snapshots[3], _final(env_a, 3, 10, 1)[1])
 
     @pytest.mark.parametrize("cap", [0, -1])
     def test_cap_below_one(self, env_a, cap):
@@ -157,9 +207,9 @@ class TestMarginals:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     def test_one_step_law_a(self, env_a, mode):
         scipy_stats = pytest.importorskip("scipy.stats")
-        s = monte_carlo(env_a, 1, 100_000, master_seed=9, mode=mode, keep_paths=True)
-        killed, extinct, alive = _states_from_sizes(s.final_sizes)
-        counts = [killed.sum(), extinct.sum(), (s.final_sizes == 2).sum()]
+        s, z = _final(env_a, 1, 100_000, 9, mode=mode)
+        state = _states(z, s.cap)
+        counts = [(state == _KILLED).sum(), (state == _EXTINCT).sum(), (z == 2).sum()]
         expect = np.array([0.1, 0.45, 0.45]) * s.reps
         assert sum(counts) == s.reps
         res = scipy_stats.chisquare(counts, expect)
@@ -168,8 +218,7 @@ class TestMarginals:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     def test_one_step_law_b(self, env_b, law_b, mode):
         scipy_stats = pytest.importorskip("scipy.stats")
-        s = monte_carlo(env_b, 1, 100_000, master_seed=10, mode=mode, keep_paths=True)
-        z = s.final_sizes
+        s, z = _final(env_b, 1, 100_000, 10, mode=mode)
         probs = [0.1] + [law_b.weight(k) for k in range(12)]
         probs.append(1.0 - sum(probs))
         counts = [(z == DELTA).sum()]
@@ -181,9 +230,8 @@ class TestMarginals:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     def test_three_step_law_a(self, env_a, mode):
         scipy_stats = pytest.importorskip("scipy.stats")
-        s = monte_carlo(env_a, 3, 100_000, master_seed=11, mode=mode, keep_paths=True)
+        s, z = _final(env_a, 3, 100_000, 11, mode=mode)
         dv = compose_coeffs(env_a, 3, degree=8)
-        z = s.final_sizes
         probs = [dv.delta_mass] + [dv.probs[k] for k in range(9)]
         counts = [(z == DELTA).sum()] + [(z == k).sum() for k in range(9)]
         keep = [i for i, p in enumerate(probs) if p > 0]
@@ -204,8 +252,7 @@ class TestMarginals:
         assert abs(s.p_killed - exact.p_killed) <= 4 * s.p_killed_se
 
     def test_alive_hist_matches_paths(self, env_a):
-        s = monte_carlo(env_a, 2, 20_000, master_seed=13, keep_paths=True)
-        z = s.final_sizes
+        s, z = _final(env_a, 2, 20_000, 13)
         assert s.alive_hist[2] == int((z == 2).sum())
         assert s.alive_hist[4] == int((z == 4).sum())
         assert s.alive_hist_tail == 0
@@ -226,10 +273,10 @@ class TestNormalizedSizes:
 
     def test_binary_doubler_w_degenerates(self, env_2b):
         # arity-2, no extinction: every surviving path holds exactly 2^n
-        s = monte_carlo(env_2b, 22, 20_000, master_seed=22, keep_paths=True)
+        s, z = _final(env_2b, 22, 20_000, 22)
         assert s.n_overflow == 0
         assert s.n_extinct == 0
-        alive = s.final_sizes[s.final_sizes >= 1]
+        alive = z[z >= 1]
         assert alive.size == s.n_alive > 0
         assert np.unique(alive).tolist() == [2**22]
         exact = absorption_profile(env_2b, 22)
@@ -272,10 +319,10 @@ class TestNormalizedSizes:
         # gives, with numpy's overflow warning (math.exp would raise)
         monkeypatch.setattr(simulate, "mu_profile", lambda env, n: SimpleNamespace(log_mu=-800.0))
         with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-            s = monte_carlo(env, 1, reps, 5, keep_paths=True)
+            s, z = _final(env, 1, reps, 5)
         assert s.n_alive > 0
         with np.errstate(all="ignore"):
-            w = np.maximum(s.final_sizes, 0.0)
+            w = np.maximum(z, 0.0)
             w[w > 0] *= np.exp(800.0)
             var = float(w.var(ddof=1)) if w.size > 1 else 0.0
             expected = (float(w.mean()), var, float(np.sqrt(var / w.size)))
@@ -289,12 +336,11 @@ class TestNormalizedSizes:
             8_192,
             master_seed=24,
             cap=10**12,
-            snapshot_times=(20,),
-            keep_paths=True,
+            snapshot_times=(20, 40),
         )
         assert s.n_overflow == 0
         w20 = np.maximum(s.snapshots[20], 0) / math.exp(mu_profile(env, 20).log_mu)
-        w40 = np.maximum(s.final_sizes, 0) / math.exp(s.log_mu)
+        w40 = np.maximum(s.snapshots[40], 0) / math.exp(s.log_mu)
         corr = np.corrcoef(w20, w40)[0, 1]
         assert corr > 0.9
         assert abs(s.w_mean - 1.0) <= 5 * s.w_se
@@ -302,13 +348,16 @@ class TestNormalizedSizes:
         assert s.p_survival > 0.5
 
     def test_snapshots_freeze_absorbed_paths(self, env_a):
-        s = monte_carlo(env_a, 6, 5_000, master_seed=25, snapshot_times=(3, 6), keep_paths=True)
+        s = monte_carlo(env_a, 6, 5_000, master_seed=25, snapshot_times=(3, 6))
         snap6 = s.snapshots[6]
-        assert np.array_equal(snap6, s.final_sizes)
-        killed_now = s.final_sizes == DELTA
+        # the horizon snapshot holds the final sizes the counts were taken of
+        state = _states(snap6, s.cap)
+        assert [(state == k).sum() for k in (_ACTIVE, _EXTINCT, _KILLED, _OVERFLOW)] == [
+            s.n_alive, s.n_extinct, s.n_killed, s.n_overflow]
+        killed_now = snap6 == DELTA
         snap3 = s.snapshots[3]
         # anyone killed by 3 is still killed at 6
-        assert np.all(s.final_sizes[snap3 == DELTA] == DELTA)
+        assert np.all(snap6[snap3 == DELTA] == DELTA)
         assert killed_now.sum() >= (snap3 == DELTA).sum()
 
 
@@ -344,8 +393,8 @@ class TestExactMoments:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_moments_are_exact_ones_rounded(self, env, horizon, reps, cap, mode, seed):
-        s = monte_carlo(env, horizon, reps, seed, mode=mode, cap=cap, keep_paths=True)
-        z, state = s.final_sizes, s.final_states
+        s, z = _final(env, horizon, reps, seed, mode=mode, cap=cap)
+        state = _states(z, cap)
         if cap == 10**12:
             assert z.max() > 2**32
         alive = z[state == _ACTIVE]
@@ -400,6 +449,28 @@ class TestModeAgreement:
         assert rep.tv == 0.0
         assert rep.dof == 0
 
+    @pytest.mark.parametrize("horizon", [0, 4])
+    @pytest.mark.parametrize("cap", [1, 5, 10**7])
+    @pytest.mark.parametrize("env", CAPPED_ENVS.values(), ids=CAPPED_ENVS.keys())
+    def test_bins_match_the_paths(self, env, cap, horizon):
+        # the bins read from the reduced counts are those of the final sizes
+        for seed in (1, 2, 3):
+            rep = mode_agreement(env, horizon, 3000, seed, cap=cap)
+            for mode, counts in (("direct", rep.counts_direct), ("coupled", rep.counts_coupled)):
+                _, z = _final(env, horizon, 3000, seed, mode=mode, cap=cap)
+                expected = _bin_terminals(z, _states(z, cap))
+                assert counts.dtype == expected.dtype
+                assert np.array_equal(counts, expected)
+
+    def test_small_overflow_lands_in_10_plus(self):
+        # one run of test_bins_match_the_paths: paths pass cap = 5 below 10
+        env, cap = CAPPED_ENVS["finite-3"], 5
+        _, z = _final(env, 4, 3000, 1, cap=cap)
+        small = (_states(z, cap) == _OVERFLOW) & (z < 10)
+        assert small.any()
+        counts = mode_agreement(env, 4, 3000, 1, cap=cap).counts_direct
+        assert counts[11] == int((z >= 10).sum() + small.sum())
+
     def test_workers_do_not_change_report(self, env_a):
         r1 = mode_agreement(env_a, 2, 10_000, master_seed=34, workers=1)
         r4 = mode_agreement(env_a, 2, 10_000, master_seed=34, workers=4)
@@ -425,3 +496,18 @@ def test_monte_carlo_memory_peak(env, reps, kwargs):
         tracemalloc.stop()
     k = len(kwargs.get("snapshot_times", ()))
     assert peak <= 8 * k * reps + 2**20
+
+
+@pytest.mark.parametrize("reps", [200_000, 1_000_000], ids=["2e5", "1e6"])
+def test_mode_agreement_memory_peak(reps):
+    # both samplers' bins are read from the reduced block counts, so the
+    # peak is a block's working arrays, the same at any reps
+    env = Constant(LAW_B)
+    mode_agreement(env, 4, 5_000, 1)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        mode_agreement(env, 4, reps, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20

@@ -35,6 +35,7 @@ from defbranch import (
     compose_eval,
     composed_points,
     conditioned_mean_bound,
+    criteria_verdicts,
     envelope_ratios,
     growth_rate,
     late_extinction_bounds,
@@ -331,6 +332,38 @@ def test_tail_law_looked_up_once(name):
     READERS[name](env, 2000)
     # the ten head generations once each, the tail's law once in all
     assert env.calls == Counter(range(1, 12))
+
+
+# a shifted environment repeats its base's tail, from T, from max(1, T - by) on
+SHIFTED_ENVS = {
+    "law-a-by-3": (Constant(LAW_A).shift(3), 1),
+    "prefix-10-by-4": (PREFIX.shift(4), 7),  # below the prefix's length
+    "prefix-10-by-10": (PREFIX.shift(10), 1),  # at it
+    "prefix-10-by-13": (PREFIX.shift(13), 1),  # past it
+    "prefix-10-by-4-by-3": (PREFIX.shift(4).shift(3), 4),
+}
+SHIFTED_READERS = {
+    "moments": moments,
+    "scan": absorption_scan,
+    "criteria": lambda env, n: [dataclasses.astuple(v) for v in criteria_verdicts(env, (2, n))],
+}
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 11, 2000])
+@pytest.mark.parametrize("env, first", SHIFTED_ENVS.values(), ids=SHIFTED_ENVS.keys())
+def test_shifted_split_matches_the_loop(env, first, n):
+    with np.errstate(all="ignore"):
+        for name, reader in SHIFTED_READERS.items():
+            got, want = _fields(reader, env, n), _fields(reader, Unsplit(env), n)
+            assert got == want, name
+
+
+@pytest.mark.parametrize("env, first", SHIFTED_ENVS.values(), ids=SHIFTED_ENVS.keys())
+def test_shifted_tail_law_looked_up_once(env, first):
+    env = CountingSplit(env)
+    assert env._fixed_from() == first
+    moments(env, 2000)
+    assert env.calls == Counter(range(1, first + 1))
 
 
 def test_compose_eval_looks_the_tail_law_up_once():
