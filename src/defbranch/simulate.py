@@ -8,14 +8,19 @@ Two samplers of the same process:
   Bernoulli with the exact path-kill probability given the current
   size), then advances the size by the normalized law.
 
-Both use one vectorized pass per generation over fixed-size blocks of
-replicates, run one after another on the calling thread.  Each block is
-reduced as it returns, to state counts, the alive histogram and the
+Both use one vectorized pass per generation over blocks of ``BLOCK`` =
+16384 replicates, run one after another on the calling thread.  A
+block's working arrays (its int64 sizes and int8 states, the index of
+its active paths and one generation's draws, formed in place) take
+under 48 bytes per path, so a block works in under 1 MiB.  Each block
+is reduced as it returns, to state counts, the alive histogram and the
 exact integer sums of the alive sizes and of their squares; a run keeps
-per-replicate columns only for snapshot times, its one per-path output.
-Each block owns a counter-based bit stream keyed by (master_seed, mode,
-block index), and reductions run in block order, so results depend on
-neither the order nor the place the blocks ran in.
+per-replicate columns only for snapshot times, its one per-path output,
+which each block writes into its slice.  Each block owns a
+counter-based bit stream keyed by (master_seed, mode, block index), and
+reductions run in block order, so results depend on neither the order
+nor the place the blocks ran in; the width decides which paths share a
+stream, so a run of more than one block changes with it.
 """
 from __future__ import annotations
 
@@ -48,7 +53,7 @@ __all__ = [
     "mode_agreement",
 ]
 
-BLOCK = 4096
+BLOCK = 16384
 DEFAULT_CAP = 10**7
 
 EXTINCT = "extinct"
@@ -87,46 +92,49 @@ class PathSample:
 
 def _offspring_counts(
     rng: np.random.Generator, z: np.ndarray, law: OffspringLaw
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Advance populations one generation under the raw law.
 
-    z must be positive.  Returns (sums, killed): total offspring per
-    path and whether any individual on the path drew the graveyard.
-    The multinomial split is realised as sequential conditional
-    binomials in fixed support order, which keeps the draw count small
-    and the stream layout deterministic.
+    z must be positive, and is used up: the counts are formed in its
+    buffer and those of the draws.  Returns (sums, killed): total
+    offspring per path and whether any individual on the path drew the
+    graveyard, None for a law with no defect.  The multinomial split is
+    realised as sequential conditional binomials in fixed support order,
+    which keeps the draw count small and the stream layout deterministic.
     """
-    killed = np.zeros(z.shape, dtype=bool)
+    killed = None
     rem = z
     if law.defect > 0.0:
         c_kill = rng.binomial(z, law.defect)
         killed = c_kill > 0
-        rem = z - c_kill
+        rem = np.subtract(z, c_kill, out=c_kill)
+        del z  # the caller keeps no reference, so the sizes' buffer goes
     if isinstance(law, FiniteSupport):
         w = law.weights
         support = np.flatnonzero(w)
-        total = np.zeros(z.shape, dtype=np.int64)
+        total = None  # the sum of k c over the counts c drawn so far
         rem_mass = law.mass
-        for j, k in enumerate(support):
-            if j == len(support) - 1:
-                c = rem
-            else:
-                c = rng.binomial(rem, min(1.0, w[k] / rem_mass))
-                rem = rem - c
-                rem_mass -= w[k]
+        for k in support[:-1]:
+            c = rng.binomial(rem, min(1.0, w[k] / rem_mass))
+            rem -= c
+            rem_mass -= w[k]
             if k:
-                total += k * c
-        return total, killed
+                c *= k
+                total = c if total is None else np.add(total, c, out=total)
+            del c  # before the next draw
+        rem *= support[-1]
+        if total is not None:
+            rem += total
+        return rem, killed
     if isinstance(law, LinearFractional):
-        p_zero = min(1.0, (law.q + law.r) / law.mass)
-        c_zero = rng.binomial(rem, p_zero)
-        m = rem - c_zero
-        total = m.astype(np.int64).copy()
-        pos = m > 0
+        rem -= rng.binomial(rem, min(1.0, (law.q + law.r) / law.mass))
+        pos = rem > 0
         if np.any(pos):
             # each positive individual contributes 1 + geometric(p) extra
-            total[pos] += rng.negative_binomial(m[pos], 1.0 - law.p)
-        return total, killed
+            m = rem[pos]
+            m += rng.negative_binomial(m, 1.0 - law.p)
+            rem[pos] = m
+        return rem, killed
     raise TypeError(f"no sampler for law type {type(law).__name__}")
 
 
@@ -141,24 +149,27 @@ def _advance(
 ) -> None:
     """Draw generation n for the active paths, updating sizes z and
     states in place: a killed path's size becomes DELTA, an overflowed
-    path keeps its size."""
+    path keeps its size, and a path both killed and over cap ends
+    killed."""
     act = np.flatnonzero(state == _ACTIVE)
     if act.size:
         law = env.law(n)
-        za = z[act]
         if mode == "coupled":
-            kill_p = 1.0 - np.power(law.mass, za.astype(np.float64))
+            kill_p = z[act].astype(np.float64)
+            np.power(law.mass, kill_p, out=kill_p)
+            np.subtract(1.0, kill_p, out=kill_p)
             killed = rng.random(act.size) < kill_p
-            sums, _ = _offspring_counts(rng, za, law.normalize())
+            del kill_p  # before the offspring draws
+            sums, _ = _offspring_counts(rng, z[act], law.normalize())
         else:
-            sums, killed = _offspring_counts(rng, za, law)
+            sums, killed = _offspring_counts(rng, z[act], law)
         z[act] = sums
         state[act[sums == 0]] = _EXTINCT
-        over = act[sums > cap]
-        state[over] = _OVERFLOW
-        kidx = act[killed]
-        state[kidx] = _KILLED
-        z[kidx] = DELTA
+        state[act[sums > cap]] = _OVERFLOW
+        if killed is not None:
+            kidx = act[killed]
+            state[kidx] = _KILLED
+            z[kidx] = DELTA
 
 
 def _run_block(
@@ -169,17 +180,33 @@ def _run_block(
     block_index: int,
     size: int,
     cap: int,
-    snapshot_times: tuple[int, ...],
-) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    snapshots: Mapping[int, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of ``size`` paths on its own stream: the sizes and
+    states at the horizon.  At each time t in ``snapshots`` the sizes
+    are written into ``snapshots[t]``, the block's slice of the run's
+    column."""
     rng = _rng(master_seed, _MODE_ID[mode], block_index)
     z = np.ones(size, dtype=np.int64)
     state = np.zeros(size, dtype=np.int8)
-    snaps: dict[int, np.ndarray] = {}
     for n in range(1, horizon + 1):
         _advance(rng, env, n, mode, z, state, cap)
-        if n in snapshot_times:
-            snaps[n] = z.copy()
-    return z, state, snaps
+        if n in snapshots:
+            snapshots[n][:] = z
+    return z, state
+
+
+def _reduce_block(
+    z: np.ndarray, state: np.ndarray, counts: np.ndarray, hist: np.ndarray
+) -> tuple[int, int]:
+    """Add a block's paths to the state counts and the alive histogram,
+    in place, and return the exact sums of its alive sizes and of their
+    squares."""
+    counts += np.bincount(state, minlength=4)
+    alive = z[state == _ACTIVE]
+    sums = _sums(alive)
+    hist += np.bincount(np.minimum(alive, 20, out=alive), minlength=21)
+    return sums
 
 
 def _check_run(mode: str, horizon: int, cap: int) -> None:
@@ -281,22 +308,25 @@ def monte_carlo(
 ) -> McSummary:
     """Run replicated paths and aggregate.
 
-    Replicates are processed in fixed blocks of ``BLOCK``; each block's
-    randomness depends only on (master_seed, mode, block index) and the
-    reduction runs in block order.  ``workers`` caps the threads the
-    blocks run on, and one thread, the caller's, meets any cap: numpy's
-    binomial draws hold the GIL, so more threads only add switching.  A
+    Replicates are processed in blocks of ``BLOCK`` (16384) paths, the
+    last one partial; each block's randomness depends only on
+    (master_seed, mode, block index) and the reduction runs in block
+    order.  ``workers`` caps the threads the blocks run on, and one
+    thread, the caller's, meets any cap: numpy's binomial draws hold
+    the GIL, so more threads only add switching.  A
     path whose population passes ``cap`` (at least 1) stops and counts
     as overflowed.  Snapshot times are integers (3.0 is one) in
     1..horizon.
 
     Each block is reduced as it returns, so the only memory per
     replicate is one int64 per snapshot time: the one per-path output,
-    with the final sizes at ``snapshot_times=(horizon,)``.  The means,
-    variances and standard errors are formed from exact integer sums of
-    the alive sizes and their squares, each rounded once from its exact
-    value (W's taking exp(-log_mu) as the float it rounds to), so the
-    summary does not depend on the snapshot times.
+    with the final sizes at ``snapshot_times=(horizon,)``.  Beyond it a
+    run holds one block's working arrays, under 48 bytes a path and so
+    under 1 MiB, at any ``reps``.  The means, variances and standard
+    errors are formed from exact integer sums of the alive sizes and
+    their squares, each rounded once from its exact value (W's taking
+    exp(-log_mu) as the float it rounds to), so the summary does not
+    depend on the snapshot times.
     """
     _check_run(mode, horizon, cap)
     if reps < 1:
@@ -314,13 +344,11 @@ def monte_carlo(
     s1 = s2 = 0  # sums of the alive sizes and of their squares
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
-        bz, bstate, bsnaps = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, snaps_at)
-        for t, col in snapshots.items():
-            col[lo:hi] = bsnaps[t]
-        counts += np.bincount(bstate, minlength=4)
-        alive = bz[bstate == _ACTIVE]
-        hist += np.bincount(np.minimum(alive, 20), minlength=21)
-        b1, b2 = _sums(alive)
+        cols = {t: col[lo:hi] for t, col in snapshots.items()}
+        # the block's arrays go with the call's argument tuple, before the next block
+        b1, b2 = _reduce_block(
+            *_run_block(env, horizon, mode, master_seed, b, hi - lo, cap, cols), counts, hist
+        )
         s1 += b1
         s2 += b2
 

@@ -16,6 +16,7 @@ from defbranch import (
     DELTA,
     Constant,
     FiniteSupport,
+    LinearFractional,
     PreconditionError,
     absorption_profile,
     compose_coeffs,
@@ -26,6 +27,7 @@ from defbranch import (
     run_path,
 )
 from defbranch import simulate
+from defbranch.laws import _rng
 from defbranch.simulate import (
     _ACTIVE,
     _EXTINCT,
@@ -122,7 +124,7 @@ class TestDeterminism:
         # horizon snapshot is the blocks' sizes in block order
         reps, sizes, overflowed = 2 * BLOCK + 7, [], 0
         for b, lo in enumerate(range(0, reps, BLOCK)):
-            z, state, _ = _run_block(env, 6, mode, 3, b, min(BLOCK, reps - lo), cap, ())
+            z, state = _run_block(env, 6, mode, 3, b, min(BLOCK, reps - lo), cap, {})
             assert np.array_equal(_states(z, cap), state)
             sizes.append(z)
             overflowed += int((state == _OVERFLOW).sum())
@@ -154,7 +156,7 @@ class TestDeterminism:
         for env in (env_a, env_b):
             for mode in ("direct", "coupled"):
                 for seed in range(20):
-                    z, state, _ = _run_block(env, 12, mode, seed, 0, 1, DEFAULT_CAP, ())
+                    z, state = _run_block(env, 12, mode, seed, 0, 1, DEFAULT_CAP, {})
                     seq = np.random.SeedSequence([seed, _MODE_ID[mode], 0])
                     p = run_path(env, 12, np.random.Generator(np.random.Philox(seq)), mode=mode)
                     assert p.sizes[-1] == z[0]
@@ -507,6 +509,145 @@ def test_mode_agreement_memory_peak(reps):
     tracemalloc.start()
     try:
         mode_agreement(env, 4, reps, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
+# ---------------------------------------------------------------------------
+# the block kernel against the one it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_offspring_counts(rng, z, law):
+    """The earlier kernel's offspring draw, kept verbatim: the same draws
+    in the same order, each step in fresh arrays."""
+    killed = np.zeros(z.shape, dtype=bool)
+    rem = z
+    if law.defect > 0.0:
+        c_kill = rng.binomial(z, law.defect)
+        killed = c_kill > 0
+        rem = z - c_kill
+    if isinstance(law, FiniteSupport):
+        w = law.weights
+        support = np.flatnonzero(w)
+        total = np.zeros(z.shape, dtype=np.int64)
+        rem_mass = law.mass
+        for j, k in enumerate(support):
+            if j == len(support) - 1:
+                c = rem
+            else:
+                c = rng.binomial(rem, min(1.0, w[k] / rem_mass))
+                rem = rem - c
+                rem_mass -= w[k]
+            if k:
+                total += k * c
+        return total, killed
+    if isinstance(law, LinearFractional):
+        p_zero = min(1.0, (law.q + law.r) / law.mass)
+        c_zero = rng.binomial(rem, p_zero)
+        m = rem - c_zero
+        total = m.astype(np.int64).copy()
+        pos = m > 0
+        if np.any(pos):
+            total[pos] += rng.negative_binomial(m[pos], 1.0 - law.p)
+        return total, killed
+    raise TypeError(type(law).__name__)
+
+
+def _oracle_advance(rng, env, n, mode, z, state, cap):
+    """The earlier kernel's generation step, kept verbatim."""
+    act = np.flatnonzero(state == _ACTIVE)
+    if act.size:
+        law = env.law(n)
+        za = z[act]
+        if mode == "coupled":
+            kill_p = 1.0 - np.power(law.mass, za.astype(np.float64))
+            killed = rng.random(act.size) < kill_p
+            sums, _ = _oracle_offspring_counts(rng, za, law.normalize())
+        else:
+            sums, killed = _oracle_offspring_counts(rng, za, law)
+        z[act] = sums
+        state[act[sums == 0]] = _EXTINCT
+        over = act[sums > cap]
+        state[over] = _OVERFLOW
+        kidx = act[killed]
+        state[kidx] = _KILLED
+        z[kidx] = DELTA
+
+
+def _oracle_block(env, horizon, mode, master_seed, block_index, size, cap, times):
+    rng = _rng(master_seed, _MODE_ID[mode], block_index)
+    z = np.ones(size, dtype=np.int64)
+    state = np.zeros(size, dtype=np.int8)
+    snaps = {}
+    for n in range(1, horizon + 1):
+        _oracle_advance(rng, env, n, mode, z, state, cap)
+        if n in times:
+            snaps[n] = z.copy()
+    return z, state, snaps
+
+
+KERNEL_LAWS = {
+    "law-a": LAW_A,
+    "law-b": LAW_B,
+    "finite-4": FiniteSupport([0.2, 0.3, 0.25, 0.15]),
+    "proper-finite": FiniteSupport([0.3, 0.3, 0.4]),
+    "proper-lf": LinearFractional(0.5, 0.25, 0.5),
+}
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("size", [1, 7, BLOCK])
+    @pytest.mark.parametrize("cap", [1, 5, 10**7])
+    @pytest.mark.parametrize("mode", ["direct", "coupled"])
+    @pytest.mark.parametrize("law", KERNEL_LAWS.values(), ids=KERNEL_LAWS.keys())
+    def test_same_bits_as_the_earlier_kernel(self, law, mode, cap, size):
+        # the same stream gives the same block: the width is the only change
+        env, horizon, times = Constant(law), 8, (2, 8)
+        cols = {t: np.empty(size, dtype=np.int64) for t in times}
+        z, state = _run_block(env, horizon, mode, 3, 2, size, cap, cols)
+        oz, ostate, osnaps = _oracle_block(env, horizon, mode, 3, 2, size, cap, times)
+        assert z.dtype == oz.dtype and state.dtype == ostate.dtype
+        assert np.array_equal(z, oz)
+        assert np.array_equal(state, ostate)
+        for t in times:
+            assert np.array_equal(cols[t], osnaps[t])
+
+    @pytest.mark.parametrize("mode", ["direct", "coupled"])
+    def test_killed_and_overflowed_in_one_step_ends_killed(self, mode):
+        env, cap = Constant(LAW_A), 5
+        z, state = np.full(BLOCK, 5, dtype=np.int64), np.zeros(BLOCK, dtype=np.int8)
+        oz, ostate = z.copy(), state.copy()
+        _oracle_advance(_rng(1, 2, 0), env, 1, mode, oz, ostate, cap)
+        # the oracle's draws on the same stream show which paths did both
+        rng = _rng(1, 2, 0)
+        if mode == "coupled":
+            killed = rng.random(BLOCK) < 1.0 - np.power(LAW_A.mass, z.astype(np.float64))
+            sums, _ = _oracle_offspring_counts(rng, z.copy(), LAW_A.normalize())
+        else:
+            sums, killed = _oracle_offspring_counts(rng, z.copy(), LAW_A)
+        both = killed & (sums > cap)
+        assert both.any()
+        simulate._advance(_rng(1, 2, 0), env, 1, mode, z, state, cap)
+        assert np.all(state[both] == _KILLED) and np.all(z[both] == DELTA)
+        assert np.array_equal(z, oz) and np.array_equal(state, ostate)
+
+    def test_offspring_counts_has_no_killed_column_without_defect(self):
+        z = np.full(7, 3, dtype=np.int64)
+        for law in (KERNEL_LAWS["proper-finite"], KERNEL_LAWS["proper-lf"]):
+            assert _offspring_counts(_rng(1), z.copy(), law)[1] is None
+
+
+@pytest.mark.parametrize("mode", ["direct", "coupled"])
+@pytest.mark.parametrize("law", KERNEL_LAWS.values(), ids=KERNEL_LAWS.keys())
+def test_block_working_memory_peak(law, mode):
+    # a block's working arrays fit in 1 MiB for every law and mode
+    env = Constant(law)
+    monte_carlo(env, 20, 5_000, 1, mode=mode)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        monte_carlo(env, 20, 2 * BLOCK, 7, mode=mode)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
