@@ -196,19 +196,6 @@ def _run_block(
     return z, state
 
 
-def _reduce_block(
-    z: np.ndarray, state: np.ndarray, counts: np.ndarray, hist: np.ndarray
-) -> tuple[int, int]:
-    """Add a block's paths to the state counts and the alive histogram,
-    in place, and return the exact sums of its alive sizes and of their
-    squares."""
-    counts += np.bincount(state, minlength=4)
-    alive = z[state == _ACTIVE]
-    sums = _sums(alive)
-    hist += np.bincount(np.minimum(alive, 20, out=alive), minlength=21)
-    return sums
-
-
 def _check_run(mode: str, horizon: int, cap: int) -> None:
     """The preconditions of a simulated run, one path or many."""
     if mode not in _MODE_ID:
@@ -345,12 +332,14 @@ def monte_carlo(
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
         cols = {t: col[lo:hi] for t, col in snapshots.items()}
-        # the block's arrays go with the call's argument tuple, before the next block
-        b1, b2 = _reduce_block(
-            *_run_block(env, horizon, mode, master_seed, b, hi - lo, cap, cols), counts, hist
-        )
+        bz, bstate = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, cols)
+        counts += np.bincount(bstate, minlength=4)
+        alive = bz[bstate == _ACTIVE]
+        b1, b2 = _sums(alive)
+        hist += np.bincount(np.minimum(alive, 20, out=alive), minlength=21)
         s1 += b1
         s2 += b2
+        del bz, bstate, alive  # before the next block
 
     n_alive, n_ext, n_kill, n_over = (int(c) for c in counts)
     n_eff = reps - n_over
