@@ -18,7 +18,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
-RUN_LISTS = ("runs", "traced_runs", "earlier_runs", "repeat_runs")  # every list of result lines a record keeps
+# every list of result lines a record keeps
+RUN_LISTS = ("runs", "traced_runs", "earlier_runs", "repeat_runs", "block8192_runs")
 SIDES = ("parent", "change")
 
 
