@@ -28,6 +28,7 @@ from .environments import (
     Environment,
     _check_horizon,
     _exp,
+    _is_int,
     _log,
     _logsumexp,
     _mu_at,
@@ -133,8 +134,9 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     It splits as ``_sweep`` does: from the generation T on which the
     environment repeats one law (``Environment._fixed_from``), f_{i,m} =
     f^(m-i) for T <= i <= m, so that tail is the orbits of 1 and 0 under
-    f, the points ``_sweep`` forms on the window T-1..n, then one array
-    call each of ``divided_difference`` and ``np.log``, and a ``cumsum``;
+    f, the points and lo points of one ``_sweep`` on the window T-1..n,
+    then one array call each of ``divided_difference`` and ``np.log``,
+    and a ``cumsum``;
     the head generations T-1..1 run the pass.  O(n) for ``Constant``,
     O(n len(laws)) for ``Prefix``.  The terms are added in the order the
     full pass adds them: the same results to the bit.
@@ -146,8 +148,9 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     top = min(env._fixed_from() or n + 1, n + 1)
     with np.errstate(divide="ignore"):
         if top <= n:
-            hi[top - 1:] = _sweep(env, top - 1, n, 1.0).points[::-1]
-            lo[top - 1:] = _sweep(env, top - 1, n, 0.0).points[::-1]
+            sw = _sweep(env, top - 1, n, 1.0, 0.0)
+            hi[top - 1:] = sw.points[::-1]
+            lo[top - 1:] = sw.lo_points[::-1]
             law = env.law(top)
             logd[top:] = np.cumsum(np.log(law.divided_difference(hi[top - 1:-1], lo[top - 1:-1])))
         for i in range(top - 1, 0, -1):
@@ -252,7 +255,8 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
         env: environment.
         n: horizon, n >= 1.
         c: tail-regularity constant; defaults to the largest
-           per-generation c12 over generations 1..n.
+           per-generation c12 over generations 1..n.  Must be > 0 when
+           any generation has variance terms (f'' > 0).
     """
     if n < 1:
         raise PreconditionError("need n >= 1")
@@ -265,8 +269,8 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
     if math.isinf(log_s) and log_s < 0:  # no variance terms at all
         log_inv_lo = -log_mean
     else:
-        if c_used <= 0.0:
-            raise PreconditionError("variance terms present but c = 0")
+        if not c_used > 0.0:
+            raise PreconditionError(f"variance terms present but c = {c_used!r} is not > 0")
         log_inv_lo = _logsumexp(np.array([-log_mean, log_s - math.log(2.0 * c_used)]))
     slack = 1e-9
     holds = (
@@ -344,9 +348,13 @@ def criteria_verdicts(
     otherwise from the decay slope of the terms across the top two
     decades: slope < -1.15 reads as convergent, slope > -0.85 with still
     growing partial sums as divergent, anything else is inconclusive.
-    Needs at least two distinct horizons, all >= 2; a repeated horizon
-    counts once, so ``horizons`` and ``partials`` pair up entry by entry.
+    Needs at least two distinct horizons, all integers (3.0 counts as 3)
+    and >= 2; a repeated horizon counts once, so ``horizons`` and
+    ``partials`` pair up entry by entry.
     """
+    for h in horizons:
+        if not _is_int(h):
+            raise PreconditionError(f"horizons must be integers, got {h!r}")
     hs = tuple(sorted({int(h) for h in horizons}))
     if not hs or hs[0] < 2:
         raise PreconditionError("horizons must be >= 2")

@@ -8,9 +8,11 @@ f(s) = sum_k f[k] s^k then satisfies f(1) <= 1, and the missing mass
 
 Two families are supported: laws with finite support, and geometric-tail
 laws f(s) = q + r / (1 - p s).  Both expose evaluation of f and its first
-two derivatives, exact first/second moments, the smallest fixed point of
-f on (0, 1), tail-regularity constants, and sampling.  Graveyard draws
-are encoded by the integer sentinel ``DELTA``.
+two derivatives, exact first/second moments, tail-regularity constants,
+and sampling.  Graveyard draws are encoded by the integer sentinel
+``DELTA``.  The smallest fixed point of f on (0, 1) has one finder for
+every law, ``OffspringLaw.fixed_point``: bisection on f(s) - s, which
+is convex, read through ``pgf`` alone.
 
 ``pgf`` and ``divided_difference`` are written once per law class: the
 Horner scheme over the coefficients of f, f' and f'' (formed as
@@ -195,8 +197,29 @@ class OffspringLaw:
 
         Returns None when no such root exists (in particular for the
         identity law and for proper laws with mean <= 1).
+
+        One finder for every law, from the convexity of g(s) = f(s) - s:
+        g(0) = f[0] >= 0 and g(1) = -defect <= 0, so {g <= 0} meets
+        [0, 1] in an interval and bisection on a sign change finds its
+        left end.  With f[0] = 0, g < 0 on (0, b) for any b with
+        g(b) < 0, and g >= 0 everywhere otherwise: no root in (0, 1).  A
+        proper law has g(1) = 0, so it needs an interior point with
+        g < 0: there is one only when f'(1) > 1, and g is smallest
+        where f' = 1, found by bisection too, since f'(0) = f[1] < 1.
         """
-        raise NotImplementedError
+        g = lambda s: self.pgf(s) - s
+        if self.weight(0) <= 0.0:
+            return None
+        if self.defect > 0.0:
+            hi = 1.0
+        else:
+            if self.mean <= 1.0:
+                return None
+            hi = _bisect(lambda s: 1.0 - self.pgf(s, 1), 0.0, 1.0)
+            if g(hi) >= 0.0:
+                return hi if abs(g(hi)) <= _FIXED_POINT_TOL else None
+        theta = _bisect(g, 0.0, hi)
+        return theta if abs(g(theta)) <= _FIXED_POINT_TOL and 0.0 < theta < 1.0 else None
 
     # -- statistics --------------------------------------------------------------
 
@@ -239,7 +262,7 @@ class OffspringLaw:
     def _draws(self, rng: np.random.Generator, z: int) -> list[int]:
         """``z`` draws as a list of ints, from the uniforms ``sample``
         would take, in the same order."""
-        return self.sample(rng, size=z).tolist()
+        raise NotImplementedError
 
     def to_dict(self) -> dict:
         raise NotImplementedError
@@ -333,23 +356,6 @@ class FiniteSupport(OffspringLaw):
     @cached_property
     def _normalized(self) -> "FiniteSupport":
         return FiniteSupport(self.weights / self.mass)
-
-    def fixed_point(self) -> float | None:
-        w = self.weights
-        if self.support_max <= 2:
-            p2 = self.weight(2)
-            if p2 > 0.0:
-                disc = (1.0 - self.weight(1)) ** 2 - 4.0 * p2 * self.weight(0)
-                if disc < 0.0:
-                    return None
-                theta = ((1.0 - self.weight(1)) - math.sqrt(disc)) / (2.0 * p2)
-            else:
-                p1 = self.weight(1)
-                if p1 >= 1.0:
-                    return None  # identity law
-                theta = self.weight(0) / (1.0 - p1)
-            return theta if 0.0 < theta < 1.0 else None
-        return _smallest_root_convex(self)
 
     def _tail_moments(self) -> tuple[float, float, float]:
         w = self.weights
@@ -463,16 +469,6 @@ class LinearFractional(OffspringLaw):
         m = self.mass
         return LinearFractional(self.q / m, self.r / m, self.p)
 
-    def fixed_point(self) -> float | None:
-        # p s^2 - (1 + p q) s + (q + r) = 0
-        p, q, r = self.p, self.q, self.r
-        half = (1.0 + p * q) / (2.0 * p)
-        disc = half * half - (q + r) / p
-        if disc < 0.0:
-            return None
-        theta = half - math.sqrt(disc)
-        return theta if 0.0 < theta < 1.0 else None
-
     def _tail_moments(self) -> tuple[float, float, float]:
         # r times sum_{k>=1} p^k, sum_{k>=2} k p^k and sum_{k>=2} k^2 p^k, in
         # closed forms that subtract no near-equal terms
@@ -523,32 +519,6 @@ def _horner_lists(wl: list[float]) -> tuple[list[float], list[float], list[float
     d1 = [j * wl[j] for j in range(1, len(wl))]
     d2 = [j * d1[j] for j in range(1, len(d1))] or [wl[0] * 0]
     return wl[::-1], d1[::-1], d2[::-1]
-
-
-def _smallest_root_convex(law: OffspringLaw) -> float | None:
-    """Smallest root of f(s) - s on (0, 1) for a convex pgf.
-
-    Uses the structure of g(s) = f(s) - s: g is convex, g(0) = f[0] >= 0
-    and g(1) = -defect <= 0, so {g <= 0} meets [0, 1] in an interval and
-    bisection on a sign change finds the smallest root.
-    """
-    g = lambda s: law.pgf(s) - s
-    if law.weight(0) <= 0.0:
-        # g(0) = 0: by convexity g < 0 on (0, b) for any b with g(b) < 0,
-        # and g >= 0 everywhere otherwise; either way no root in (0, 1).
-        return None
-    if law.defect > 0.0:
-        hi = 1.0
-    else:
-        # proper law: need an interior point with g < 0
-        if law.mean <= 1.0:
-            return None
-        # g is smallest where f' = 1: f'(0) = f[1] < 1 < f'(1)
-        hi = _bisect(lambda s: 1.0 - law.pgf(s, 1), 0.0, 1.0)
-        if g(hi) >= 0.0:
-            return hi if abs(g(hi)) <= _FIXED_POINT_TOL else None
-    theta = _bisect(g, 0.0, hi)
-    return theta if abs(g(theta)) <= _FIXED_POINT_TOL and 0.0 < theta < 1.0 else None
 
 
 def _bisect(fn, lo: float, hi: float) -> float:

@@ -80,10 +80,10 @@ def test_criterion_01_closed_form_survival():
 
 
 def test_criterion_02_fixed_points():
-    """Closed-form smallest fixed points agree with grid-plus-bisection
-    to 1e-10 over 1000 random bounded laws and 1000 random geometric-tail
-    laws, including agreement on existence; the two reference laws hit
-    their frozen values."""
+    """The one fixed-point finder (convex bisection on f(s) - s) agrees
+    with grid-plus-bisection to 1e-10 over 1000 random bounded laws and
+    1000 random geometric-tail laws, including agreement on existence;
+    the two reference laws hit their frozen values."""
     with criterion(2, "fixed_points", 15.0):
         assert LAW_A.fixed_point() == pytest.approx(THETA_A, abs=1e-6)
         assert LAW_B.fixed_point() == pytest.approx(THETA_B, abs=1e-6)

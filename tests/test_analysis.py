@@ -223,6 +223,11 @@ class TestSurvivalBounds:
         with pytest.raises(PreconditionError, match="c = 0"):
             survival_bounds(env_a, 3, c=0.0)
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan])
+    def test_c_not_positive_with_variance_terms_rejected(self, env_a, c):
+        with pytest.raises(PreconditionError, match=f"c = {c!r} is not > 0"):
+            survival_bounds(env_a, 3, c=c)
+
 
 class TestCriteria:
     def test_reporting_order_and_shape(self, env_1a):
@@ -242,6 +247,13 @@ class TestCriteria:
         out = criteria_verdicts(env_a, horizons=[10, 100, 100])
         assert out == criteria_verdicts(env_a, horizons=[10, 100])
         assert all(v.horizons == (10, 100) and len(v.partials) == 2 for v in out)
+
+    def test_non_integral_horizon_rejected(self, env_a):
+        with pytest.raises(PreconditionError, match=r"^horizons must be integers, got 100\.5$"):
+            criteria_verdicts(env_a, horizons=(100.5, 200))
+        out = criteria_verdicts(env_a, horizons=(100.0, 200))
+        assert out == criteria_verdicts(env_a, horizons=(100, 200))
+        assert all(v.horizons == (100, 200) for v in out)
 
     def test_named_families_analytic(self, env_1a, env_1b, env_2a, env_2b):
         def verdicts(env):
@@ -516,6 +528,14 @@ class TestFixedPointBracket:
         assert br.rho == pytest.approx(0.5)
         assert br.sigma is None
         assert "fell back" in br.reason
+
+    def test_proper_subcritical_lf_falls_back(self):
+        # extinction is almost sure: rho is inf f_n(0) = q + r, not a root near 1
+        br = fixed_point_bracket(Constant(LinearFractional(0.6, 0.2, 0.5)), upto=3)
+        assert not br.ok
+        assert br.rho == 0.8
+        assert br.sigma is None
+        assert np.isnan(br.theta).all()
 
     def test_no_bracket_at_all(self):
         env = Constant(FiniteSupport([0.0, 0.9]))

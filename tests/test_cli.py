@@ -211,6 +211,16 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "precondition", "message": "need at least two distinct horizons"}
 
+    @pytest.mark.parametrize("c", [-1.0, float("nan")])
+    def test_bounds_c_not_positive_is_three(self, tmp_path, capsys, c):
+        path, _ = write_cfg(tmp_path, "bounds", {"n": 2, "c": c})
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "precondition",
+                       "message": f"variance terms present but c = {c!r} is not > 0"}
+        assert not out.exists() or not any(out.iterdir())
+
     def test_unexpected_error_is_one_json_line(self, tmp_path, capsys, monkeypatch):
         from defbranch import cli
 

@@ -267,6 +267,19 @@ class TestFixedPoint:
         assert FiniteSupport([0.5, 0.5]).fixed_point() is None
         assert FiniteSupport([0.25, 0.5, 0.25]).fixed_point() is None
 
+    def test_proper_subcritical_lf_means_none(self):
+        # mass 1.0 and mean 0.4: the process dies out almost surely
+        law = LinearFractional(0.6, 0.2, 0.5)
+        assert law.mass == 1.0
+        assert law.fixed_point() is None
+
+    def test_normalized_subcritical_binary_laws_mean_none(self):
+        rng = np.random.default_rng(3)
+        laws = [FiniteSupport(w / w.sum()) for w in rng.random((600, 3))]
+        sub = [law for law in laws if law.mean <= 1.0]
+        assert len(sub) > 250
+        assert [law for law in sub if law.fixed_point() is not None] == []
+
     def test_proper_supercritical_has_root(self):
         law = FiniteSupport([0.25, 0.0, 0.75])
         root = law.fixed_point()

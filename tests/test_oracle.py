@@ -7,6 +7,9 @@ composes the same float laws in 50-digit arithmetic, multiplying the
 gap by exact divided differences and the mean by exact derivatives, and
 takes logs once at the end.  The tolerance is the naive-summation bound
 for a sum of n logs, max(1e-12, n * 2^-53) relative.
+
+Smallest fixed points of single random laws are checked against their
+40-digit roots.
 """
 from __future__ import annotations
 
@@ -14,9 +17,10 @@ import functools
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
-from conftest import LAW_A, LAW_B
+from conftest import LAW_A, LAW_B, rand_binary, rand_finite, rand_lf
 from defbranch import (
     Constant,
     FiniteSupport,
@@ -233,3 +237,25 @@ def test_dist_against_moebius_product(name):
     assert dv.dropped == 0.0
     for k, (got, w) in enumerate(zip(dv.probs, want)):
         assert abs(got - w) <= 1e-12 * w, (k, got, float(w))
+
+
+# ---------------------------------------------------------------------------
+# smallest fixed points against 40-digit roots
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, seed", [(rand_binary, 1), (rand_lf, 2), (rand_finite, 3)],
+                         ids=["binary", "lf", "finite"])
+def test_fixed_point_against_mpmath(make, seed):
+    # every random law is defective with f[0] > 0, so f(s) - s changes sign
+    # exactly once on [0, 1], and a bracketing solver finds that root
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for _ in range(1000):
+            law = make(rng)
+            f = _mp_law(law)[0]
+            want = mpmath.findroot(lambda s: f(s) - s, (mpmath.mpf(0), mpmath.mpf(1)),
+                                   solver="anderson")
+            worst = max(worst, float(abs(law.fixed_point() - want) / want))
+    assert worst <= 1e-14
