@@ -3,7 +3,8 @@
 Conditioning on survival is awkward to sample naively once survival is
 rare: rejection throws almost everything away.  The spine construction
 builds the conditioned tree directly, one surviving line of descent
-dressed with unconditioned side subtrees.  For a small binary-split
+dressed with side subtrees whose broods are drawn from their exact
+conditioned laws, with no retries.  For a small binary-split
 case the conditioned law can be enumerated exactly, so all three
 routes (enumeration, construction, rejection) can be compared atom by
 atom.

@@ -514,8 +514,10 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
             for col in (his, los, d1, d2, *ats):
                 if col is not None and col.size:
                     col[head:j] = col[j]
-            for _ in range(j - head if los is not None else 0):
-                log_gap += gap
+            if los is not None:  # accumulate adds in order, one step at a time
+                steps = np.full(j - head + 1, gap)
+                steps[0] = log_gap
+                log_gap = float(np.add.accumulate(steps)[-1])
             for _ in range(j - head if order else 0):
                 g1, g2 = fp * g1, f2 * g1 * g1 + fp * g2 if order == 2 else g2
             j = head

@@ -264,6 +264,16 @@ class OffspringLaw:
         would take, in the same order."""
         raise NotImplementedError
 
+    def _conditioned(self, t: float) -> "OffspringLaw | None":
+        """The brood law f(t s)/f(t) for 0 <= t <= 1: the child count of
+        a node given that each child's line, independently, meets an
+        event of probability t.  Its weights are f[k] t^k / f(t); it is
+        proper, and its draws are never DELTA, even where the float sums
+        of its weights fall short of 1.  None where the brood is empty
+        for sure (t^k f[k] = 0 for every k >= 1) or cannot occur
+        (f(t) = 0): nothing is drawn for it."""
+        raise NotImplementedError
+
     def to_dict(self) -> dict:
         raise NotImplementedError
 
@@ -378,6 +388,22 @@ class FiniteSupport(OffspringLaw):
             return [draw[bisect_right(cum, rng.random())]]
         return [draw[bisect_right(cum, x)] for x in rng.random(z).tolist()]
 
+    def _conditioned(self, t: float) -> "FiniteSupport | None":
+        ft = self.pgf(t)
+        if ft <= 0.0:
+            return None
+        w = self.weights * t ** np.arange(self.weights.size) / ft
+        kids = np.flatnonzero(w[1:])
+        if not kids.size:
+            return None
+        law = FiniteSupport._trusted(w.tolist())
+        # thresholds up to the largest count it can draw, the last one past
+        # every uniform
+        cum = np.cumsum(w[: kids[-1] + 2]).tolist()
+        cum[-1] = math.inf
+        law.__dict__["_draw_table"] = (cum, list(range(len(cum))))
+        return law
+
     def to_dict(self) -> dict:
         return {"kind": "finite", "weights": [float(x) for x in self.weights]}
 
@@ -489,7 +515,7 @@ class LinearFractional(OffspringLaw):
         # differently
         q, r, p = self.q, self.r, self.p
         u = [rng.random()] if z == 1 else rng.random(z).tolist()
-        low, top = q + r, self.mass
+        low, top = q + r, self._top
         out = [DELTA if x >= top else 0 for x in u]
         geo = [i for i, x in enumerate(u) if low <= x < top]
         if geo:
@@ -498,6 +524,19 @@ class LinearFractional(OffspringLaw):
             for i, ki in zip(geo, k.tolist()):
                 out[i] = ki
         return out
+
+    @cached_property
+    def _top(self) -> float:
+        # the least uniform drawn as DELTA: f(1), or inf for a brood law
+        return self.mass
+
+    def _conditioned(self, t: float) -> "LinearFractional | None":
+        ft, pt = self.pgf(t), self.p * t
+        if pt <= 0.0:
+            return None
+        law = LinearFractional(self.q / ft, self.r / ft, pt)
+        law.__dict__["_top"] = math.inf
+        return law
 
     def to_dict(self) -> dict:
         return {"kind": "lf", "q": self.q, "r": self.r, "p": self.p}

@@ -24,12 +24,15 @@ of zero counts, a killed tree ends in a generation whose counts are
 recorded and include at least one DELTA, and nothing below that
 generation exists.
 
-The conditioned sampler builds a tree that is alive at depth n directly:
-a spine of ancestors chosen by size-biased-like two-point marginals,
-subtrees left of the spine conditioned to die in time, subtrees right of
-the spine conditioned to dodge the graveyard.  It splices them
-generation by generation, the spine decomposition of a tree conditioned
-to survive (Geiger, J. Appl. Probab. 1999).  Its output law on depth-n
+The conditioned sampler builds a tree that is alive at depth n directly,
+without rejection: a spine of ancestors chosen by size-biased-like
+two-point marginals, subtrees left of the spine conditioned to die in
+time, subtrees right of the spine conditioned to dodge the graveyard.
+This is the spine decomposition of a tree conditioned to survive
+(Geiger, J. Appl. Probab. 1999).  Given the spine, every off-spine node
+draws its brood from an exact conditioned law, f(t s)/f(t) with t the
+probability of its side's event for one child, so the sampler draws one
+generation at a time and never retries.  Its output law on depth-n
 prefixes matches the unconditioned law given survival, which
 ``validate_prop4`` checks against exact enumeration and plain rejection.
 """
@@ -43,7 +46,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -85,8 +88,8 @@ Label = tuple[int, ...]
 # the random stream key, after the master seed, of each tree sampler
 _TREE_STREAM = {"plain": 10, "construction": 11, "rejection": 12}
 
-# a rejection loop gives up, with BudgetError, after this many times the
-# number of tries it expects to need, and at once when that is over
+# the rejection sampler gives up, with BudgetError, after this many times
+# the number of tries it expects to need, and at once when that is over
 # _MAX_TRIES (about 4 s of n = 2 trees)
 _BUDGET_FACTOR = 20.0
 _MAX_TRIES = 10**6
@@ -292,7 +295,15 @@ def sample_dbtve(
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
     gens: list[list[int]] = []
-    _grow_frontier(gens, env, depth_cap, rng)
+    z = 1
+    for g in range(1, depth_cap + 1):
+        counts = env.law(g)._draws(rng, z)
+        gens.append(counts)
+        if DELTA in counts:
+            break
+        z = sum(counts)
+        if not z:
+            break
     return DefectiveTree._of(gens, depth_cap)
 
 
@@ -313,35 +324,6 @@ def _grow_frontier(
         if DELTA in counts:
             break
         z = sum(counts)
-
-
-def _last_size(gens: list[list[int]]) -> int:
-    """The last of the generation sizes of the tree with counts ``gens``."""
-    if not gens:
-        return 1
-    return DELTA if DELTA in gens[-1] else sum(gens[-1])
-
-
-def _draw_until(
-    env: Environment,
-    depth_cap: int,
-    rng: np.random.Generator,
-    accept_p: float,
-    accept: Callable[[int, int], bool],
-    what: str,
-) -> DefectiveTree:
-    """The first draw of ``sample_dbtve`` whose counted generations and last
-    generation size pass ``accept``, as one does with probability ``accept_p``.
-    BudgetError names ``what`` after ceil(_BUDGET_FACTOR / accept_p) failed
-    draws, and before any draw when that is over _MAX_TRIES."""
-    tries = _BUDGET_FACTOR / accept_p
-    if tries > _MAX_TRIES:
-        raise BudgetError(f"{what} budget of {tries:.3g} tries is over the cap of {_MAX_TRIES}")
-    for _ in range(math.ceil(tries)):
-        t = sample_dbtve(env, rng, depth_cap=depth_cap)
-        if accept(len(t.gens), _last_size(t.gens)):
-            return t
-    raise BudgetError(f"{what} budget of {math.ceil(tries)} exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -467,11 +449,14 @@ def _check_conditioning(n: int, extra_depth: int) -> None:
 
 class ConditionedSampler:
     """Draws trees distributed as the process conditioned to be alive at
-    depth n, without rejection at the top level.
+    depth n, without rejection.
 
-    Off-spine subtrees still use rejection against their (cheap)
-    absorption events, each with a budget of 20x its expected tries,
-    whose exhaustion raises BudgetError.
+    Given the spine, the off-spine nodes are independent, and each draws
+    its brood from an exact conditioned law: f_{g+1}(t s)/f_{g+1}(t) for
+    a node of generation g, with t = f_{g+1,n}(0) left of the spine (its
+    line dies out by n) and t = f_{g+1,n}(1) right of it (its line does
+    not reach the graveyard by n).  A generation is one spine draw and
+    one draw of each side's nodes, in label order.
     """
 
     def __init__(
@@ -493,50 +478,30 @@ class ConditionedSampler:
         self._spines = [
             _spine_dist(env, l, n, self._die[l], self._live[l]) for l in range(1, n + 1)
         ]
-        self._shifted = [env.shift(l) for l in range(n + 1)]
+        # the brood laws of the off-spine nodes of generation l - 1, left
+        # and right of the spine; None draws nothing: such a node has no
+        # children
+        self._broods = [
+            (env.law(l)._conditioned(self._die[l]), env.law(l)._conditioned(self._live[l]))
+            for l in range(1, n + 1)
+        ]
 
     def sample(self, rng: np.random.Generator) -> tuple[DefectiveTree, SpineRecord]:
-        n = self.n
         ds, cs = [], []
         gens: list[list[int]] = []
-        # the rows still to come of the subtrees hung left of the spine, in
-        # level order, and of those hung right of it, deepest level first
-        lo: list = []
-        hi: list = []
-        for l in range(1, n + 1):
-            d, c = self._spines[l - 1].sample(rng)
-            # generation l - 1 in label order: the left subtrees of levels
-            # 1..l-1, the spine node, the right subtrees of levels l-1..1
-            counts: list[int] = []
-            for sub in lo:
-                counts += next(sub, ())
-            counts.append(c)
-            for sub in hi:
-                counts += next(sub, ())
-            gens.append(counts)
-            m = n - l
-            lo += [iter(self._off_spine(l, m, True, rng).gens) for _ in range(1, d)]
-            hi[:0] = [iter(self._off_spine(l, m, False, rng).gens) for _ in range(d + 1, c + 1)]
+        left = right = 0  # off-spine nodes in the generation drawn next
+        for spine, (dies, lives) in zip(self._spines, self._broods):
+            d, c = spine.sample(rng)
+            lo = dies._draws(rng, left) if left and dies else [0] * left
+            hi = lives._draws(rng, right) if right and lives else [0] * right
+            gens.append(lo + [c] + hi)
+            left, right = sum(lo) + d - 1, c - d + sum(hi)
             ds.append(d)
             cs.append(c)
         if self.extra_depth:
             _grow_frontier(gens, self.env, self.extra_depth, rng)
-        tree = DefectiveTree._of(gens, n + self.extra_depth)
+        tree = DefectiveTree._of(gens, self.n + self.extra_depth)
         return tree, SpineRecord(d=tuple(ds), c=tuple(cs))
-
-    def _off_spine(
-        self, l: int, m: int, want_dead: bool, rng: np.random.Generator
-    ) -> DefectiveTree:
-        """One subtree rooted at generation l, conditioned to be extinct
-        within m generations (left of spine) or to avoid the graveyard
-        for m generations (right of spine)."""
-        accept_p = (self._die if want_dead else self._live)[l]
-        if accept_p <= 0.0:
-            raise PreconditionError(
-                f"requested subtree event has probability 0 at generation {l}"
-            )
-        accept = (lambda k, z: z == 0) if want_dead else (lambda k, z: z != DELTA)
-        return _draw_until(self._shifted[l], m, rng, accept_p, accept, "subtree rejection")
 
 
 def sample_conditioned(
@@ -571,7 +536,15 @@ def rejection_conditioned(
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
-    t = _draw_until(env, n, rng, surv, lambda k, z: k == n and z >= 1, "rejection")
+    tries = _BUDGET_FACTOR / surv
+    if tries > _MAX_TRIES:
+        raise BudgetError(f"rejection budget of {tries:.3g} tries is over the cap of {_MAX_TRIES}")
+    for _ in range(math.ceil(tries)):
+        t = sample_dbtve(env, rng, depth_cap=n)
+        if len(t.gens) == n and DELTA not in t.gens[-1] and any(t.gens[-1]):
+            break
+    else:
+        raise BudgetError(f"rejection budget of {math.ceil(tries)} exhausted")
     if extra_depth:
         _grow_frontier(t.gens, env, extra_depth, rng)
         t = DefectiveTree._of(t.gens, n + extra_depth)

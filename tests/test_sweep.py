@@ -295,6 +295,19 @@ def test_split_tail_matches_the_loop(env, n):
             assert got == want, name
 
 
+@pytest.mark.parametrize("name", ["law-a", "law-b", "prefix-finite-4"])
+def test_long_settled_log_gap_matches_the_loop(name):
+    # nearly 10^5 settled generations, whose log gap steps are added as
+    # one accumulation: it must keep the bits of the loop's adds
+    env, n = SPLIT_ENVS[name], 10**5
+    readers = {
+        "absorption": absorption_profile,
+        "sweep": lambda env, n: tuple(_sweep(env, 0, n, 1.0, 0.0)),
+    }
+    for what, reader in readers.items():
+        assert _fields(reader, env, n) == _fields(reader, Unsplit(env), n), what
+
+
 # windows (k, n), the last ones long enough for every settling orbit to
 # settle and be filled in
 SPLIT_WINDOWS = [(0, 0), (0, 1), (1, 2), (0, 11), (3, 11), (0, 2000), (666, 2000),

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -284,8 +285,8 @@ class TestPrefixProb:
             prefix_prob(env_a, DefectiveTree([[2], [1]]), 1)
 
     def test_sampled_tree_keeps_no_label_map(self):
-        # 40391 nodes at this seed; validating the tree built their label
-        # map and kept it, 81.5 MB
+        # 25888 nodes at this seed; validating a tree once built its label
+        # map and kept it, 81.5 MB for a tree of 40391 nodes
         env = Constant(FiniteSupport([0.25, 0.5, 0.25]))
         tree, _ = ConditionedSampler(env, 400).sample(np.random.default_rng(1))
         tracemalloc.start()
@@ -294,13 +295,13 @@ class TestPrefixProb:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(map(len, tree.gens)) == 40391
+        assert sum(map(len, tree.gens)) == 25888
         assert held <= 1e6 and peak <= 1e6
 
     def test_parsed_tree_keeps_no_label_map(self):
-        # the 40391-node tree above, whose label map takes 85.8 MB; what the
-        # tree holds is summed over what it reaches, far cheaper than
-        # tracing the parse's allocations
+        # the 25888-node tree above (a label map took 85.8 MB for 40391
+        # nodes); what the tree holds is summed over what it reaches, far
+        # cheaper than tracing the parse's allocations
         env = Constant(FiniteSupport([0.25, 0.5, 0.25]))
         tree, _ = ConditionedSampler(env, 400).sample(np.random.default_rng(1))
         parsed = parse_tree(serialize_tree(tree))
@@ -440,15 +441,20 @@ class TestConditionedSampling:
         z = tree.gen_sizes()
         assert len(z) >= 4 and z[2] >= 1
 
-    def test_budget_exhaustion(self, env_a, monkeypatch):
-        from defbranch import trees
-
-        monkeypatch.setattr(trees, "_BUDGET_FACTOR", 1e-9)
+    def test_rare_off_spine_events(self):
+        # survival 2.4e-15 at n = 12, and a line left of the spine dies out
+        # in time with chance about 1e-6: drawn by rejection, its budget
+        # of 2e7 tries was over the cap of 10^6
+        env = Constant(FiniteSupport([1e-6, 0.0, 0.99]))
+        sampler = ConditionedSampler(env, 12)
+        assert max(sampler._die) < 1.1e-6
         rng = np.random.default_rng(214)
-        sampler = ConditionedSampler(env_a, 4)
-        with pytest.raises(BudgetError, match="^subtree rejection budget of 1 exhausted$"):
-            for _ in range(300):
-                sampler.sample(rng)
+        for _ in range(100):
+            tree, spine = sampler.sample(rng)
+            validate_tree(tree)
+            z = tree.gen_sizes()
+            assert len(z) == 13 and z[-1] >= 1
+            assert spine.d[-1] == 1
 
     def test_vanishing_survival_rejected(self):
         dead = Constant(FiniteSupport([0.9, 0.0, 0.05]))
@@ -501,8 +507,8 @@ class TestRejectionSampling:
 
 
 class TestRejectionBudgets:
-    """Both rejection loops draw through the public ``sample_dbtve`` and
-    keep their own budget messages."""
+    """The rejection loop draws through the public ``sample_dbtve`` and
+    keeps its own budget messages."""
 
     @pytest.fixture
     def always_killed(self, monkeypatch):
@@ -528,24 +534,11 @@ class TestRejectionBudgets:
         assert str(exc.value) == "rejection budget of 50 exhausted"
         assert always_killed == [2] * 50
 
-    def test_subtree_message(self, env_a, always_killed):
-        rng = np.random.default_rng(225)
-        sampler = ConditionedSampler(env_a, 2)
-        # the first off-spine subtree is conditioned to die or to live
-        budgets = [math.ceil(self.FACTOR / p[1]) for p in (sampler._die, sampler._live)]
-        with pytest.raises(BudgetError) as exc:
-            sampler.sample(rng)
-        assert len(always_killed) in budgets
-        assert str(exc.value) == f"subtree rejection budget of {len(always_killed)} exhausted"
-        assert set(always_killed) == {1}
-
     def test_budget_over_the_cap_draws_nothing(self, env_a, always_killed):
-        from defbranch import trees
-
         rng = np.random.default_rng(226)
         with pytest.raises(BudgetError) as exc:
-            trees._draw_until(env_a, 1, rng, 1e-20, lambda k, z: True, "subtree rejection")
-        assert str(exc.value) == "subtree rejection budget of 1.36e+21 tries is over the cap of 1000000"
+            rejection_conditioned(env_a, 1, rng, survival=1e-20)
+        assert str(exc.value) == "rejection budget of 1.36e+21 tries is over the cap of 1000000"
         assert always_killed == []
 
 
@@ -683,8 +676,9 @@ class TestProp4:
 
 
 # SHA-256 over the trees each sampler draws at a fixed seed, before the
-# samplers' per-node costs were cut; any change to the random stream or
-# to the order of the draws shows here
+# samplers' per-node costs were cut (the construction ones since its
+# off-spine broods are drawn from their conditioned laws); any change to
+# the random stream or to the order of the draws shows here
 STREAM_LAWS = {
     "finite": FiniteSupport([0.45, 0.0, 0.45]),
     "lf": LinearFractional(0.1, 0.4, 0.5),
@@ -694,29 +688,29 @@ STREAM_DIGESTS = {
     ("finite", "plain"): "39ecd21d8736472c6fe223d9edea0f767dd1c21ded0562543fafba6b1683a0b8",
     ("finite", "rejection"): "0cf8d6811976ceb8d8792cf3f6a199c4a70bc179b3e9270e61103d40a8e0807b",
     ("finite", "rejection-extra"): "15920c43fd7cd4e7a7cd184db15e5212237a9a3f54d88498fe9f6bb7bd35b8a2",
-    ("finite", "construction"): "869c7c39d709bb0024c93586562a2df0be7deaaa95c82e615151bd29bde2c2c4",
+    ("finite", "construction"): "8b26eaa7ab947612b0aebb3b4298870c9de7f6fad0c2091ae4c800572613a3e9",
     ("lf", "plain"): "e79bb49b10d8d29e53d2617d5e49e5d154fdd4904a8c8af49ec104961d0e6972",
     ("lf", "rejection"): "10206a0f343e8fe39f19383ae252a8f8e2cd9f74127f61f3251a56f07a2cb073",
     ("lf", "rejection-extra"): "8f8f2b8f49a2155f65761e53dbd63a4ccdf5548b475c0328fbae41ef47a33df4",
-    ("lf", "construction"): "be9fea4fe545207a421f17b44daaf99b358ee45d6b998f029dca997199e85a03",
+    ("lf", "construction"): "43f0e03d9d6317f54d9ce81e0c422dae22ed5768dedc6c27be82f4fd105e46f2",
     ("defective4", "plain"): "dada176a54e7621e9d75c50ea4f06a63fb81aac24f4bf09ca9c984125dceaade",
     ("defective4", "rejection"): "86e596a0c616ac107095a8c116f90bed42d7d72adca6e9b4f13b18099d871cb3",
     ("defective4", "rejection-extra"): "f729b2c32f9dd2083069a24fff0f6cc61d76e015cb5d303740d748c8672e052d",
-    ("defective4", "construction"): "44851a35eaef7b76d4381edf7e17c63d1f1e30caa0d00dbc5e05049ef0829788",
+    ("defective4", "construction"): "a76e3525a4950641d4181fd35a761b5eff7f46471b026b3e509f3ecf20c9e2fb",
 }
 STREAM_KINDS = ("plain", "rejection", "rejection-extra", "construction")
 PROP4_REPRS = {
     "finite": "Prop4Report(n=2, samples=2000, atom_count=3, threshold=0.1161895003862225, "
-    "tv_construction_exact=0.014166666666666633, tv_rejection_exact=0.006833333333333358, "
-    "tv_construction_rejection=0.013500000000000002, exact_survival=0.273375, "
+    "tv_construction_exact=0.01116666666666663, tv_rejection_exact=0.006833333333333358, "
+    "tv_construction_rejection=0.0135, exact_survival=0.273375, "
     "complete_enumeration=True, passed=True)",
-    "lf": "Prop4Report(n=2, samples=2000, atom_count=1127, threshold=2.2519991119003575, "
-    "tv_construction_exact=0.1939997366977517, tv_rejection_exact=0.19815424757725358, "
-    "tv_construction_rejection=0.20550000000000015, exact_survival=0.19393939393939397, "
+    "lf": "Prop4Report(n=2, samples=2000, atom_count=1129, threshold=2.25399645075142, "
+    "tv_construction_exact=0.1967138014262209, tv_rejection_exact=0.19815424757725358, "
+    "tv_construction_rejection=0.20250000000000015, exact_survival=0.19393939393939397, "
     "complete_enumeration=False, passed=True)",
     "defective4": "Prop4Report(n=2, samples=2000, atom_count=81, threshold=0.6037383539249432, "
-    "tv_construction_exact=0.05404171154411043, tv_rejection_exact=0.05931264075198276, "
-    "tv_construction_rejection=0.07400000000000004, exact_survival=0.51065, "
+    "tv_construction_exact=0.06211690982081663, tv_rejection_exact=0.05931264075198276, "
+    "tv_construction_rejection=0.08500000000000005, exact_survival=0.51065, "
     "complete_enumeration=True, passed=True)",
 }
 
@@ -887,6 +881,85 @@ class TestListDraws:
             assert rng.random() == ref.random()
 
 
+# laws with a t at which the float sum of the brood weights falls short of
+# nextafter(1, 0), where a plain threshold table draws the graveyard
+SHORT_BROODS = [(FiniteSupport([0.07] * 10), 1.0), (LinearFractional(0.2, 0.7, 1e-3), 0.9)]
+
+
+@st.composite
+def _laws(draw):
+    """A finite law (integer weights scaled to a drawn mass) or a
+    linear-fractional one, with any mass from 0.05 to 1."""
+    mass = draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        w = draw(st.lists(st.integers(0, 100), min_size=2, max_size=6).filter(lambda w: any(w[1:])))
+        return FiniteSupport(np.array(w, dtype=float) / sum(w) * mass)
+    p = draw(st.floats(0.01, 0.99))
+    r = draw(st.floats(0.01, 1.0)) * mass * (1.0 - p)
+    return LinearFractional(max(mass - r / (1.0 - p), 0.0), r, p)
+
+
+@settings(deadline=None)
+@given(law=_laws(), t=st.just(0.0) | st.floats(1e-3, 1.0), s=st.floats(0.0, 1.0))
+def test_brood_law_pgf_is_the_conditioned_pgf(law, t, s):
+    brood = law._conditioned(t)
+    if t == 0.0:  # the brood is empty for sure: nothing to draw
+        assert brood is None
+        return
+    assert type(brood) is type(law) and brood.defect == 0.0
+    assert brood.pgf(s) == pytest.approx(law.pgf(t * s) / law.pgf(t), rel=1e-12, abs=1e-15)
+    if isinstance(law, LinearFractional):
+        assert (brood.q, brood.r, brood.p) == (law.q / law.pgf(t), law.r / law.pgf(t), law.p * t)
+
+
+class TestBroodLaws:
+    """The off-spine brood laws of the construction sampler: proper, never
+    the graveyard, and together the exact conditioned prefix law."""
+
+    @pytest.mark.parametrize(
+        "law, t",
+        [(law, t) for law in [*STREAM_LAWS.values(), *LF_LAWS] for t in (1.0, 0.9, 0.5, 1e-3)]
+        + SHORT_BROODS,
+    )
+    def test_no_draw_is_delta(self, law, t):
+        brood = law._conditioned(t)
+        # the first thresholds of the brood's table and its mass, their
+        # float neighbours, and the ends of [0, 1)
+        u = [0.0, np.nextafter(1.0, 0.0)]
+        for c in np.cumsum(brood.coeff_vector()[:8]).tolist() + [brood.mass]:
+            u += [np.nextafter(c, 0.0), c, np.nextafter(c, 2.0)]
+        u = [float(x) for x in u if 0.0 <= x < 1.0]
+        drawn = brood._draws(_Uniforms(u), len(u))
+        assert min(drawn) >= 0
+        assert [brood.sample(_Uniforms([x])) for x in u] == drawn
+        assert brood.sample(_Uniforms(u), size=len(u)).tolist() == drawn
+
+    @pytest.mark.parametrize("law, t", SHORT_BROODS)
+    def test_short_sums_draw_the_top_count(self, law, t):
+        # the uniform past every float sum of the weights draws the largest
+        # count, or deep into a geometric tail
+        brood = law._conditioned(t)
+        assert brood.mass < np.nextafter(1.0, 0.0)
+        (k,) = brood._draws(_Uniforms([np.nextafter(1.0, 0.0)]), 1)
+        assert k == 9 if isinstance(law, FiniteSupport) else k > 50
+
+    def test_prefix_law_matches_enumeration(self, env_a):
+        # the 21 depth-3 prefixes of env_a, 15 of chance 0.0224 and 6 of
+        # chance 0.1107
+        scipy_stats = pytest.importorskip("scipy.stats")
+        exact = enumerate_conditioned(env_a, 3)
+        sampler = ConditionedSampler(env_a, 3)
+        rng = np.random.default_rng(215)
+        reps = 20_000
+        seen = Counter(prefix_key(sampler.sample(rng)[0], 3) for _ in range(reps))
+        assert set(seen) == set(exact.atoms)
+        keys = sorted(exact.atoms)
+        res = scipy_stats.chisquare(
+            [seen[k] for k in keys], np.array([exact.atoms[k] for k in keys]) * reps
+        )
+        assert res.pvalue > 1e-3
+
+
 def _sampled_trees(law, rng):
     env = Constant(STREAM_LAWS[law])
     trees = [sample_dbtve(env, rng, depth_cap=cap) for cap in (0, 1, 4) for _ in range(40)]
@@ -943,7 +1016,8 @@ class TestCountLists:
             assert tree_stats(t, n).rank == spine.d[0]
 
     def test_deep_conditioned_tree_memory(self):
-        # 40391 nodes at this seed; held as label tuples they took 85.5 MB
+        # 25888 nodes at this seed; 40391 nodes held as label tuples took
+        # 85.5 MB
         sampler = ConditionedSampler(Constant(FiniteSupport([0.25, 0.5, 0.25])), 400)
         rng = np.random.default_rng(1)
         tracemalloc.start()
@@ -952,7 +1026,7 @@ class TestCountLists:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sum(map(len, tree.gens)) == 40391
+        assert sum(map(len, tree.gens)) == 25888
         assert peak <= 5.7e6
 
 
@@ -1047,30 +1121,10 @@ class TestTriesGoThroughTheSampler:
 
     @pytest.mark.parametrize("law", STREAM_LAWS)
     def test_construction_tries(self, calls, law):
-        env = Constant(STREAM_LAWS[law])
+        # the construction sampler draws every brood from its conditioned
+        # law: it makes no tries
+        sampler = ConditionedSampler(Constant(STREAM_LAWS[law]), 3, extra_depth=1)
         rng = np.random.default_rng(44)
-        n = 3
-        sampler = ConditionedSampler(env, n)
         for _ in range(30):
-            del calls[:]
-            tree, spine = sampler.sample(rng)
-            # the subtree requests in draw order, each a run of tries that
-            # ends at the first accepted draw; the accepted ones, hung
-            # under their spine labels, are the tree
-            pending = iter(calls)
-            want = {}
-            for l, (d, c) in enumerate(zip(spine.d, spine.c), start=1):
-                want[spine.labels[l - 1]] = c
-                for i in range(1, c + 1):
-                    if i == d:
-                        continue
-                    while True:
-                        cap, sub = next(pending)
-                        assert cap == n - l
-                        z = sub.gen_sizes()
-                        if (z[-1] == 0) if i < d else (z[-1] != DELTA):
-                            break
-                    for lab, cnt in _label_counts(sub).items():
-                        want[spine.labels[l - 1] + (i,) + lab] = cnt
-            assert next(pending, None) is None
-            assert _label_counts(tree) == want
+            sampler.sample(rng)
+        assert calls == []
