@@ -295,15 +295,7 @@ def sample_dbtve(
     if depth_cap < 0:
         raise PreconditionError("depth_cap must be >= 0")
     gens: list[list[int]] = []
-    z = 1
-    for g in range(1, depth_cap + 1):
-        counts = env.law(g)._draws(rng, z)
-        gens.append(counts)
-        if DELTA in counts:
-            break
-        z = sum(counts)
-        if not z:
-            break
+    _grow_frontier(gens, env, depth_cap, rng)
     return DefectiveTree._of(gens, depth_cap)
 
 

@@ -534,13 +534,6 @@ class TestRejectionBudgets:
         assert str(exc.value) == "rejection budget of 50 exhausted"
         assert always_killed == [2] * 50
 
-    def test_budget_over_the_cap_draws_nothing(self, env_a, always_killed):
-        rng = np.random.default_rng(226)
-        with pytest.raises(BudgetError) as exc:
-            rejection_conditioned(env_a, 1, rng, survival=1e-20)
-        assert str(exc.value) == "rejection budget of 1.36e+21 tries is over the cap of 1000000"
-        assert always_killed == []
-
 
 class TestRejectionCap:
     """Survival 1e-20 at n = 1: the 2e21 tries a budget would allow are
