@@ -497,6 +497,14 @@ class FixedPointBracket:
 
 
 def fixed_point_bracket(env: Environment, n0: int = 1, upto: int = 64) -> FixedPointBracket:
+    """The envelope [rho, sigma] of the laws' smallest fixed points in
+    (0, 1) over generations n0..upto, with one fixed-point search per
+    generation.  Requires 1 <= n0 <= upto.
+
+    A bracket is ok only when every law has a fixed point and [rho,
+    sigma] is invariant: f_i(rho) >= rho and f_i(sigma) <= sigma, each
+    to 1e-12, for every i in the window.  Otherwise ok is False and
+    reason says why (rho may still hold the fallback inf f_i(0))."""
     if not 1 <= n0 <= upto:
         raise PreconditionError("need 1 <= n0 <= upto")
     idx = range(n0, upto + 1)
@@ -596,6 +604,11 @@ class GrowthRates:
 
 
 def growth_rate(env: Environment, n: int) -> GrowthRates:
+    """The per-generation rates (1/n) log E[Z_n] and (1/n) log P[alive
+    at n], with the logs they divide, from one sweep over generations
+    1..n.  Requires n >= 1.  log_survival is log(f_{0,n}(1) - f_{0,n}(0))
+    free of cancellation, so it stays finite where the survival
+    probability underflows."""
     if n < 1:
         raise PreconditionError("need n >= 1")
     sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)

@@ -449,11 +449,6 @@ class _Sweep(NamedTuple):
     chain: tuple | None  # (f_{k,n}(hi), f_{k,n}'(hi), f_{k,n}''(hi)) with order
 
 
-# Settled tails shorter than this add their log-gap steps in a plain loop:
-# a numpy accumulate costs about 2.8 us, the loop 30-40 ns a step.
-_ACCUMULATE_FROM = 128
-
-
 def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
            ladder: bool = False, log0: float = 0.0, second: bool = False,
            at: Sequence[float] = (), regularity: bool = False, order: int | None = None) -> _Sweep:
@@ -519,10 +514,7 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
             for col in (his, los, d1, d2, *ats):
                 if col is not None and col.size:
                     col[head:j] = col[j]
-            if los is not None and j - head < _ACCUMULATE_FROM:
-                for _ in range(j - head):
-                    log_gap += gap
-            elif los is not None:  # accumulate adds in order, one step at a time
+            if los is not None:  # accumulate adds in order, one step at a time
                 steps = np.full(j - head + 1, gap)
                 steps[0] = log_gap
                 log_gap = float(np.add.accumulate(steps)[-1])

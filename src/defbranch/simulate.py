@@ -8,13 +8,16 @@ Two samplers of the same process:
   Bernoulli with the exact path-kill probability given the current
   size), then advances the size by the normalized law.
 
-Both use one vectorized pass per generation over blocks of ``BLOCK`` =
-16384 replicates, run one after another on the calling thread.  A
-block's working arrays (its int64 sizes and int8 states, the index of
-its active paths and one generation's draws, formed in place) take
-under 48 bytes per path, so a block works in under 1 MiB.  Each block
-is reduced as it returns, to state counts, the alive histogram and the
-exact integer sums of the alive sizes and of their squares; a run keeps
+A path's int64 size is its whole state: DELTA once killed, 0 once
+extinct, above the cap once overflowed, alive in 1..cap; only alive
+paths are drawn.  Both samplers use one vectorized pass per generation
+over blocks of ``BLOCK`` = 16384 replicates, run one after another on
+the calling thread; ``run_path`` is a block of one path.  A block's
+working arrays (its sizes, the index of its alive paths and one
+generation's draws, formed in place) take under 44 bytes per path, so a
+block works in under 1 MiB.  Each block is reduced as it returns, to
+the four counts read off the sizes, the alive histogram and the exact
+integer sums of the alive sizes and of their squares; a run keeps
 per-replicate columns only for snapshot times, its one per-path output,
 which each block writes into its slice.  Each block owns a
 counter-based bit stream keyed by (master_seed, mode, block index), and
@@ -62,11 +65,6 @@ ALIVE = "alive"
 OVERFLOW = "overflow"
 
 _MODE_ID = {"direct": 1, "coupled": 2}
-
-# path states; kept small so blocks stay int8
-_ACTIVE, _EXTINCT, _KILLED, _OVERFLOW = 0, 1, 2, 3
-
-_STATE_KIND = {_ACTIVE: ALIVE, _EXTINCT: EXTINCT, _KILLED: KILLED, _OVERFLOW: OVERFLOW}
 
 
 @dataclass(frozen=True)
@@ -138,20 +136,17 @@ def _offspring_counts(
     raise TypeError(f"no sampler for law type {type(law).__name__}")
 
 
-def _advance(
-    rng: np.random.Generator,
-    env: Environment,
-    n: int,
-    mode: str,
-    z: np.ndarray,
-    state: np.ndarray,
-    cap: int,
-) -> None:
-    """Draw generation n for the active paths, updating sizes z and
-    states in place: a killed path's size becomes DELTA, an overflowed
-    path keeps its size, and a path both killed and over cap ends
-    killed."""
-    act = np.flatnonzero(state == _ACTIVE)
+def _active(z: np.ndarray, cap: int) -> np.ndarray:
+    """Which paths of sizes z are alive, still drawn: those in 1..cap."""
+    return (z >= 1) & (z <= cap)
+
+
+def _advance(rng: np.random.Generator, env: Environment, n: int, mode: str,
+             z: np.ndarray, cap: int) -> int:
+    """Draw generation n for the alive paths, updating their sizes z in
+    place: a killed path's size becomes DELTA, also when it passed cap.
+    Returns the number of paths drawn for, 0 once every path stopped."""
+    act = np.flatnonzero(_active(z, cap))
     if act.size:
         law = env.law(n)
         if mode == "coupled":
@@ -164,46 +159,45 @@ def _advance(
         else:
             sums, killed = _offspring_counts(rng, z[act], law)
         z[act] = sums
-        state[act[sums == 0]] = _EXTINCT
-        state[act[sums > cap]] = _OVERFLOW
         if killed is not None:
-            kidx = act[killed]
-            state[kidx] = _KILLED
-            z[kidx] = DELTA
+            z[act[killed]] = DELTA
+    return act.size
 
 
-def _run_block(
-    env: Environment,
-    horizon: int,
-    mode: str,
-    master_seed: int,
-    block_index: int,
-    size: int,
-    cap: int,
-    snapshots: Mapping[int, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """One block of ``size`` paths on its own stream: the sizes and
-    states at the horizon.  At each time t in ``snapshots`` the sizes
-    are written into ``snapshots[t]``, the block's slice of the run's
-    column."""
-    rng = _rng(master_seed, _MODE_ID[mode], block_index)
+def _run_block(env: Environment, horizon: int, mode: str, rng: np.random.Generator,
+               size: int, cap: int, snapshots: Mapping[int, np.ndarray]) -> np.ndarray:
+    """One block of ``size`` paths drawn from ``rng``: their sizes at the
+    horizon.  At each time t in ``snapshots`` the sizes are written into
+    ``snapshots[t]``, the block's slice of the run's column."""
     z = np.ones(size, dtype=np.int64)
-    state = np.zeros(size, dtype=np.int8)
+    live = True  # until a generation finds no path to draw for
     for n in range(1, horizon + 1):
-        _advance(rng, env, n, mode, z, state, cap)
+        live = live and _advance(rng, env, n, mode, z, cap) > 0
         if n in snapshots:
             snapshots[n][:] = z
-    return z, state
+    return z
 
 
-def _check_run(mode: str, horizon: int, cap: int) -> None:
-    """The preconditions of a simulated run, one path or many."""
+def _whole(value, what: str) -> int:
+    """value as a Python int, an integral float such as 3.0 counting;
+    anything else is refused, naming ``what`` it should be."""
+    if not _is_int(value):
+        raise PreconditionError(f"{what}, got {value!r}")
+    return int(value)
+
+
+def _check_run(mode: str, horizon: int, cap: int) -> tuple[int, int]:
+    """The preconditions of a simulated run, one path or many: horizon
+    and cap, as Python ints."""
     if mode not in _MODE_ID:
         raise PreconditionError(f"unknown mode {mode!r}")
+    horizon = _whole(horizon, "horizon must be an integer")
+    cap = _whole(cap, "cap must be an integer")
     if horizon < 0:
         raise PreconditionError(f"need horizon >= 0, got horizon={horizon}")
     if cap < 1:
         raise PreconditionError(f"need cap >= 1, got cap={cap}")
+    return horizon, cap
 
 
 def run_path(
@@ -215,24 +209,18 @@ def run_path(
     mode: str = "direct",
     cap: int = DEFAULT_CAP,
 ) -> PathSample:
-    """Simulate a single trajectory, recording every generation."""
-    _check_run(mode, horizon, cap)
+    """Simulate a single trajectory, recording every generation: a block
+    of one path, with every generation a snapshot."""
+    horizon, cap = _check_run(mode, horizon, cap)
     if rng is None:
         rng = _rng(seed)
-    z = np.ones(1, dtype=np.int64)
-    state = np.zeros(1, dtype=np.int8)
-    sizes = np.empty(horizon + 1, dtype=np.int64)
-    sizes[0] = 1
-    for n in range(1, horizon + 1):
-        _advance(rng, env, n, mode, z, state, cap)
-        if state[0] != _ACTIVE:
-            sizes[n:] = z[0]  # DELTA once killed, 0 once extinct, frozen on overflow
-            terminal = Terminal(_STATE_KIND[int(state[0])], n, int(z[0]))
-            break
-        sizes[n] = z[0]
-    else:
-        terminal = Terminal(ALIVE, horizon, int(z[0]))
-    return PathSample(sizes=sizes, terminal=terminal, mode=mode)
+    sizes = np.ones(horizon + 1, dtype=np.int64)
+    _run_block(env, horizon, mode, rng, 1, cap, {n: sizes[n : n + 1] for n in range(1, horizon + 1)})
+    stopped = np.flatnonzero(~_active(sizes, cap))
+    end = int(sizes[-1])
+    kind = {DELTA: KILLED, 0: EXTINCT}.get(end, OVERFLOW if end > cap else ALIVE)
+    time = int(stopped[0]) if stopped.size else horizon
+    return PathSample(sizes=sizes, terminal=Terminal(kind, time, end), mode=mode)
 
 
 @dataclass(frozen=True)
@@ -249,8 +237,8 @@ class McSummary:
     the mean product does not account for.
 
     The sizes at the horizon are ``snapshots[horizon]`` for a run asked
-    for that snapshot; each path's state follows from its size and cap:
-    DELTA killed, 0 extinct, above cap overflowed, alive otherwise.
+    for that snapshot; the four counts are read off the sizes: DELTA
+    killed, 0 extinct, above cap overflowed, alive otherwise.
     """
 
     horizon: int
@@ -302,46 +290,46 @@ def monte_carlo(
     thread, the caller's, meets any cap: numpy's binomial draws hold
     the GIL, so more threads only add switching.  A
     path whose population passes ``cap`` (at least 1) stops and counts
-    as overflowed.  Snapshot times are integers (3.0 is one) in
+    as overflowed.  horizon, reps, cap and the snapshot times are
+    integers (3.0 is one, a numpy integer too); snapshot times lie in
     1..horizon.
 
     Each block is reduced as it returns, so the only memory per
     replicate is one int64 per snapshot time: the one per-path output,
     with the final sizes at ``snapshot_times=(horizon,)``.  Beyond it a
-    run holds one block's working arrays, under 48 bytes a path and so
+    run holds one block's working arrays, under 44 bytes a path and so
     under 1 MiB, at any ``reps``.  The means, variances and standard
     errors are formed from exact integer sums of the alive sizes and
     their squares, each rounded once from its exact value (W's taking
     exp(-log_mu) as the float it rounds to), so the summary does not
     depend on the snapshot times.
     """
-    _check_run(mode, horizon, cap)
+    horizon, cap = _check_run(mode, horizon, cap)
+    reps = _whole(reps, "reps must be an integer")
     if reps < 1:
         raise PreconditionError(f"need reps >= 1, got reps={reps}")
-    times = tuple(snapshot_times)
-    for t in times:
-        if not _is_int(t):
-            raise PreconditionError(f"snapshot times must be integers, got {t!r}")
-    snaps_at = tuple(sorted(set(int(t) for t in times)))
+    snaps_at = sorted({_whole(t, "snapshot times must be integers") for t in snapshot_times})
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")
     snapshots = {t: np.empty(reps, dtype=np.int64) for t in snaps_at}
-    counts = np.zeros(4, dtype=np.int64)  # paths per state
     hist = np.zeros(21, dtype=np.int64)
+    n_ext = n_kill = n_over = 0
     s1 = s2 = 0  # sums of the alive sizes and of their squares
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
         cols = {t: col[lo:hi] for t, col in snapshots.items()}
-        bz, bstate = _run_block(env, horizon, mode, master_seed, b, hi - lo, cap, cols)
-        counts += np.bincount(bstate, minlength=4)
-        alive = bz[bstate == _ACTIVE]
+        bz = _run_block(env, horizon, mode, _rng(master_seed, _MODE_ID[mode], b), hi - lo, cap, cols)
+        n_ext += int(np.count_nonzero(bz == 0))
+        n_kill += int(np.count_nonzero(bz == DELTA))
+        n_over += int(np.count_nonzero(bz > cap))
+        alive = bz[_active(bz, cap)]
         b1, b2 = _sums(alive)
         hist += np.bincount(np.minimum(alive, 20, out=alive), minlength=21)
         s1 += b1
         s2 += b2
-        del bz, bstate, alive  # before the next block
+        del bz, alive  # before the next block
 
-    n_alive, n_ext, n_kill, n_over = (int(c) for c in counts)
+    n_alive = reps - n_ext - n_kill - n_over
     n_eff = reps - n_over
     p_surv, se_surv = _prop(n_alive, n_eff)
     p_ext, se_ext = _prop(n_ext, n_eff)
@@ -504,6 +492,7 @@ def mode_agreement(
         out[mode] = np.array(
             [s.n_killed, s.n_extinct, *h[1:10], int(h[10:].sum()) + s.n_overflow], dtype=np.int64
         )
+    horizon, reps = s.horizon, s.reps  # as monte_carlo checked them, Python ints
     c1, c2 = out["direct"], out["coupled"]
     occupied = (c1 + c2) > 0
     b = int(np.sum(occupied))

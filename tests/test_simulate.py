@@ -29,19 +29,20 @@ from defbranch import (
 from defbranch import simulate
 from defbranch.laws import _rng
 from defbranch.simulate import (
-    _ACTIVE,
-    _EXTINCT,
-    _KILLED,
     _MODE_ID,
-    _OVERFLOW,
-    _STATE_KIND,
     BLOCK,
     DEFAULT_CAP,
+    Terminal,
     _offspring_counts,
     _run_block,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+# the state column the earlier kernel kept beside the sizes, int8 in a block
+_ACTIVE, _EXTINCT, _KILLED, _OVERFLOW = 0, 1, 2, 3
+
+_STATE_KIND = {_ACTIVE: "alive", _EXTINCT: "extinct", _KILLED: "killed", _OVERFLOW: "overflow"}
 
 
 def _states(z: np.ndarray, cap: int) -> np.ndarray:
@@ -120,11 +121,14 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     @pytest.mark.parametrize("env", CAPPED_ENVS.values(), ids=CAPPED_ENVS.keys())
     def test_states_follow_from_sizes_and_cap(self, env, mode, cap):
-        # the rule _states applies is the block's own state column, and the
-        # horizon snapshot is the blocks' sizes in block order
+        # the rule _states applies is the earlier kernel's state column, and
+        # the horizon snapshot is the blocks' sizes in block order
         reps, sizes, overflowed = 2 * BLOCK + 7, [], 0
         for b, lo in enumerate(range(0, reps, BLOCK)):
-            z, state = _run_block(env, 6, mode, 3, b, min(BLOCK, reps - lo), cap, {})
+            size = min(BLOCK, reps - lo)
+            z = _run_block(env, 6, mode, _rng(3, _MODE_ID[mode], b), size, cap, {})
+            oz, state = _oracle_run_block(env, 6, mode, 3, b, size, cap, {})
+            assert np.array_equal(z, oz)
             assert np.array_equal(_states(z, cap), state)
             sizes.append(z)
             overflowed += int((state == _OVERFLOW).sum())
@@ -156,11 +160,32 @@ class TestDeterminism:
         for env in (env_a, env_b):
             for mode in ("direct", "coupled"):
                 for seed in range(20):
-                    z, state = _run_block(env, 12, mode, seed, 0, 1, DEFAULT_CAP, {})
+                    z = _run_block(env, 12, mode, _rng(seed, _MODE_ID[mode], 0), 1, DEFAULT_CAP, {})
                     seq = np.random.SeedSequence([seed, _MODE_ID[mode], 0])
                     p = run_path(env, 12, np.random.Generator(np.random.Philox(seq)), mode=mode)
                     assert p.sizes[-1] == z[0]
-                    assert p.terminal.kind == _STATE_KIND[int(state[0])]
+                    assert p.terminal.kind == _STATE_KIND[int(_states(z, DEFAULT_CAP)[0])]
+
+    @pytest.mark.parametrize("cap", [3, DEFAULT_CAP])
+    @pytest.mark.parametrize("mode", ["direct", "coupled"])
+    def test_run_path_matches_the_earlier_loop(self, mode, cap):
+        # the same sizes and terminal, and the generator left where the
+        # earlier loop left it: a stopped path draws nothing more
+        cases = [(Constant(LAW_A), 8), (Constant(LAW_A), 1), (Constant(LAW_B), 6),
+                 (Constant(LAW_B), 0), (Constant(FiniteSupport([0.0, 0.0, 1.0])), 25)]
+        kinds = set()
+        for env, horizon in cases:
+            for seed in range(12):
+                rng, orng = _rng(seed), _rng(seed)
+                p = run_path(env, horizon, rng, mode=mode, cap=cap)
+                o = _oracle_run_path(env, horizon, orng, mode, cap)
+                assert p.sizes.dtype == o.sizes.dtype
+                assert np.array_equal(p.sizes, o.sizes)
+                assert p.terminal == o.terminal
+                # Philox's state holds small arrays, compared through their reprs
+                assert repr(rng.bit_generator.state) == repr(orng.bit_generator.state)
+                kinds.add(p.terminal.kind)
+        assert kinds == {"alive", "extinct", "killed", "overflow"}
 
     def test_validation(self, env_a):
         with pytest.raises(PreconditionError):
@@ -194,8 +219,11 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"horizon": -1}, "need horizon >= 0, got horizon=-1"),
+        ({"horizon": 3.5}, "horizon must be an integer, got 3.5"),
+        ({"horizon": "3"}, "horizon must be an integer, got '3'"),
         ({"horizon": 5, "cap": 0}, "need cap >= 1, got cap=0"),
         ({"horizon": 5, "cap": -1}, "need cap >= 1, got cap=-1"),
+        ({"horizon": 5, "cap": 2.5}, "cap must be an integer, got 2.5"),
         ({"horizon": 5, "mode": "sideways"}, "unknown mode 'sideways'"),
     ])
     def test_run_path_checks_what_monte_carlo_checks(self, env_a, kwargs, message):
@@ -203,6 +231,23 @@ class TestDeterminism:
                     lambda: monte_carlo(env_a, reps=10, **kwargs)):
             with pytest.raises(PreconditionError, match=f"^{message}$"):
                 run()
+
+    @pytest.mark.parametrize("reps", [10.5, float("nan"), True])
+    def test_non_integral_reps(self, env_a, reps):
+        for run in (monte_carlo, mode_agreement):
+            with pytest.raises(PreconditionError, match=f"^reps must be an integer, got {reps!r}$"):
+                run(env_a, 3, reps)
+
+    def test_numpy_and_integral_float_arguments(self, env_a):
+        # a numpy integer or an integral float counts as the int it equals
+        s = monte_carlo(env_a, 3, 10, 1, cap=50)
+        assert monte_carlo(env_a, np.int64(3), np.int64(10), 1, cap=np.int64(50)).to_dict() == s.to_dict()
+        assert monte_carlo(env_a, 3.0, 10.0, 1, cap=50.0).to_dict() == s.to_dict()
+        r = mode_agreement(env_a, 3, 1000, 1)
+        assert mode_agreement(env_a, np.int64(3), np.int64(1000), 1).to_dict() == r.to_dict()
+        p = run_path(env_a, 8, seed=4)
+        q = run_path(env_a, np.int64(8), seed=4, cap=float(DEFAULT_CAP))
+        assert np.array_equal(p.sizes, q.sizes) and p.terminal == q.terminal
 
 
 class TestMarginals:
@@ -576,6 +621,36 @@ def _oracle_advance(rng, env, n, mode, z, state, cap):
         z[kidx] = DELTA
 
 
+def _oracle_run_block(env, horizon, mode, master_seed, block_index, size, cap, snapshots):
+    """The earlier kernel's block, kept verbatim: sizes and states."""
+    rng = _rng(master_seed, _MODE_ID[mode], block_index)
+    z = np.ones(size, dtype=np.int64)
+    state = np.zeros(size, dtype=np.int8)
+    for n in range(1, horizon + 1):
+        _oracle_advance(rng, env, n, mode, z, state, cap)
+        if n in snapshots:
+            snapshots[n][:] = z
+    return z, state
+
+
+def _oracle_run_path(env, horizon, rng, mode, cap):
+    """The earlier run_path's own generation loop, kept verbatim."""
+    z = np.ones(1, dtype=np.int64)
+    state = np.zeros(1, dtype=np.int8)
+    sizes = np.empty(horizon + 1, dtype=np.int64)
+    sizes[0] = 1
+    for n in range(1, horizon + 1):
+        _oracle_advance(rng, env, n, mode, z, state, cap)
+        if state[0] != _ACTIVE:
+            sizes[n:] = z[0]  # DELTA once killed, 0 once extinct, frozen on overflow
+            terminal = Terminal(_STATE_KIND[int(state[0])], n, int(z[0]))
+            break
+        sizes[n] = z[0]
+    else:
+        terminal = Terminal("alive", horizon, int(z[0]))
+    return SimpleNamespace(sizes=sizes, terminal=terminal)
+
+
 KERNEL_LAWS = {
     "law-a": LAW_A,
     "law-b": LAW_B,
@@ -590,25 +665,24 @@ class TestBlockKernel:
     @pytest.mark.parametrize("cap", [1, 5, 10**7])
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     @pytest.mark.parametrize("law", KERNEL_LAWS.values(), ids=KERNEL_LAWS.keys())
-    def test_same_bits_as_the_earlier_kernel(self, law, mode, cap, size, monkeypatch):
+    def test_same_bits_as_the_earlier_kernel(self, law, mode, cap, size):
         # the same stream gives the same block: the width is the only change
         env, horizon = Constant(law), 8
         cols = {t: np.empty(size, dtype=np.int64) for t in (2, 8)}
         ocols = {t: np.empty(size, dtype=np.int64) for t in (2, 8)}
-        z, state = _run_block(env, horizon, mode, 3, 2, size, cap, cols)
-        monkeypatch.setattr(simulate, "_advance", _oracle_advance)
-        oz, ostate = _run_block(env, horizon, mode, 3, 2, size, cap, ocols)
-        assert z.dtype == oz.dtype and state.dtype == ostate.dtype
+        z = _run_block(env, horizon, mode, _rng(3, _MODE_ID[mode], 2), size, cap, cols)
+        oz, ostate = _oracle_run_block(env, horizon, mode, 3, 2, size, cap, ocols)
+        assert z.dtype == oz.dtype
         assert np.array_equal(z, oz)
-        assert np.array_equal(state, ostate)
+        assert np.array_equal(_states(z, cap), ostate)
         for t in cols:
             assert np.array_equal(cols[t], ocols[t])
 
     @pytest.mark.parametrize("mode", ["direct", "coupled"])
     def test_killed_and_overflowed_in_one_step_ends_killed(self, mode):
         env, cap = Constant(LAW_A), 5
-        z, state = np.full(BLOCK, 5, dtype=np.int64), np.zeros(BLOCK, dtype=np.int8)
-        oz, ostate = z.copy(), state.copy()
+        z = np.full(BLOCK, 5, dtype=np.int64)
+        oz, ostate = z.copy(), np.zeros(BLOCK, dtype=np.int8)
         _oracle_advance(_rng(1, 2, 0), env, 1, mode, oz, ostate, cap)
         # the oracle's draws on the same stream show which paths did both
         rng = _rng(1, 2, 0)
@@ -619,9 +693,9 @@ class TestBlockKernel:
             sums, killed = _oracle_offspring_counts(rng, z.copy(), LAW_A)
         both = killed & (sums > cap)
         assert both.any()
-        simulate._advance(_rng(1, 2, 0), env, 1, mode, z, state, cap)
-        assert np.all(state[both] == _KILLED) and np.all(z[both] == DELTA)
-        assert np.array_equal(z, oz) and np.array_equal(state, ostate)
+        simulate._advance(_rng(1, 2, 0), env, 1, mode, z, cap)
+        assert np.all(z[both] == DELTA)
+        assert np.array_equal(z, oz) and np.array_equal(_states(z, cap), ostate)
 
 
 @pytest.mark.parametrize("mode", ["direct", "coupled"])
