@@ -6,15 +6,15 @@ spec.  ``defbranch run config.json`` executes the command named inside
 the config; every command is also exposed as its own subcommand, which
 overrides the config's command field (and the params are then checked
 against the subcommand's).  ``defbranch validate`` checks a config
-(schema, params and law semantics) without running anything.
+(its contract and law semantics) without running anything.
 
 Commands are declared in one place, the ``_REGISTRY`` table: each entry
 gives the command's module tag, its handler and its params, each with
 its type, bounds and default.  The subcommands, the artifacts'
-``module`` field, the schema's ``command`` enum and each command's
-``params`` schema are derived from that table; the schema's
-named-family ``id`` enum comes from the family table in
-``environments``.  A handler reads the params converted to their types,
+``module`` field, the commands a config may name and the check of each
+command's params are derived from that table; the named-family ids and
+params come from the tables in ``environments``, which ``NamedFamily``
+reads too.  A handler reads the params converted to their types,
 with every required one present.  A handler that returns a table
 (column names and one value tuple per row) writes rows; any other result
 is written as JSON.
@@ -25,12 +25,13 @@ written once, in its signature.  Only the defaults of CLI-only params
 (``k``, ``order``, ``count``, ``sampler``, ``extra_depth``, ``workers``)
 live in the table.
 
-Validation: ``data/config.schema.json`` with the params schemas from the
-table is the contract.  ``_conforms`` walks a config by hand and gives
-the schema's verdict at a small fraction of jsonschema's cost; only a
-config it rejects is handed to jsonschema (imported then, not before),
-which words the error and points at the offending value.  The walker and
-``NamedFamily`` both read the named-family params table in ``environments``.
+Validation is one walk over the config, ``_violation``: the top-level
+keys, the environment literal, the master seed, the output spec and the
+command's params.  It reports the first violation in the order of their
+JSON pointers, as the pointer and a message worded as Draft 2020-12 JSON
+Schema words it; a config it accepts is run.  The tests keep that JSON
+Schema and check the walk against it, so the package needs no schema
+library.
 
 Exit codes: 0 success, 2 config/schema/params/law violations, 3 domain
 precondition failures, 4 budget exhaustion, 1 anything unexpected.
@@ -104,19 +105,19 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the config contract: command params, the checker, the schema
+# the config contract: command params and the checker
 # ---------------------------------------------------------------------------
 
 _REQUIRED: Any = object()  # the default of a param the config must set
 
 
 class _Param(NamedTuple):
-    """One command parameter.  ``type`` is "integer", "number" or the
-    tuple of the strings allowed; ``many`` is "" for one value, "list"
-    for a list of them and "either" for one value or a list; every number
-    lies in [minimum, maximum] where those are set.  ``default`` says
-    what leaving the param out (or null) means: _REQUIRED forbids it,
-    None passes nothing on, so the library function's own default
+    """One command parameter.  ``type`` is "integer", "number", "string"
+    or the tuple of the strings allowed; ``many`` is "" for one value,
+    "list" for a list of them and "either" for one value or a list; every
+    number lies in [minimum, maximum] where those are set.  ``default``
+    says what leaving the param out (or null) means: _REQUIRED forbids
+    it, None passes nothing on, so the library function's own default
     applies, and any other value is a CLI-only default."""
 
     type: str | tuple[str, ...]
@@ -126,25 +127,60 @@ class _Param(NamedTuple):
     default: Any = None
 
 
-def _item_ok(p: _Param, x) -> bool:
-    if p.type == "integer":
-        ok = _is_int(x)
-    elif p.type == "number":
-        ok = _is_num(x)
-    else:
-        return isinstance(x, str) and x in p.type
-    # NaN passes both bounds, as it does in JSON Schema
-    return ok and not (
-        (p.minimum is not None and x < p.minimum) or (p.maximum is not None and x > p.maximum)
-    )
+_IS_TYPE = {"integer": _is_int, "number": _is_num, "string": lambda x: isinstance(x, str)}
 
 
-def _param_ok(p: _Param, v) -> bool:
-    if v is None:
-        return p.default is not _REQUIRED
+def _not_type(x, *types: str) -> str:
+    return f"{x!r} is not of type {', '.join(map(repr, types))}"
+
+
+def _bound_error(p: _Param, x) -> str | None:
+    # minimum and maximum act on numbers only; NaN passes both
+    if _is_num(x):
+        if p.minimum is not None and x < p.minimum:
+            return f"{x!r} is less than the minimum of {p.minimum!r}"
+        if p.maximum is not None and x > p.maximum:
+            return f"{x!r} is greater than the maximum of {p.maximum!r}"
+    return None
+
+
+def _value_error(p: _Param, v) -> tuple[str, str] | None:
+    """The first error on value v of p, as (the pointer from v to it,
+    message): its type, then its bounds, then each list item's in index
+    order.  A null is an unset param, an error only where it is
+    required."""
+    optional = p.default is not _REQUIRED
+    if isinstance(p.type, tuple):
+        allowed = [*p.type, None] if optional else list(p.type)
+        return None if v in allowed else ("", f"{v!r} is not one of {allowed!r}")
     if isinstance(v, list):
-        return p.many != "" and all(_item_ok(p, x) for x in v)
-    return p.many != "list" and _item_ok(p, v)
+        fits = p.many != ""
+    else:
+        fits = optional if v is None else p.many != "list" and _IS_TYPE[p.type](v)
+    if not fits:
+        types = {"": [p.type], "list": ["array"], "either": [p.type, "array"]}[p.many]
+        return "", _not_type(v, *types, *["null"] * optional)
+    err = _bound_error(p, v)
+    if err:
+        return "", err
+    for i, x in enumerate(v if isinstance(v, list) else ()):
+        err = _bound_error(p, x) if _IS_TYPE[p.type](x) else _not_type(x, p.type)
+        if err:
+            return f"/{i}", err
+    return None
+
+
+def _object_error(obj, spec, required=()) -> str | None:
+    """The first error on obj as an object with the keys of ``spec`` only:
+    its type, then its extra keys, then the first missing ``required``."""
+    if not isinstance(obj, dict):
+        return _not_type(obj, "object")
+    extra = obj.keys() - spec
+    if extra:
+        verb = "was" if len(extra) == 1 else "were"
+        names = ", ".join(map(repr, sorted(extra, key=str)))
+        return f"Additional properties are not allowed ({names} {verb} unexpected)"
+    return next((f"{k!r} is a required property" for k in required if k not in obj), None)
 
 
 def _law_ok(law) -> bool:
@@ -201,87 +237,51 @@ def _environment_ok(env) -> bool:
     return False
 
 
-def _output_ok(out) -> bool:
-    return (
-        isinstance(out, dict)
-        and out.keys() <= {"dir", "format"}
-        and isinstance(out.get("dir", ""), str)
-        and out.get("format", "json") in ("json", "csv")
-    )
-
-
 _TOP_KEYS = frozenset(("command", "environment", "params", "master_seed", "output"))
+_SEED = _Param("integer", minimum=0, default=_REQUIRED)
+_OUTPUT = {"dir": _Param("string", default=_REQUIRED),
+           "format": _Param(("json", "csv"), default=_REQUIRED)}
 
 
 def _known(command) -> bool:
     return isinstance(command, str) and command in _REGISTRY
 
 
-def _conforms(cfg) -> bool:
-    """The schema's verdict on ``cfg``, walked by hand: True exactly when
-    ``_validator()`` finds no error, at a small fraction of its cost."""
-    if not isinstance(cfg, dict) or not cfg.keys() <= _TOP_KEYS or "environment" not in cfg:
-        return False
-    command = cfg.get("command")
+def _violation(cfg) -> tuple[str, str] | None:
+    """The first violation of the config contract in ``cfg``, as
+    (pointer, message), or None when it conforms.  Violations come in
+    the order of their pointers, the root's first (its type, extra keys,
+    then a missing command or environment), and are worded as Draft
+    2020-12 JSON Schema words them; an environment that is not one of
+    the three kinds, each with its laws or its family and params, is
+    one violation at /environment."""
+    err = _object_error(cfg, _TOP_KEYS, ("command", "environment"))
+    if err:
+        return "/", err
+    command, env = cfg["command"], cfg["environment"]
     if not _known(command):
-        return False
-    seed = cfg.get("master_seed", 0)
-    if not (_is_int(seed) and seed >= 0):
-        return False
-    if "output" in cfg and not _output_ok(cfg["output"]):
-        return False
-    if "params" in cfg:
-        params, spec = cfg["params"], _REGISTRY[command].params
-        if not (
-            isinstance(params, dict)
-            and params.keys() <= spec.keys()
-            and all(k in params for k, p in spec.items() if p.default is _REQUIRED)
-            and all(_param_ok(spec[k], v) for k, v in params.items())
-        ):
-            return False
-    return _environment_ok(cfg["environment"])
-
-
-def _param_schema(p: _Param) -> dict:
-    if isinstance(p.type, tuple):
-        return {"enum": [*p.type, None] if p.default is not _REQUIRED else list(p.type)}
-    item = {"type": p.type}
-    item.update((k, v) for k, v in (("minimum", p.minimum), ("maximum", p.maximum)) if v is not None)
-    types = {"": [p.type], "list": ["array"], "either": [p.type, "array"]}[p.many]
-    if p.default is not _REQUIRED:
-        types.append("null")
-    # minimum and maximum act on numbers only and items on arrays only
-    return {**item, "type": types, **({"items": item} if p.many else {})}
-
-
-def _params_schema(spec: dict[str, _Param]) -> dict:
-    return {
-        "additionalProperties": False,
-        "required": [k for k, p in spec.items() if p.default is _REQUIRED],
-        "properties": {k: _param_schema(p) for k, p in spec.items()},
-    }
-
-
-@functools.cache
-def _validator():
-    """The JSON Schema validator of a config, with the command and family
-    enums and each command's params schema filled in from the tables.
-    Built (and jsonschema imported) only to word a rejection."""
-    import jsonschema
-    from importlib import resources
-
-    text = resources.files("defbranch").joinpath("data/config.schema.json").read_text()
-    schema = json.loads(text)
-    schema["properties"]["command"]["enum"] = list(_REGISTRY)
-    schema["$defs"]["family"]["enum"] = list(_FAMILIES)
-    schema["allOf"] = [
-        {
-            "if": {"required": ["command"], "properties": {"command": {"const": name}}},
-            "then": {"properties": {"params": _params_schema(cmd.params)}},
-        }
-        for name, cmd in _REGISTRY.items()
-    ]
-    return jsonschema.Draft202012Validator(schema)
+        return "/command", f"{command!r} is not one of {list(_REGISTRY)!r}"
+    if not _environment_ok(env):
+        return "/environment", f"{env!r} is not valid under any of the given schemas"
+    err = _value_error(_SEED, cfg.get("master_seed", 0))
+    if err:
+        return "/master_seed", err[1]
+    spec = _REGISTRY[command].params
+    for at, fields, required in (
+        ("output", _OUTPUT, ()),  # neither key is required, nor may be null
+        ("params", spec, [k for k, p in spec.items() if p.default is _REQUIRED]),
+    ):
+        if at not in cfg:
+            continue
+        obj = cfg[at]
+        err = _object_error(obj, fields, required)
+        if err:
+            return f"/{at}", err
+        for key in sorted(obj):  # a key's errors, its items' too, come in key order
+            err = _value_error(fields[key], obj[key])
+            if err:
+                return f"/{at}/{key}{err[0]}", err[1]
+    return None
 
 
 def load_config(path: str, command: str | None = None) -> tuple[dict, Environment]:
@@ -301,12 +301,9 @@ def load_config(path: str, command: str | None = None) -> tuple[dict, Environmen
         doc = {**cfg, "params": cfg.get("params", {})}
         if command is not None and _known(doc.get("command")):
             doc["command"] = command
-    if not _conforms(doc):  # the schema has the last word
-        errors = sorted(_validator().iter_errors(doc), key=lambda e: list(e.absolute_path))
-        if errors:
-            e = errors[0]
-            pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-            raise ConfigError(e.message, pointer=pointer)
+    bad = _violation(doc)
+    if bad:
+        raise ConfigError(bad[1], pointer=bad[0])
     # semantic validation happens here too: bad mass or mean raises
     return cfg, environment_from_dict(cfg["environment"])
 

@@ -212,34 +212,35 @@ def _check_power_defect(params: dict) -> None:
 
 
 def _power_defect(a: float, neg_b: float, n: int) -> float:
-    return 1.0 - a * float(n) ** neg_b
+    return a * float(n) ** neg_b
 
 
-def _c_1a(n: int) -> float:
-    return 0.5 if n == 1 else 1.0 - 1.0 / n
+def _d_1a(n: int) -> float:
+    return 0.5 if n == 1 else 1.0 / n
 
 
-def _c_1b(n: int) -> float:
-    return 0.5 if n == 1 else 1.0 - 1.0 / n**2
+def _d_1b(n: int) -> float:
+    return 0.5 if n == 1 else 1.0 / n**2
 
 
-def _c_2a(n: int) -> float:
-    return 1.0 - 0.5**n / n
+def _d_2a(n: int) -> float:
+    return 0.5**n / n
 
 
-def _c_2b(n: int) -> float:
-    return 1.0 - 0.5**n / n**2
+def _d_2b(n: int) -> float:
+    return 0.5**n / n**2
 
 
 class _Family(NamedTuple):
-    """A family whose law f_n puts weight c_n in (0, 1] on m children:
-    f_n(s) = c_n s^m.  ``coeff`` builds the map n -> c_n from the params
-    once; it must be picklable (a module-level function or a
-    ``functools.partial`` of one), since ``NamedFamily`` keeps it.
-    ``check`` must reject every params for which c_n leaves (0, 1],
-    because ``NamedFamily.law`` builds the laws unvalidated."""
+    """A family whose law f_n kills with the defect d_n and puts the
+    weight c_n = 1 - d_n on m children: f_n(s) = c_n s^m.  ``defect``
+    builds the map n -> d_n, in closed form, from the params once; it
+    must be picklable (a module-level function or a ``functools.partial``
+    of one), since ``NamedFamily`` keeps it.  ``check`` must reject every
+    params for which d_n leaves [0, 1), because ``NamedFamily.law``
+    builds the laws unvalidated."""
 
-    coeff: Callable[[dict], Callable[[int], float]]  # params -> (n -> c_n)
+    defect: Callable[[dict], Callable[[int], float]]  # params -> (n -> d_n)
     arity: Callable[[dict], int]  # params -> m
     meta: dict[str, str]  # analytic series tags, see Environment.series_meta
     check: Callable[[dict], None] = lambda params: None  # raises on bad params
@@ -248,7 +249,7 @@ class _Family(NamedTuple):
 # The one list of named families (NamedFamily documents each law).
 _FAMILIES: dict[str, _Family] = {
     "example-1a": _Family(
-        lambda _: _c_1a,
+        lambda _: _d_1a,
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -258,7 +259,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-1b": _Family(
-        lambda _: _c_1b,
+        lambda _: _d_1b,
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -268,7 +269,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2a": _Family(
-        lambda _: _c_2a,
+        lambda _: _d_2a,
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -279,7 +280,7 @@ _FAMILIES: dict[str, _Family] = {
         },
     ),
     "example-2b": _Family(
-        lambda _: _c_2b,
+        lambda _: _d_2b,
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -303,7 +304,9 @@ class NamedFamily(Environment):
     """Built-in law families.
 
     Every family puts weight c_n on m children and kills with the rest,
-    f_n(s) = c_n s^m; ``_FAMILIES`` holds c_n and m per id.
+    f_n(s) = c_n s^m; ``_FAMILIES`` holds the defect d_n = 1 - c_n and m
+    per id.  Each law keeps its d_n as its ``defect``, which the
+    samplers kill with, also where c_n rounds to 1.0.
 
     Ids:
         example-1a: f_1(s) = s/2, f_n(s) = (1 - 1/n) s for n >= 2.
@@ -329,18 +332,20 @@ class NamedFamily(Environment):
         fam.check(self.params)
         # built once and kept outside the fields, so equality, repr and
         # to_dict still read (family, params) alone
-        object.__setattr__(self, "_coeff", fam.coeff(self.params))
+        object.__setattr__(self, "_defect", fam.defect(self.params))
         object.__setattr__(self, "_zeros", [0.0] * fam.arity(self.params))
 
     def law(self, n: int) -> OffspringLaw:
         if n < 1:
             raise ValueError("generation index starts at 1")
-        return FiniteSupport._trusted(self._zeros + [self._coeff(n)])
+        d = self._defect(n)
+        return FiniteSupport._trusted(self._zeros + [1.0 - d], defect=d)
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
         # _series_stats of c s^m in closed form, with the law's operations:
         # c8 = (m2_tail / m1_tail) / (mean / P[X >= 1]), m2_tail = m^2 c, m1_tail = mean
-        c = np.fromiter(map(self._coeff, range(1, n + 1)), float, n)
+        c = np.fromiter(map(self._defect, range(1, n + 1)), float, n)
+        np.subtract(1.0, c, out=c)  # c_n = 1 - d_n, the weight law(n) writes
         m = len(self._zeros)
         mean = m * c
         if m == 1:

@@ -155,9 +155,10 @@ class OffspringLaw:
         """Total non-graveyard mass f(1)."""
         raise NotImplementedError
 
-    @property
+    @cached_property
     def defect(self) -> float:
-        """Killing probability 1 - f(1), clipped of float dust."""
+        """Killing probability 1 - f(1), clipped of float dust; a law
+        built with its defect given keeps that one, unclipped."""
         d = 1.0 - self.mass
         return d if d > 1e-15 else 0.0
 
@@ -306,11 +307,14 @@ class FiniteSupport(OffspringLaw):
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def _trusted(cls, wl: list[float]) -> "FiniteSupport":
+    def _trusted(cls, wl: list[float], defect: float | None = None) -> "FiniteSupport":
         """The law with weights ``wl``, which the caller has already
-        checked: what ``__init__`` would build, without its validation."""
+        checked: what ``__init__`` would build, without its validation.
+        A ``defect`` given is the law's, where 1 - sum(wl) rounds it."""
         law = object.__new__(cls)
         law.__dict__.update(weights=np.array(wl), _horner=_horner_lists(wl))
+        if defect is not None:
+            law.__dict__["defect"] = defect
         return law
 
     @cached_property

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,10 +150,11 @@ def _advance(rng: np.random.Generator, env: Environment, n: int, mode: str,
     if act.size:
         law = env.law(n)
         if mode == "coupled":
+            # 1 - (1 - defect)**z, the chance one of z individuals is killed
             kill_p = z[act].astype(np.float64)
-            np.power(law.mass, kill_p, out=kill_p)
-            np.subtract(1.0, kill_p, out=kill_p)
-            killed = rng.random(act.size) < kill_p
+            kill_p *= math.log1p(-law.defect)
+            np.expm1(kill_p, out=kill_p)
+            killed = rng.random(act.size) < np.negative(kill_p, out=kill_p)
             del kill_p  # before the offspring draws
             sums, _ = _offspring_counts(rng, z[act], law.normalize())
         else:
@@ -165,16 +166,21 @@ def _advance(rng: np.random.Generator, env: Environment, n: int, mode: str,
 
 
 def _run_block(env: Environment, horizon: int, mode: str, rng: np.random.Generator,
-               size: int, cap: int, snapshots: Mapping[int, np.ndarray]) -> np.ndarray:
+               size: int, cap: int, times: Sequence[int], out: np.ndarray) -> np.ndarray:
     """One block of ``size`` paths drawn from ``rng``: their sizes at the
-    horizon.  At each time t in ``snapshots`` the sizes are written into
-    ``snapshots[t]``, the block's slice of the run's column."""
+    horizon.  Row i of ``out`` gets the sizes at ``times[i]`` (increasing,
+    in 1..horizon): the block's columns of the run's snapshot rows.  Once
+    a generation finds no path to draw for, the sizes stand, and fill the
+    rows left in one step."""
     z = np.ones(size, dtype=np.int64)
-    live = True  # until a generation finds no path to draw for
+    i = 0
     for n in range(1, horizon + 1):
-        live = live and _advance(rng, env, n, mode, z, cap) > 0
-        if n in snapshots:
-            snapshots[n][:] = z
+        if not _advance(rng, env, n, mode, z, cap):
+            break
+        if i < len(times) and times[i] == n:
+            out[i] = z
+            i += 1
+    out[i:] = z
     return z
 
 
@@ -215,7 +221,7 @@ def run_path(
     if rng is None:
         rng = _rng(seed)
     sizes = np.ones(horizon + 1, dtype=np.int64)
-    _run_block(env, horizon, mode, rng, 1, cap, {n: sizes[n : n + 1] for n in range(1, horizon + 1)})
+    _run_block(env, horizon, mode, rng, 1, cap, range(1, horizon + 1), sizes[1:, None])
     stopped = np.flatnonzero(~_active(sizes, cap))
     end = int(sizes[-1])
     kind = {DELTA: KILLED, 0: EXTINCT}.get(end, OVERFLOW if end > cap else ALIVE)
@@ -311,14 +317,14 @@ def monte_carlo(
     snaps_at = sorted({_whole(t, "snapshot times must be integers") for t in snapshot_times})
     if any(t < 1 or t > horizon for t in snaps_at):
         raise PreconditionError("snapshot times must lie in 1..horizon")
-    snapshots = {t: np.empty(reps, dtype=np.int64) for t in snaps_at}
+    snap = np.empty((len(snaps_at), reps), dtype=np.int64)
     hist = np.zeros(21, dtype=np.int64)
     n_ext = n_kill = n_over = 0
     s1 = s2 = 0  # sums of the alive sizes and of their squares
     for b, lo in enumerate(range(0, reps, BLOCK)):
         hi = min(lo + BLOCK, reps)
-        cols = {t: col[lo:hi] for t, col in snapshots.items()}
-        bz = _run_block(env, horizon, mode, _rng(master_seed, _MODE_ID[mode], b), hi - lo, cap, cols)
+        rng = _rng(master_seed, _MODE_ID[mode], b)
+        bz = _run_block(env, horizon, mode, rng, hi - lo, cap, snaps_at, snap[:, lo:hi])
         n_ext += int(np.count_nonzero(bz == 0))
         n_kill += int(np.count_nonzero(bz == DELTA))
         n_over += int(np.count_nonzero(bz > cap))
@@ -362,7 +368,7 @@ def monte_carlo(
         w_var=w_var,
         w_se=w_se,
         log_mu=log_mu,
-        snapshots=snapshots,
+        snapshots=dict(zip(snaps_at, snap)),
     )
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from config_schema import first_error, validator
 from defbranch import CRITERIA, compose_coeffs, compose_eval, Constant, FiniteSupport, PreconditionError
 from defbranch.cli import main
 
@@ -107,7 +108,7 @@ class TestRegistry:
         from defbranch.environments import _FAMILIES
 
         names = list(cli._REGISTRY)
-        schema = cli._validator().schema
+        schema = validator().schema
         assert schema["properties"]["command"]["enum"] == names
         sub = next(
             a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)
@@ -570,7 +571,7 @@ def test_rates_partial_envelope_is_three(tmp_path, capsys, given, missing):
 
 
 # ---------------------------------------------------------------------------
-# the params contract, the hand-written checker and its jsonschema fallback
+# the params contract and the config checker, against the JSON Schema oracle
 # ---------------------------------------------------------------------------
 
 
@@ -758,22 +759,29 @@ def test_integral_floats_run_as_integers(tmp_path):
     )
 
 
-def test_accepting_path_does_not_import_jsonschema(tmp_path):
-    path, _ = write_cfg(tmp_path, "moments", {"n": [1, 2]})
+def test_package_never_imports_jsonschema(tmp_path):
+    # with the import blocked, validate accepts a good config and words a
+    # bad one's rejection as before
+    good, _ = write_cfg(tmp_path, "moments", {"n": [1, 2]})
+    bad, _ = write_cfg(tmp_path, "moments", {"n": [1, 2.5]}, name="bad.json")
     code = (
         "import sys\n"
+        "sys.modules['jsonschema'] = None\n"
         "from defbranch.cli import main\n"
-        "assert main(['validate', sys.argv[1]]) == 0\n"
-        "assert 'jsonschema' not in sys.modules, 'jsonschema imported'\n"
+        "sys.exit(main(['validate', sys.argv[1]]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])},
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    runs = [
+        subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env)
+        for path in (good, bad)
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert json.loads(runs[0].stdout) == {"ok": True, "command": "moments"}
+    assert runs[1].returncode == 2
+    assert runs[1].stderr == (
+        '{"error": "config", "message": "2.5 is not of type \'integer\'", "pointer": "/params/n/1"}\n'
     )
-    assert proc.returncode == 0, proc.stderr
 
 
 # valid configs the differential test starts from: each command with its
@@ -867,7 +875,7 @@ def test_checker_agrees_with_the_schema(data):
     doc = copy.deepcopy(data.draw(st.sampled_from(BASES)))
     for _ in range(data.draw(st.integers(0, 3))):
         _mutate(data, doc)
-    assert cli._conforms(doc) == cli._validator().is_valid(doc)
+    assert cli._violation(doc) == first_error(doc)
 
 
 # every JSON value an artifact can hold, and the ones the encoder must escape
@@ -978,15 +986,15 @@ def test_checker_corner_cases(edit, ok):
 
     doc = {"command": "bounds", "environment": {"kind": "constant", "law": LAW_A}, "params": {"n": 2}}
     doc.update(edit)
-    assert cli._conforms(doc) is ok
-    assert cli._validator().is_valid(doc) is ok
+    assert (cli._violation(doc) is None) is ok
+    assert validator().is_valid(doc) is ok
 
 
 @pytest.mark.parametrize("doc", BASES, ids=[f"{d['command']}-{i}" for i, d in enumerate(BASES)])
 def test_base_configs_conform(doc):
     from defbranch import cli
 
-    assert cli._conforms(doc) and cli._validator().is_valid(doc)
+    assert cli._violation(doc) is None and validator().is_valid(doc)
 
 
 def _params_table() -> str:

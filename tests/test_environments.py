@@ -99,6 +99,24 @@ class TestNamedFamilies:
                         assert law.pgf(s, order) == ref.pgf(s, order)
                     assert law.divided_difference(s, 0.6) == ref.divided_difference(s, 0.6)
 
+    @pytest.mark.parametrize("family, params, d", [
+        ("example-1a", {}, lambda n: 0.5 if n == 1 else 1.0 / n),
+        ("example-1b", {}, lambda n: 0.5 if n == 1 else 1.0 / n**2),
+        ("example-2a", {}, lambda n: 0.5**n / n),
+        ("example-2b", {}, lambda n: 0.5**n / n**2),
+        ("power-defect", {"a": 0.5, "b": 1.5, "arity": 2}, lambda n: 0.5 * float(n) ** -1.5),
+    ], ids=["example-1a", "example-1b", "example-2a", "example-2b", "power-defect"])
+    def test_laws_keep_the_closed_form_defect(self, family, params, d):
+        # the weight rounds 1 - d_n, to exactly 1.0 for example-2a past
+        # n = 48; the defect the samplers read is d_n as the closed form gives it
+        env = NamedFamily(family, params)
+        for n in (1, 2, 9, 45, 60, 1075, 4000):
+            law = env.law(n)
+            assert law.defect == d(n)
+            assert law.weights[-1] == 1.0 - d(n)
+        if family == "example-2a":
+            assert env.law(60).mass == 1.0
+
     def test_generation_index_starts_at_one(self, env_1a):
         with pytest.raises(ValueError):
             env_1a.law(0)

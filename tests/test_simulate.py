@@ -17,6 +17,7 @@ from defbranch import (
     Constant,
     FiniteSupport,
     LinearFractional,
+    NamedFamily,
     PreconditionError,
     absorption_profile,
     compose_coeffs,
@@ -126,7 +127,7 @@ class TestDeterminism:
         reps, sizes, overflowed = 2 * BLOCK + 7, [], 0
         for b, lo in enumerate(range(0, reps, BLOCK)):
             size = min(BLOCK, reps - lo)
-            z = _run_block(env, 6, mode, _rng(3, _MODE_ID[mode], b), size, cap, {})
+            z = _run_block(env, 6, mode, _rng(3, _MODE_ID[mode], b), size, cap, (), np.empty((0, size)))
             oz, state = _oracle_run_block(env, 6, mode, 3, b, size, cap, {})
             assert np.array_equal(z, oz)
             assert np.array_equal(_states(z, cap), state)
@@ -160,7 +161,7 @@ class TestDeterminism:
         for env in (env_a, env_b):
             for mode in ("direct", "coupled"):
                 for seed in range(20):
-                    z = _run_block(env, 12, mode, _rng(seed, _MODE_ID[mode], 0), 1, DEFAULT_CAP, {})
+                    z = _run_block(env, 12, mode, _rng(seed, _MODE_ID[mode], 0), 1, DEFAULT_CAP, (), np.empty((0, 1)))
                     seq = np.random.SeedSequence([seed, _MODE_ID[mode], 0])
                     p = run_path(env, 12, np.random.Generator(np.random.Philox(seq)), mode=mode)
                     assert p.sizes[-1] == z[0]
@@ -560,6 +561,37 @@ def test_mode_agreement_memory_peak(reps):
     assert peak <= 2**20
 
 
+@pytest.mark.parametrize("mode", ["direct", "coupled"])
+def test_named_family_kills_at_its_exact_defect(mode):
+    # example-2a's weights round to 1.0 past n = 48, but the 2**(n-1)
+    # individuals of generation n - 1 are killed with chance d_n = 2**-n / n
+    # each: of the paths alive at 45, 1 - prod_{n=46..62} (1 - d_n)**(2**(n-1))
+    # are killed by 62 (40-digit mpmath)
+    exact = 0.14676680454667532
+    s = monte_carlo(NamedFamily("example-2a"), 62, 10**5, 1, cap=2**62,
+                    snapshot_times=(45, 62), mode=mode)
+    alive = s.snapshots[45] > 0
+    n = int(alive.sum())
+    killed = int(np.count_nonzero(s.snapshots[62][alive] == DELTA))
+    assert n > 5000 and s.n_overflow == 0
+    assert abs(killed / n - exact) <= 5 * math.sqrt(exact * (1 - exact) / n)
+
+
+def test_run_path_memory_peak():
+    # a path that stops early fills the generations left in one step: the
+    # peak is its sizes and a few masks over them, not a view per generation
+    env, horizon = Constant(LAW_A), 10**5
+    run_path(env, 100, seed=1)  # first-call allocations out of the count
+    tracemalloc.start()
+    try:
+        p = run_path(env, horizon, seed=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p.terminal.time < 100
+    assert peak <= 2**21
+
+
 # ---------------------------------------------------------------------------
 # the block kernel against the one it replaced
 # ---------------------------------------------------------------------------
@@ -668,9 +700,10 @@ class TestBlockKernel:
     def test_same_bits_as_the_earlier_kernel(self, law, mode, cap, size):
         # the same stream gives the same block: the width is the only change
         env, horizon = Constant(law), 8
-        cols = {t: np.empty(size, dtype=np.int64) for t in (2, 8)}
+        out = np.empty((2, size), dtype=np.int64)
+        cols = dict(zip((2, 8), out))
         ocols = {t: np.empty(size, dtype=np.int64) for t in (2, 8)}
-        z = _run_block(env, horizon, mode, _rng(3, _MODE_ID[mode], 2), size, cap, cols)
+        z = _run_block(env, horizon, mode, _rng(3, _MODE_ID[mode], 2), size, cap, (2, 8), out)
         oz, ostate = _oracle_run_block(env, horizon, mode, 3, 2, size, cap, ocols)
         assert z.dtype == oz.dtype
         assert np.array_equal(z, oz)

@@ -27,6 +27,7 @@ from defbranch import (
     FiniteSupport,
     InvalidTreeError,
     LinearFractional,
+    NamedFamily,
     PreconditionError,
     absorption_profile,
     compose_coeffs,
@@ -278,6 +279,12 @@ class TestPrefixProb:
         t = DefectiveTree([[2], [2, DELTA]])
         assert prefix_prob(env_a, t, 2) == pytest.approx(0.45 * 0.45 * 0.1, rel=1e-14)
         assert prefix_prob(env_a, t, 1) == pytest.approx(0.45, abs=1e-15)
+
+    def test_killed_root_reads_the_exact_named_family_defect(self):
+        # law 50 of example-2a has weight 1.0 on two children; its root
+        # draws the graveyard with the defect 2**-50 / 50 all the same
+        env = NamedFamily("example-2a").shift(49)
+        assert prefix_prob(env, DefectiveTree([[DELTA]]), 1) == 0.5**50 / 50
 
     def test_built_tree_is_validated(self, env_a):
         # generation 1 is half counted: without the check h = 1 would read 0.45
