@@ -26,14 +26,13 @@ import numpy as np
 
 from .environments import (
     Environment,
-    _check_horizon,
     _exp,
-    _is_int,
     _log,
     _logsumexp,
     _mu_at,
     _running,
     _sweep,
+    _whole,
     compose_coeffs,
     compose_eval,
     composed_points,
@@ -92,7 +91,7 @@ class AbsorptionProfile:
 
 def absorption_profile(env: Environment, n: int) -> AbsorptionProfile:
     """Absorption probabilities at horizon n by exact composition."""
-    _check_horizon(n)
+    n = _whole(n, "n")
     sw = _sweep(env, 0, n, 1.0, 0.0)
     return AbsorptionProfile(
         n=n,
@@ -115,7 +114,8 @@ class AbsorptionScan:
 
     def profile(self, n: int) -> AbsorptionProfile:
         """The horizon-n profile, for 0 <= n <= the scan's horizon."""
-        if not 0 <= n <= self.n:
+        n = _whole(n, "n")
+        if n > self.n:
             raise PreconditionError(f"horizon {n} outside the scan's 0..{self.n}")
         return AbsorptionProfile(
             n=n,
@@ -141,7 +141,7 @@ def absorption_scan(env: Environment, n: int) -> AbsorptionScan:
     O(n len(laws)) for ``Prefix``.  The terms are added in the order the
     full pass adds them: the same results to the bit.
     """
-    _check_horizon(n)
+    n = _whole(n, "n")
     hi = np.ones(n + 1)
     lo = np.zeros(n + 1)
     logd = np.zeros(n + 1)
@@ -201,7 +201,7 @@ def moments(env: Environment, n: int) -> Moments:
 
     with t_j = f_{j,n}(1) and mu_{j,n} the partial mean products.
     """
-    _check_horizon(n)
+    n = _whole(n, "n")
     sw = _sweep(env, 0, n, 1.0, ladder=True, second=True)
     log_mean = float(sw.log_ladder[-1])
     log_ratio = _logsumexp(np.concatenate(([-log_mean], sw.log_var)))
@@ -258,8 +258,7 @@ def survival_bounds(env: Environment, n: int, c: float | None = None) -> Surviva
            per-generation c12 over generations 1..n.  Must be > 0 when
            any generation has variance terms (f'' > 0).
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    n = _whole(n, "n", 1)
     sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True, second=True, at=(1.0,), regularity=c is None)
     log_surv, log_mean = sw.log_gap, float(sw.log_ladder[-1])
     log_inf_mu = float(np.min(_running(sw.at[0])[1:]))  # inf_j log prod f_i'(1)
@@ -348,16 +347,11 @@ def criteria_verdicts(
     otherwise from the decay slope of the terms across the top two
     decades: slope < -1.15 reads as convergent, slope > -0.85 with still
     growing partial sums as divergent, anything else is inconclusive.
-    Needs at least two distinct horizons, all integers (3.0 counts as 3)
-    and >= 2; a repeated horizon counts once, so ``horizons`` and
-    ``partials`` pair up entry by entry.
+    Needs at least two distinct horizons, each a count >= 2 (3.0 counts
+    as 3, see ``environments._whole``); a repeated horizon counts once, so
+    ``horizons`` and ``partials`` pair up entry by entry.
     """
-    for h in horizons:
-        if not _is_int(h):
-            raise PreconditionError(f"horizons must be integers, got {h!r}")
-    hs = tuple(sorted({int(h) for h in horizons}))
-    if not hs or hs[0] < 2:
-        raise PreconditionError("horizons must be >= 2")
+    hs = tuple(sorted({_whole(h, "horizons", 2) for h in horizons}))
     if len(hs) < 2:
         raise PreconditionError("need at least two distinct horizons")
     n_max = hs[-1]
@@ -505,8 +499,9 @@ def fixed_point_bracket(env: Environment, n0: int = 1, upto: int = 64) -> FixedP
     sigma] is invariant: f_i(rho) >= rho and f_i(sigma) <= sigma, each
     to 1e-12, for every i in the window.  Otherwise ok is False and
     reason says why (rho may still hold the fallback inf f_i(0))."""
-    if not 1 <= n0 <= upto:
-        raise PreconditionError("need 1 <= n0 <= upto")
+    n0, upto = _whole(n0, "n0", 1), _whole(upto, "upto")
+    if n0 > upto:
+        raise PreconditionError(f"need n0 <= upto, got n0={n0}, upto={upto}")
     idx = range(n0, upto + 1)
     theta = np.array(
         [t if (t := env.law(i).fixed_point()) is not None else math.nan for i in idx]
@@ -570,6 +565,7 @@ def envelope_ratios(
     Requires 0 < rho <= sigma < sigma + eps < 1; eps must be positive
     (the upper envelope is evaluated strictly above sigma).
     """
+    n = _whole(n, "n")
     if not (0.0 < rho <= sigma < sigma + eps < 1.0):
         raise PreconditionError("need 0 < rho <= sigma < sigma + eps < 1")
     se = sigma + eps
@@ -609,8 +605,7 @@ def growth_rate(env: Environment, n: int) -> GrowthRates:
     1..n.  Requires n >= 1.  log_survival is log(f_{0,n}(1) - f_{0,n}(0))
     free of cancellation, so it stays finite where the survival
     probability underflows."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    n = _whole(n, "n", 1)
     sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)
     log_surv, log_mean = sw.log_gap, float(sw.log_ladder[-1])
     return GrowthRates(
@@ -675,12 +670,11 @@ def late_extinction_bounds(
     even the first doubling passes the cap, so such horizons need an
     explicit ``proxy_horizon``.
     """
+    n = _whole(n, "n", 1)
+    if proxy_horizon is not None and (proxy_horizon := _whole(proxy_horizon, "proxy_horizon")) < n:
+        raise PreconditionError(f"need proxy_horizon >= n, got proxy_horizon={proxy_horizon}, n={n}")
     if not 0.0 < sigma < 1.0:
         raise PreconditionError("need sigma in (0,1)")
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    if proxy_horizon is not None and proxy_horizon < n:
-        raise PreconditionError(f"need proxy_horizon >= n, got proxy_horizon={proxy_horizon}, n={n}")
     big = max(2 * n, 64) if proxy_horizon is None else proxy_horizon
     _check_upper(env, sigma, 0, big)
     q = composed_points(env, 0, n, compose_eval(env, n, big, 0.0))  # q[l] ~ f_{l,big}(0)
@@ -760,8 +754,8 @@ def conditioned_mean_bound(
     Raises PreconditionError when the window violates the hypotheses
     (some f_i(0) = 0 or some f_i(1) = 1).
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    n = _whole(n, "n", 1)
+    degree = None if degree is None else _whole(degree, "degree", 1)
     alpha = math.inf
     beta = 0.0
     for i in range(1, n + 1):

@@ -101,6 +101,7 @@ class Environment:
 
     def shift(self, by: int) -> "Environment":
         """Environment seen from generation ``by``: law(n) = self.law(n + by)."""
+        by = _whole(by, "by")
         if by == 0:
             return self
         return _Shifted(self, by)
@@ -180,6 +181,21 @@ def _is_int(x) -> bool:
     if isinstance(x, float):
         return x.is_integer()
     return isinstance(x, _INT_TYPES) and not isinstance(x, bool)
+
+
+def _whole(value, name: str, least: float = 0) -> int:
+    """The count ``value`` (a horizon, window end, degree, depth or size) as
+    a Python int >= ``least``, or PreconditionError naming ``name``: the one
+    count check of every public function.  An int, numpy integer or integral
+    float such as 3.0 is a count, as in JSON; a bool, string, NaN or 10.5 is not."""
+    if type(value) is int and value >= least:
+        return value
+    if not _is_int(value):
+        raise PreconditionError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < least:
+        raise PreconditionError(f"need {name} >= {least}, got {name}={value}")
+    return value
 
 
 # JSON Schema's number and integer (3.0 is one, True is not): a JSON value
@@ -379,8 +395,17 @@ class _Shifted(Environment):
         f = self._base._fixed_from()  # law(n) is the base's law(n + by)
         return None if f is None else max(1, f - self._by)
 
+    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
+        return tuple(col[self._by:] for col in self._base._criteria_columns(n + self._by))
+
+    @property
+    def series_meta(self) -> dict[str, str]:
+        # dropping b terms divides the mean products by mu_b, positive and
+        # finite where a series is tagged (finite terms), so no verdict moves
+        return self._base.series_meta
+
     def shift(self, by: int) -> Environment:
-        return self._base.shift(self._by + by)
+        return self._base.shift(self._by + _whole(by, "by", -self._by))
 
     def __repr__(self) -> str:
         return f"{self._base!r}.shift({self._by})"
@@ -423,14 +448,11 @@ def environment_from_dict(obj: dict) -> Environment:
 # ---------------------------------------------------------------------------
 
 
-def _check_window(k: int, n: int) -> None:
-    if not (0 <= k <= n):
+def _check_window(k: int, n: int) -> tuple[int, int]:
+    k, n = _whole(k, "k"), _whole(n, "n")
+    if k > n:
         raise PreconditionError(f"need 0 <= k <= n, got k={k}, n={n}")
-
-
-def _check_horizon(n: int) -> None:
-    if n < 0:
-        raise PreconditionError(f"need n >= 0, got n={n}")
+    return k, n
 
 
 def composed_points(env: Environment, k: int, n: int, s) -> np.ndarray:
@@ -475,7 +497,7 @@ def _sweep(env: Environment, k: int, n: int, hi, lo: float | None = None, *,
     themselves, bit for bit, the tail generations below it repeat its
     points and terms, which are filled in; log_gap and chain still step
     once per generation, from n down, so the split keeps the loop's bits."""
-    _check_window(k, n)
+    k, n = _check_window(k, n)
     h = np.array(hi, dtype=float)  # a copy: an array hi may come back as f_{n,n}(hi)
     his = None if ladder or order is not None else np.full((n - k + 1,) + h.shape, h)
     top = None if h.ndim else env._fixed_from()  # a tail to split off, for scalar hi
@@ -608,7 +630,7 @@ def mu_profile(env: Environment, n: int, s: float = 1.0) -> MuProfile:
     exposed as exp of those sums so that overflow degrades to inf
     rather than corrupting neighbours.
     """
-    _check_horizon(n)
+    n = _whole(n, "n")
     sw = _sweep(env, 0, n, 1.0, ladder=True, at=(1.0, s))
     log_mu_s, log_nu = _mu_at(sw.at[1])
     return MuProfile(
@@ -700,9 +722,7 @@ def compose_coeffs(
     ``rel_tail`` no longer changes the result.  probs[0] and the killed
     mass are f_{0,n}(0) and 1 - f_{0,n}(1), which its own loop carries.
     """
-    _check_window(0, n)
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
+    n, degree = _whole(n, "n"), _whole(degree, "degree", 1)
     if (work := (degree + 1) * max(n, 1)) > budget:
         raise BudgetError(
             f"compose_coeffs work (degree+1)*max(n,1) = {work} exceeds budget {budget}"

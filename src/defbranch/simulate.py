@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .environments import Environment, _is_int, mu_profile
+from .environments import Environment, _whole, mu_profile
 from .laws import (
     DELTA,
     FiniteSupport,
@@ -184,26 +184,12 @@ def _run_block(env: Environment, horizon: int, mode: str, rng: np.random.Generat
     return z
 
 
-def _whole(value, what: str) -> int:
-    """value as a Python int, an integral float such as 3.0 counting;
-    anything else is refused, naming ``what`` it should be."""
-    if not _is_int(value):
-        raise PreconditionError(f"{what}, got {value!r}")
-    return int(value)
-
-
 def _check_run(mode: str, horizon: int, cap: int) -> tuple[int, int]:
     """The preconditions of a simulated run, one path or many: horizon
     and cap, as Python ints."""
     if mode not in _MODE_ID:
         raise PreconditionError(f"unknown mode {mode!r}")
-    horizon = _whole(horizon, "horizon must be an integer")
-    cap = _whole(cap, "cap must be an integer")
-    if horizon < 0:
-        raise PreconditionError(f"need horizon >= 0, got horizon={horizon}")
-    if cap < 1:
-        raise PreconditionError(f"need cap >= 1, got cap={cap}")
-    return horizon, cap
+    return _whole(horizon, "horizon"), _whole(cap, "cap", 1)
 
 
 def run_path(
@@ -296,9 +282,9 @@ def monte_carlo(
     thread, the caller's, meets any cap: numpy's binomial draws hold
     the GIL, so more threads only add switching.  A
     path whose population passes ``cap`` (at least 1) stops and counts
-    as overflowed.  horizon, reps, cap and the snapshot times are
-    integers (3.0 is one, a numpy integer too); snapshot times lie in
-    1..horizon.
+    as overflowed.  horizon, reps, cap and the snapshot times are counts
+    (3.0 is one, a numpy integer too; see ``environments._whole``), and
+    snapshot times lie in 1..horizon.
 
     Each block is reduced as it returns, so the only memory per
     replicate is one int64 per snapshot time: the one per-path output,
@@ -311,11 +297,9 @@ def monte_carlo(
     depend on the snapshot times.
     """
     horizon, cap = _check_run(mode, horizon, cap)
-    reps = _whole(reps, "reps must be an integer")
-    if reps < 1:
-        raise PreconditionError(f"need reps >= 1, got reps={reps}")
-    snaps_at = sorted({_whole(t, "snapshot times must be integers") for t in snapshot_times})
-    if any(t < 1 or t > horizon for t in snaps_at):
+    reps = _whole(reps, "reps", 1)
+    snaps_at = sorted({_whole(t, "snapshot_times", 1) for t in snapshot_times})
+    if snaps_at and snaps_at[-1] > horizon:
         raise PreconditionError("snapshot times must lie in 1..horizon")
     snap = np.empty((len(snaps_at), reps), dtype=np.int64)
     hist = np.zeros(21, dtype=np.int64)

@@ -51,7 +51,7 @@ from typing import Mapping
 import numpy as np
 
 from .analysis import absorption_profile
-from .environments import Environment, _exp, _sweep
+from .environments import Environment, _exp, _sweep, _whole
 from .laws import (
     BudgetError,
     DELTA,
@@ -153,6 +153,7 @@ class DefectiveTree:
 
     def subtree(self, child: int) -> "DefectiveTree":
         """The subtree rooted at the root's child ``child`` (1-based)."""
+        child = _whole(child, "child", -math.inf)  # its range is checked here, with both ends
         z1 = self.gens[0][0] if self.gens else 0  # an uncounted or killed root has no children
         if not 1 <= child <= z1:
             raise PreconditionError(f"need 1 <= child <= {max(z1, 0)}, got child={child}")
@@ -244,8 +245,8 @@ def _prefix(tree: DefectiveTree, h: int) -> tuple[tuple[int, ...], ...]:
 
 def prefix_key(tree: DefectiveTree, h: int) -> str:
     """Canonical identity of the depth-h prefix, for comparing laws: the
-    records of ``serialize_tree`` for the nodes above depth h."""
-    return _records(_prefix(tree, h))
+    records of ``serialize_tree`` for the nodes above depth h, none for h <= 0."""
+    return _records(_prefix(tree, _whole(h, "h", -math.inf)))
 
 
 @functools.cache
@@ -292,8 +293,7 @@ def sample_dbtve(
     The whole current generation draws before the graveyard check, so a
     generation containing a DELTA is still fully recorded.
     """
-    if depth_cap < 0:
-        raise PreconditionError("depth_cap must be >= 0")
+    depth_cap = _whole(depth_cap, "depth_cap")
     gens: list[list[int]] = []
     _grow_frontier(gens, env, depth_cap, rng)
     return DefectiveTree._of(gens, depth_cap)
@@ -333,8 +333,7 @@ def prefix_prob(env: Environment, tree: DefectiveTree, h: int) -> float:
     killed tree observed in full, every counted node contributes, the
     DELTA draws through their defect weight.
     """
-    if h < 0:
-        raise PreconditionError("h must be >= 0")
+    h = _whole(h, "h")
     z = tree.gen_sizes()
     if z[-1] > 0 and len(z) - 1 < h:
         raise PreconditionError("tree not counted deep enough for this prefix")
@@ -387,8 +386,9 @@ class SpineDist:
 
 def spine_dist(env: Environment, l: int, n: int) -> SpineDist:
     """Exact (D, C) distribution at spine level l for horizon n."""
-    if not 1 <= l <= n:
-        raise PreconditionError("need 1 <= l <= n")
+    l, n = _whole(l, "l", 1), _whole(n, "n")
+    if l > n:
+        raise PreconditionError(f"need l <= n, got l={l}, n={n}")
     sw = _sweep(env, l, n, 1.0, 0.0)
     return _spine_dist(env, l, n, float(sw.lo_points[0]), float(sw.points[0]))
 
@@ -430,13 +430,9 @@ class SpineRecord:
         return tuple(self.d[:l] for l in range(len(self.d) + 1))
 
 
-def _check_conditioning(n: int, extra_depth: int) -> None:
-    """The preconditions of both conditioned samplers, checked before any
-    sweep: a horizon n >= 1 to be alive at, and extra_depth >= 0."""
-    if n < 1:
-        raise PreconditionError("need n >= 1")
-    if extra_depth < 0:
-        raise PreconditionError("extra_depth must be >= 0")
+def _check_conditioning(n: int, extra_depth: int) -> tuple[int, int]:
+    """Both conditioned samplers' counts, checked before any sweep: n >= 1, extra_depth >= 0."""
+    return _whole(n, "n", 1), _whole(extra_depth, "extra_depth")
 
 
 class ConditionedSampler:
@@ -458,7 +454,7 @@ class ConditionedSampler:
         *,
         extra_depth: int = 0,
     ):
-        _check_conditioning(n, extra_depth)
+        n, extra_depth = _check_conditioning(n, extra_depth)
         # f_{l,n}(1), f_{l,n}(0) and the survival from one backward sweep
         live, die, self._log_surv = _sweep(env, 0, n, 1.0, 0.0)[:3]
         self._live, self._die = live.tolist(), die.tolist()
@@ -522,9 +518,12 @@ def rejection_conditioned(
     ``n``, as ``absorption_profile(env, n).survival`` gives it; a caller
     drawing many trees passes it to skip that sweep on every call.  It
     sets the budget only, and a value for another environment or
-    horizon gives a wrong budget.  None computes it here.
+    horizon gives a wrong budget; one outside (0, 1] is refused.  None
+    computes it here.
     """
-    _check_conditioning(n, extra_depth)
+    n, extra_depth = _check_conditioning(n, extra_depth)
+    if survival is not None and not 0.0 < survival <= 1.0:  # NaN too
+        raise PreconditionError(f"need 0 < survival <= 1, got survival={survival!r}")
     surv = absorption_profile(env, n).survival if survival is None else survival
     if surv <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
@@ -532,7 +531,7 @@ def rejection_conditioned(
     if tries > _MAX_TRIES:
         raise BudgetError(f"rejection budget of {tries:.3g} tries is over the cap of {_MAX_TRIES}")
     for _ in range(math.ceil(tries)):
-        t = sample_dbtve(env, rng, depth_cap=n)
+        t = sample_dbtve(env, rng, n)
         if len(t.gens) == n and DELTA not in t.gens[-1] and any(t.gens[-1]):
             break
     else:
@@ -581,8 +580,8 @@ def enumerate_conditioned(
     with unbounded support); the completeness flag records whether
     anything was cut.
     """
-    if n < 1:
-        raise PreconditionError("need n >= 1")
+    n = _whole(n, "n", 1)
+    max_count = None if max_count is None else _whole(max_count, "max_count")
     options: list[list[tuple[int, float]]] = []
     complete = True
     for g in range(1, n + 1):
@@ -688,6 +687,7 @@ class TreeStats:
 
 
 def tree_stats(tree: DefectiveTree, n: int) -> TreeStats:
+    n = _whole(n, "n")
     z = tree.gen_sizes()
     h = tree.height()
     height = float(h) if h is not None else math.inf
@@ -735,8 +735,9 @@ def validate_prop4(
     number of distinct prefixes seen; exact comparisons are skipped (not
     failed) when enumeration is infeasible for this environment.
     """
-    if samples < 1:
-        raise PreconditionError(f"need samples >= 1, got samples={samples}")
+    n, samples = _whole(n, "n", 1), _whole(samples, "samples", 1)
+    # here, since enumerate_conditioned's refusal would read as infeasible
+    max_count = None if max_count is None else _whole(max_count, "max_count")
     exact: EnumeratedLaw | None
     try:
         exact = enumerate_conditioned(env, n, max_count=max_count, budget=budget)

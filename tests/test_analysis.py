@@ -249,7 +249,7 @@ class TestCriteria:
         assert all(v.horizons == (10, 100) and len(v.partials) == 2 for v in out)
 
     def test_non_integral_horizon_rejected(self, env_a):
-        with pytest.raises(PreconditionError, match=r"^horizons must be integers, got 100\.5$"):
+        with pytest.raises(PreconditionError, match=r"^horizons must be an integer, got 100\.5$"):
             criteria_verdicts(env_a, horizons=(100.5, 200))
         out = criteria_verdicts(env_a, horizons=(100.0, 200))
         assert out == criteria_verdicts(env_a, horizons=(100, 200))
@@ -388,6 +388,35 @@ def test_criteria_columns_match_per_law_path(name):
     out = criteria_verdicts(env, hs)
     assert out == criteria_verdicts(_Rebuilt(env), hs)
     _assert_matches_loop(out, env, hs)
+
+
+@pytest.mark.parametrize("name", sorted(_CRITERIA_ENVS))
+def test_shifted_criteria_columns_are_the_base_columns(name):
+    """A shift reads its base's columns of generations by+1..by+n, equal
+    to the per-law columns of the shifted laws, and its base's tags."""
+    env = _CRITERIA_ENVS[name].shift(3)
+    hs = (10, 100, 1000)
+    out = criteria_verdicts(env, hs)
+    assert out == criteria_verdicts(_Rebuilt(env), hs)
+    assert env.series_meta == _CRITERIA_ENVS[name].series_meta
+
+
+def test_shifted_family_takes_the_family_tags(monkeypatch):
+    # the partials stall at 0.161 (1 - c_n rounds to 0 past n = 45), where
+    # the slope heuristic reads "converges"; the series diverges
+    base = NamedFamily("example-2a")
+    env = base.shift(3)
+
+    def law(self, n):
+        raise AssertionError("a criteria column read a law")
+
+    monkeypatch.setattr(NamedFamily, "law", law)
+    out = criteria_verdicts(env)
+    assert all(v.analytic for v in out)
+    assert {v.criterion: v.verdict for v in out} == base.series_meta
+    n = out[0].horizons[-1]
+    columns = zip(env._criteria_columns(n), base._criteria_columns(n + 3))
+    assert all(col.tobytes() == whole[3:].tobytes() for col, whole in columns)
 
 
 def _assert_matches_loop(out, env, hs):

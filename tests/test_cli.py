@@ -178,7 +178,7 @@ class TestExitCodes:
         path, _ = write_cfg(tmp_path, "tree-sample", {"n": n, "sampler": sampler})
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "precondition", "message": "need n >= 1"}
+        assert err == {"error": "precondition", "message": f"need n >= 1, got n={n}"}
 
     @pytest.mark.parametrize("command", ["moments", "absorption"])
     @pytest.mark.parametrize(

@@ -129,6 +129,14 @@ class TestShiftNormalize:
             assert sh.law(n).weight(1) == env_1a.law(n + 2).weight(1)
         assert sh.shift(3).law(1).weight(1) == env_1a.law(6).weight(1)
 
+    def test_shift_back_stays_at_or_past_the_base(self, env_1a):
+        assert repr(env_1a.shift(3).shift(-1)) == repr(env_1a.shift(2))
+        assert env_1a.shift(3).shift(-3) is env_1a
+        with pytest.raises(PreconditionError, match=r"^need by >= -3, got by=-4$"):
+            env_1a.shift(3).shift(-4)
+        with pytest.raises(PreconditionError, match=r"^need by >= 0, got by=-1$"):
+            env_1a.shift(-1)
+
     def test_normalized(self, env_a, law_a):
         norm = env_a.normalized()
         g = norm.law(4)

@@ -200,7 +200,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("t", [1.5, 2.000001, float("nan"), "3", True])
     def test_non_integral_snapshot_time(self, env_a, t):
-        with pytest.raises(PreconditionError, match=f"^snapshot times must be integers, got {t!r}$"):
+        with pytest.raises(PreconditionError, match=f"^snapshot_times must be an integer, got {t!r}$"):
             monte_carlo(env_a, 3, 10, snapshot_times=(2, t))
 
     def test_integral_float_snapshot_time(self, env_a):

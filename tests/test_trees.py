@@ -491,10 +491,24 @@ class TestRejectionSampling:
     def test_negative_extra_depth(self, env_a):
         # as the construction sampler rejects it, before any draw
         rng = np.random.default_rng(224)
-        with pytest.raises(PreconditionError, match="extra_depth must be >= 0"):
+        with pytest.raises(PreconditionError, match="need extra_depth >= 0, got extra_depth=-1"):
             rejection_conditioned(env_a, 2, rng, extra_depth=-1)
-        with pytest.raises(PreconditionError, match="extra_depth must be >= 0"):
+        with pytest.raises(PreconditionError, match="need extra_depth >= 0, got extra_depth=-1"):
             ConditionedSampler(env_a, 2, extra_depth=-1)
+
+    @pytest.mark.parametrize("survival", [math.nan, math.inf, 2.0, 0.0, -0.5])
+    def test_survival_outside_the_unit_interval(self, env_a, monkeypatch, survival):
+        # no such value is a probability, so none sets a budget that bounds
+        # the work: each is refused before the first draw
+        from defbranch import trees
+
+        def draw(*args, **kwargs):
+            raise AssertionError("a tree was drawn")
+
+        monkeypatch.setattr(trees, "sample_dbtve", draw)
+        want = f"^need 0 < survival <= 1, got survival={survival!r}$"
+        with pytest.raises(PreconditionError, match=want):
+            rejection_conditioned(env_a, 2, np.random.default_rng(226), survival=survival)
 
     @pytest.mark.parametrize("n", [0, -1])
     def test_horizon_below_one(self, env_a, monkeypatch, n):
@@ -509,7 +523,7 @@ class TestRejectionSampling:
         for sample in (lambda: rejection_conditioned(env_a, n, rng),
                        lambda: ConditionedSampler(env_a, n),
                        lambda: enumerate_conditioned(env_a, n)):
-            with pytest.raises(PreconditionError, match="^need n >= 1$"):
+            with pytest.raises(PreconditionError, match=f"^need n >= 1, got n={n}$"):
                 sample()
 
 
