@@ -71,20 +71,16 @@ class Environment:
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
         """(f[1], defect, f'(1), f''(1), c8) of generations 1..n, one
-        array each, with defect = 1 - f(1) unclipped: ``_series_stats`` of
-        ``law(i)``.  The arrays are the caller's to overwrite.  Each
-        distinct law is evaluated once per call, keyed by value: a finite
-        law by the bytes of its weights, any other law by the object."""
-        seen: dict[object, tuple[float, ...]] = {}
-        rows, prev = [], None
+        array each: ``_series_stats`` of ``law(i)``, the defect its
+        ``defect``.  The arrays are the caller's to overwrite.  Each law is
+        evaluated once per call, its row keyed by the law object."""
+        seen: dict[OffspringLaw, tuple[float, ...]] = {}
+        rows = []
         for i in range(1, n + 1):
             law = self.law(i)
-            if law is not prev:  # a repeated law object has the row it had
-                key = law.weights.tobytes() if isinstance(law, FiniteSupport) else law
-                row = seen.get(key)
-                if row is None:
-                    row = seen[key] = _series_stats(law)
-                prev = law
+            row = seen.get(law)
+            if row is None:
+                row = seen[law] = _series_stats(law)
             rows.append(row)
         return tuple(np.array(rows, dtype=float).T)
 
@@ -159,10 +155,10 @@ class Prefix(Environment):
 
 
 def _series_stats(law: OffspringLaw) -> tuple[float, float, float, float, float]:
-    """(f[1], 1 - f(1), f'(1), f''(1), c8) of one law, each read from the
-    law: ``weight(1)``, ``mass``, ``mean``, ``second_factorial`` and
+    """(f[1], defect, f'(1), f''(1), c8) of one law, each read from the
+    law: ``weight(1)``, ``defect``, ``mean``, ``second_factorial`` and
     ``regularity().c8``."""
-    return law.weight(1), 1.0 - law.mass, law.mean, law.second_factorial, law.regularity().c8
+    return law.weight(1), law.defect, law.mean, law.second_factorial, law.regularity().c8
 
 
 _META_SINGLE_CHILD = {
@@ -358,19 +354,21 @@ class NamedFamily(Environment):
         return FiniteSupport._trusted(self._zeros + [1.0 - d], defect=d)
 
     def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
-        # _series_stats of c s^m in closed form, with the law's operations:
+        # _series_stats of c s^m in closed form, with the law's operations and
+        # its kept defect d_n, five columns alive at most:
         # c8 = (m2_tail / m1_tail) / (mean / P[X >= 1]), m2_tail = m^2 c, m1_tail = mean
-        c = np.fromiter(map(self._defect, range(1, n + 1)), float, n)
-        np.subtract(1.0, c, out=c)  # c_n = 1 - d_n, the weight law(n) writes
+        d = np.fromiter(map(self._defect, range(1, n + 1)), float, n)
+        c = 1.0 - d  # c_n = 1 - d_n, the weight law(n) writes
         m = len(self._zeros)
         mean = m * c
         if m == 1:
-            return c, 1.0 - c, mean, np.zeros(n), np.zeros(n)
+            return c, d, mean, np.zeros(n), np.zeros(n)
         second = (m - 1) * mean
         c8 = (m * m) * c
         c8 /= mean
-        c8 /= mean / c
-        return np.zeros(n), np.subtract(1.0, c, out=c), mean, second, c8
+        c8 /= np.divide(mean, c, out=c)
+        c.fill(0.0)  # f[1] = 0
+        return c, d, mean, second, c8
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -570,13 +568,15 @@ def compose_eval(env: Environment, k: int, n: int, s, order: int = 0):
         (f_{i-1,n})'(s)  = f_i'(v) v'
         (f_{i-1,n})''(s) = f_i''(v) (v')^2 + f_i'(v) v''.
 
-    Vectorized over s; scalar s gives a float.  Derivatives that
-    overflow go quietly to inf.  An entry of an array s equals, bit for
-    bit, the result for that entry alone.
+    Vectorized over s; scalar s gives a float; ``order`` is a count.
+    Derivatives that overflow, and values at a pole (s = 1/p), go quietly
+    to inf or nan.  An entry of an array s equals, bit for bit, the
+    result for that entry alone.
     """
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
-    with np.errstate(over="ignore"):
+    order = _whole(order, "order")
+    if order > 2:
+        raise PreconditionError(f"need order <= 2, got order={order}")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = _sweep(env, k, n, s, order=order).chain[order]
     return out if isinstance(out, np.ndarray) else float(out)
 

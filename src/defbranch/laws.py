@@ -10,9 +10,10 @@ Two families are supported: laws with finite support, and geometric-tail
 laws f(s) = q + r / (1 - p s).  Both expose evaluation of f and its first
 two derivatives, exact first/second moments, tail-regularity constants,
 and sampling.  Graveyard draws are encoded by the integer sentinel
-``DELTA``.  The smallest fixed point of f on (0, 1) has one finder for
-every law, ``OffspringLaw.fixed_point``: bisection on f(s) - s, which
-is convex, read through ``pgf`` alone.
+``DELTA``: a uniform at or past the float sum of the weights draws it
+only where ``defect`` is positive.  The smallest fixed point of f on
+(0, 1) has one finder for every law, ``OffspringLaw.fixed_point``:
+bisection on f(s) - s, which is convex, read through ``pgf`` alone.
 
 ``pgf`` and ``divided_difference`` are written once per law class: the
 Horner scheme over the coefficients of f, f' and f'' (formed as
@@ -158,7 +159,9 @@ class OffspringLaw:
     @cached_property
     def defect(self) -> float:
         """Killing probability 1 - f(1), clipped of float dust; a law
-        built with its defect given keeps that one, unclipped."""
+        built with its defect given keeps that one, unclipped.  The one
+        definition of a defect, read by every reader: a law whose defect
+        is 0.0 never draws DELTA."""
         d = 1.0 - self.mass
         return d if d > 1e-15 else 0.0
 
@@ -269,10 +272,9 @@ class OffspringLaw:
         """The brood law f(t s)/f(t) for 0 <= t <= 1: the child count of
         a node given that each child's line, independently, meets an
         event of probability t.  Its weights are f[k] t^k / f(t); it is
-        proper, and its draws are never DELTA, even where the float sums
-        of its weights fall short of 1.  None where the brood is empty
-        for sure (t^k f[k] = 0 for every k >= 1) or cannot occur
-        (f(t) = 0): nothing is drawn for it."""
+        proper, so it keeps a ``defect`` of 0.0 and never draws DELTA.
+        None where the brood is empty for sure (t^k f[k] = 0 for every
+        k >= 1) or cannot occur (f(t) = 0): nothing is drawn for it."""
         raise NotImplementedError
 
     def to_dict(self) -> dict:
@@ -323,9 +325,13 @@ class FiniteSupport(OffspringLaw):
 
     @cached_property
     def _draw_table(self) -> tuple[list[float], list[int]]:
-        # sampling thresholds over {0..K, DELTA} as plain floats, and the
-        # draw each index past them stands for
-        return np.cumsum(self.weights).tolist(), list(range(self.weights.size)) + [DELTA]
+        # sampling thresholds over {0..K, DELTA} as plain floats, K the
+        # largest count with positive weight, and the draw each index past
+        # them stands for; with no defect no uniform gets past K
+        cum = np.cumsum(self.weights[: self.support_max + 1]).tolist()
+        if not self.defect:
+            cum[-1] = math.inf
+        return cum, list(range(len(cum))) + [DELTA]
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
         if order not in (0, 1, 2):
@@ -400,13 +406,7 @@ class FiniteSupport(OffspringLaw):
         kids = np.flatnonzero(w[1:])
         if not kids.size:
             return None
-        law = FiniteSupport._trusted(w.tolist())
-        # thresholds up to the largest count it can draw, the last one past
-        # every uniform
-        cum = np.cumsum(w[: kids[-1] + 2]).tolist()
-        cum[-1] = math.inf
-        law.__dict__["_draw_table"] = (cum, list(range(len(cum))))
-        return law
+        return FiniteSupport._trusted(w.tolist(), defect=0.0)
 
     def to_dict(self) -> dict:
         return {"kind": "finite", "weights": [float(x) for x in self.weights]}
@@ -513,13 +513,13 @@ class LinearFractional(OffspringLaw):
         return np.array(self._draws(rng, size), dtype=np.int64)
 
     def _draws(self, rng: np.random.Generator, z: int) -> list[int]:
-        # u < q + r gives 0 children, u >= f(1) the graveyard, and the band
-        # between inverts the geometric tail; only that band's logs are
-        # taken, with np.log as an array, since math.log can round them
-        # differently
+        # u < q + r gives 0 children, u >= f(1) the graveyard if the law
+        # has a defect, and the band between inverts the geometric tail;
+        # only that band's logs are taken, with np.log as an array, since
+        # math.log can round them differently
         q, r, p = self.q, self.r, self.p
         u = [rng.random()] if z == 1 else rng.random(z).tolist()
-        low, top = q + r, self._top
+        low, top = q + r, self.mass if self.defect > 0.0 else math.inf
         out = [DELTA if x >= top else 0 for x in u]
         geo = [i for i, x in enumerate(u) if low <= x < top]
         if geo:
@@ -529,17 +529,12 @@ class LinearFractional(OffspringLaw):
                 out[i] = ki
         return out
 
-    @cached_property
-    def _top(self) -> float:
-        # the least uniform drawn as DELTA: f(1), or inf for a brood law
-        return self.mass
-
     def _conditioned(self, t: float) -> "LinearFractional | None":
         ft, pt = self.pgf(t), self.p * t
         if pt <= 0.0:
             return None
         law = LinearFractional(self.q / ft, self.r / ft, pt)
-        law.__dict__["_top"] = math.inf
+        law.__dict__["defect"] = 0.0
         return law
 
     def to_dict(self) -> dict:

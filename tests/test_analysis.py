@@ -1,6 +1,7 @@
 """Absorption, moments, bounds and criterion checks."""
 from __future__ import annotations
 
+import copy
 import math
 import time
 import tracemalloc
@@ -31,7 +32,6 @@ from defbranch import (
     fixed_point_bracket,
     growth_rate,
     late_extinction_bounds,
-    law_from_dict,
     moments,
     mu_profile,
     survival_bounds,
@@ -309,15 +309,15 @@ class TestCriteria:
 
 
 class _Rebuilt(Environment):
-    """The laws of ``base``, built afresh through validation on every
-    call: the per-law criteria columns, with no closed form and no two
-    generations sharing a law object."""
+    """The laws of ``base``, copied afresh on every call (a named law
+    with its kept defect): the per-law criteria columns, with no closed
+    form and no two generations sharing a law object."""
 
     def __init__(self, base: Environment):
         self.base = base
 
     def law(self, n: int):
-        return law_from_dict(self.base.law(n).to_dict())
+        return copy.copy(self.base.law(n))
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -511,10 +511,19 @@ def test_criteria_columns_write_the_law_coefficient(name):
     laws = [env.law(i) for i in range(1, n + 1)]
     m = laws[0].weights.size - 1
     c = np.array([law.weights[-1] for law in laws])
-    assert defect.tobytes() == (1.0 - c).tobytes()
+    assert defect.tobytes() == np.array([law.defect for law in laws]).tobytes()
     assert mean.tobytes() == (m * c).tobytes()
     if m == 1:
         assert w1.tobytes() == c.tobytes()
+
+
+def test_defect_series_reads_the_clipped_defect():
+    # proper up to float dust: 1 - mass is 1.1e-16, the law's defect 0.0
+    law = FiniteSupport([0.4933539714095708, 0.012292057180858407, 0.4943539714095707])
+    assert law.defect == 0.0 and law.mass < 1.0
+    got = {v.criterion: v for v in criteria_verdicts(Constant(law))}["defect_mean_series"]
+    assert got.verdict == CONVERGES
+    assert set(got.partials) == {0.0}
 
 
 def test_criteria_verdicts_memory_peak():

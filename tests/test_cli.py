@@ -311,6 +311,17 @@ class TestArtifacts:
             want = compose_eval(env, 0, 2, float(row["s"]))
             assert float(row["value"]) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("order, value", [(0, "0.5210526315789474"), (1, "nan"), (2, "nan")])
+    def test_pgf_at_a_pole_is_quiet(self, tmp_path, capsys, order, value):
+        # s = 2.0 = 1/p is the pole of LAW_B
+        env = {"kind": "constant", "law": LAW_B}
+        path, _ = write_cfg(tmp_path, "pgf", {"n": 3, "s": 2.0, "order": order}, environment=env)
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "pgf.csv", newline="") as fh:
+            assert [row["value"] for row in csv.DictReader(fh)] == [value]
+
 
 # the header line of each row command's CSV, as released
 HEADERS = [

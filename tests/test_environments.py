@@ -210,6 +210,33 @@ class TestComposition:
         assert d[0] == math.inf
         assert compose_eval(env, 0, 3000, 1.0) == compose_eval(env, 0, 3000, np.array([1.0]))[0]
 
+    def test_order_is_a_count(self, env_b):
+        want = compose_eval(env_b, 0, 3, 0.5, 1)
+        assert [compose_eval(env_b, 0, 3, 0.5, order) for order in (1.0, np.int64(1))] == [want] * 2
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            (True, "order must be an integer, got True"),
+            (1.5, "order must be an integer, got 1.5"),
+            ("1", "order must be an integer, got '1'"),
+            (math.nan, "order must be an integer, got nan"),
+            (-1, "need order >= 0, got order=-1"),
+            (3, "need order <= 2, got order=3"),
+        ],
+    )
+    def test_order_outside_0_to_2(self, env_b, order, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            compose_eval(env_b, 0, 3, 0.5, order)
+
+    def test_pole_is_quiet(self, env_b):
+        # s = 1/p is the pole of LAW_B: a finite value at order 0 after
+        # three steps, nan at orders 1 and 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert compose_eval(env_b, 0, 3, 2.0) == 0.5210526315789474
+            assert all(math.isnan(compose_eval(env_b, 0, 3, 2.0, order)) for order in (1, 2))
+
     def test_window_validation(self, env_a):
         with pytest.raises(PreconditionError):
             composed_points(env_a, 3, 2, 0.5)

@@ -29,6 +29,7 @@ from defbranch import (
     Prefix,
     absorption_profile,
     compose_coeffs,
+    criteria_verdicts,
     growth_rate,
     moments,
     survival_bounds,
@@ -161,6 +162,23 @@ def test_named_family_mean_against_mpmath():
     _, log_mean, _ = _oracle_of("example_2b")
     close(moments(env, N).log_mean, log_mean)
     close(growth_rate(env, N).mean_rate, log_mean / N)
+
+
+def test_defect_series_of_example_2a_against_mpmath():
+    # sum_{i<=h} d_i mu_{i-1}, d_i = 2^-i / i and mu_i = prod_{j<=i} 2 (1 - d_j),
+    # with d_i formed in mpmath: the check columns read each law's exact d_i
+    hs = (100, 1000)
+    got = {v.criterion: v for v in criteria_verdicts(NamedFamily("example-2a"), hs)}
+    with mpmath.workdps(30):
+        total, mu, want = mpmath.mpf(0), mpmath.mpf(1), []
+        for i in range(1, hs[-1] + 1):
+            d = mpmath.mpf(2) ** -i / i
+            total += d * mu
+            mu *= 2 * (1 - d)
+            if i in hs:
+                want.append(total)
+    for p, w in zip(got["defect_mean_series"].partials, want):
+        assert abs(p - w) <= 1e-12 * w
 
 
 # ---------------------------------------------------------------------------

@@ -841,11 +841,13 @@ class TestSamplingFastPaths:
 
 
 def _lf_reference(law, u):
-    """LinearFractional draws from the uniforms u, by the array formula."""
+    """LinearFractional draws from the uniforms u, by the array formula:
+    DELTA from f(1) up, for a law with a defect only."""
     u = np.asarray(u, dtype=float)
     out = np.zeros(u.shape, dtype=np.int64)
-    out[u >= law.mass] = DELTA
-    geo = (u >= law.q + law.r) & (u < law.mass)
+    top = law.mass if law.defect > 0.0 else math.inf
+    out[u >= top] = DELTA
+    geo = (u >= law.q + law.r) & (u < top)
     if np.any(geo):
         y = 1.0 - (u[geo] - law.q - law.r) * (1.0 - law.p) / (law.r * law.p)
         y = np.clip(y, 1e-320, None)
@@ -893,6 +895,21 @@ class TestListDraws:
             (got,) = law._draws(rng, 1)
             assert got == law.sample(ref, size=1)[0]
             assert rng.random() == ref.random()
+
+
+# proper laws (defect 0.0) whose float sums of the weights fall short of 1
+@pytest.mark.parametrize("law", [FiniteSupport([0.1] * 10), LinearFractional(0.0, 0.05, 0.95)],
+                         ids=["finite", "lf"])
+def test_proper_law_never_draws_delta(law):
+    top = float(np.nextafter(1.0, 0.0))
+    assert law.defect == 0.0
+    assert min(float(np.cumsum(law.coeff_vector())[-1]), law.mass) <= top
+    assert min(law._draws(_Uniforms([top] * 3), 3)) >= 0
+    assert law.sample(_Uniforms([top])) >= 0
+    assert law.sample(_Uniforms([top] * 3), size=3).min() >= 0
+    tree = sample_dbtve(Constant(law), _Uniforms([top]), depth_cap=1)
+    assert tree.defect_generation() is None
+    assert prefix_prob(Constant(law), tree, 1) > 0.0
 
 
 # laws with a t at which the float sum of the brood weights falls short of
