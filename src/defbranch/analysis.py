@@ -33,7 +33,6 @@ from .environments import (
     _running,
     _sweep,
     _whole,
-    compose_coeffs,
     compose_eval,
     composed_points,
 )
@@ -723,10 +722,11 @@ def late_extinction_bounds(
 class CondMeanBound:
     """Mean population size among survivors, with its certified bound.
 
-    exact = E[Z_n | alive at n] from the coefficient oracle; bound is
-    the envelope 1 + c f_n'(1) sum_j beta^j (1 + f''/f' at n-j), with
+    exact = E[Z_n | alive at n] = E[Z_n] / P[Z_n > 0], untruncated; bound
+    is the envelope 1 + c f_n'(1) sum_j beta^j (1 + f''/f' at n-j), with
     c = 1 / (e alpha^2 beta log(1/beta)), alpha = inf f_i(0) and
-    beta = sup f_i(1) over the window.
+    beta = sup f_i(1) over the window.  cond_tail is always 0.0, kept
+    for the benchmark's reader.
     """
 
     n: int
@@ -735,27 +735,20 @@ class CondMeanBound:
     alpha: float
     beta: float
     c: float
-    degree_used: int
     cond_tail: float
     holds: bool
 
 
-def conditioned_mean_bound(
-    env: Environment, n: int, degree: int | None = None
-) -> CondMeanBound:
+def conditioned_mean_bound(env: Environment, n: int) -> CondMeanBound:
     """Exact conditioned mean against the uniform-window bound.
 
-    ``exact`` sums k P[Z_n = k] over the first ``degree`` coefficients
-    of f_{0,n}.  Without an explicit ``degree`` the degree doubles from
-    64 (up to 2^14) until the coefficients miss less than 1e-10 of the
-    survival probability (``cond_tail``) and less than 1e-10 of E[Z_n];
-    an explicit ``degree`` that misses either raises BudgetError.
+    ``exact`` is E[Z_n] / P[Z_n > 0], both read from one sweep from
+    generation 0 to n with no truncation, so ``cond_tail`` is 0.0.
 
     Raises PreconditionError when the window violates the hypotheses
-    (some f_i(0) = 0 or some f_i(1) = 1).
+    (some f_i(0) = 0 or some f_i(1) = 1) or survival vanishes at n.
     """
     n = _whole(n, "n", 1)
-    degree = None if degree is None else _whole(degree, "degree", 1)
     alpha = math.inf
     beta = 0.0
     for i in range(1, n + 1):
@@ -773,25 +766,10 @@ def conditioned_mean_bound(
         tot += beta**j * (1.0 + law.second_factorial / law.mean)
     bound = 1.0 + c * env.law(n).mean * tot
 
-    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)
-    survival, mean = _exp(sw.log_gap), _exp(float(sw.log_ladder[-1]))  # P[Z_n > 0], E[Z_n]
-    if survival <= 0.0:
+    sw = _sweep(env, 0, n, 1.0, 0.0, ladder=True)  # log P[Z_n > 0], log E[Z_n]
+    if _exp(sw.log_gap) <= 0.0:
         raise PreconditionError("survival probability vanishes at this horizon")
-    # truncation is controlled relative to the surviving mass and to the
-    # mean: an absolute threshold says nothing once either is tiny.  Both
-    # sides of each difference are tiny but individually accurate
-    # (nonnegative sums), so the differences resolve the two tails.
-    d = 64 if degree is None else degree
-    while True:
-        dv = compose_coeffs(env, n, d)
-        head_mean = float((np.arange(dv.probs.size) * dv.probs).sum())
-        cond_tail = max(0.0, survival - float(dv.probs[1:].sum())) / survival
-        if cond_tail < 1e-10 and max(0.0, mean - head_mean) < 1e-10 * mean:
-            break
-        if degree is not None or d >= (1 << 14):
-            raise BudgetError("conditional tail or mean tail would not drop below 1e-10")
-        d *= 2
-    exact = head_mean / survival
+    exact = _exp(float(sw.log_ladder[-1]) - sw.log_gap)
     return CondMeanBound(
         n=n,
         exact=exact,
@@ -799,8 +777,7 @@ def conditioned_mean_bound(
         alpha=alpha,
         beta=beta,
         c=c,
-        degree_used=d,
-        cond_tail=cond_tail,
+        cond_tail=0.0,
         holds=exact <= bound * (1.0 + 1e-9),
     )
 

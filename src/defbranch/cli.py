@@ -478,12 +478,12 @@ def _cmd_tree_validate(env, args, seed):
 
 
 _COND_MEAN_COLUMNS = (
-    "n", "exact", "bound", "alpha", "beta", "c", "degree_used", "cond_tail", "holds",
+    "n", "exact", "bound", "alpha", "beta", "c", "cond_tail", "holds",
 )
 
 
 def _cmd_cond_mean(env, args, seed):
-    return _per_n(env, args, conditioned_mean_bound, _COND_MEAN_COLUMNS, **_opt(args, "degree"))
+    return _per_n(env, args, conditioned_mean_bound, _COND_MEAN_COLUMNS)
 
 
 class _Command(NamedTuple):
@@ -538,9 +538,7 @@ _REGISTRY: dict[str, _Command] = {
         "trees", _cmd_tree_validate,
         n=_N, samples=_Param("integer", minimum=1), max_count=_INT, budget=_INT, tol_floor=_NUM,
     ),
-    "cond-mean": _command(
-        "analysis", _cmd_cond_mean, n=_NS, degree=_Param("integer", minimum=1)
-    ),
+    "cond-mean": _command("analysis", _cmd_cond_mean, n=_NS),
 }
 
 

@@ -107,7 +107,8 @@ class Environment:
         return _Normalized(self)
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        raise NotImplementedError(f"{self!r} has no config literal: only constant, "
+                                  "prefix and named environments have one")
 
 
 @dataclass(frozen=True)

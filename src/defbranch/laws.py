@@ -337,7 +337,10 @@ class FiniteSupport(OffspringLaw):
         if order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         x = float(s) if isinstance(s, float) else np.asarray(s, dtype=float)
-        c = iter(self._horner[order])
+        try:
+            c = iter(self._horner[order])
+        except TypeError:  # an integral float order such as 1.0
+            c = iter(self._horner[int(order)])
         out = next(c) + x * 0
         for ck in c:
             out = ck + out * x

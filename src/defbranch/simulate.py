@@ -204,6 +204,7 @@ def run_path(
     """Simulate a single trajectory, recording every generation: a block
     of one path, with every generation a snapshot."""
     horizon, cap = _check_run(mode, horizon, cap)
+    seed = _whole(seed, "seed")
     if rng is None:
         rng = _rng(seed)
     sizes = np.ones(horizon + 1, dtype=np.int64)
@@ -282,9 +283,9 @@ def monte_carlo(
     thread, the caller's, meets any cap: numpy's binomial draws hold
     the GIL, so more threads only add switching.  A
     path whose population passes ``cap`` (at least 1) stops and counts
-    as overflowed.  horizon, reps, cap and the snapshot times are counts
-    (3.0 is one, a numpy integer too; see ``environments._whole``), and
-    snapshot times lie in 1..horizon.
+    as overflowed.  horizon, reps, cap, master_seed and the snapshot
+    times are counts (3.0 is one, a numpy integer too; see
+    ``environments._whole``), and snapshot times lie in 1..horizon.
 
     Each block is reduced as it returns, so the only memory per
     replicate is one int64 per snapshot time: the one per-path output,
@@ -297,7 +298,7 @@ def monte_carlo(
     depend on the snapshot times.
     """
     horizon, cap = _check_run(mode, horizon, cap)
-    reps = _whole(reps, "reps", 1)
+    reps, master_seed = _whole(reps, "reps", 1), _whole(master_seed, "master_seed")
     snaps_at = sorted({_whole(t, "snapshot_times", 1) for t in snapshot_times})
     if snaps_at and snaps_at[-1] > horizon:
         raise PreconditionError("snapshot times must lie in 1..horizon")
@@ -482,7 +483,7 @@ def mode_agreement(
         out[mode] = np.array(
             [s.n_killed, s.n_extinct, *h[1:10], int(h[10:].sum()) + s.n_overflow], dtype=np.int64
         )
-    horizon, reps = s.horizon, s.reps  # as monte_carlo checked them, Python ints
+    horizon, reps, master_seed = s.horizon, s.reps, s.master_seed  # as monte_carlo checked them
     c1, c2 = out["direct"], out["coupled"]
     occupied = (c1 + c2) > 0
     b = int(np.sum(occupied))

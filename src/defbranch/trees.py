@@ -736,6 +736,7 @@ def validate_prop4(
     failed) when enumeration is infeasible for this environment.
     """
     n, samples = _whole(n, "n", 1), _whole(samples, "samples", 1)
+    master_seed = _whole(master_seed, "master_seed")
     # here, since enumerate_conditioned's refusal would read as infeasible
     max_count = None if max_count is None else _whole(max_count, "max_count")
     exact: EnumeratedLaw | None

@@ -334,7 +334,7 @@ HEADERS = [
         "n,survival,log_survival,moment_lower,inf_mean_product,inv_lo,inv_hi,"
         "c_used,c_prime,c_prime_empirical,holds",
     ),
-    ("cond-mean", {"n": 2}, "n,exact,bound,alpha,beta,c,degree_used,cond_tail,holds"),
+    ("cond-mean", {"n": 2}, "n,exact,bound,alpha,beta,c,cond_tail,holds"),
     ("rates", {"n": 2}, "n,mean_rate,survival_rate,log_mean,log_survival"),
     (
         "rates",
@@ -510,7 +510,6 @@ DEFAULTED = [
     ("tree-validate", {"n": 1, "samples": 100}, "validate_prop4", "budget"),
     ("tree-validate", {"n": 1, "samples": 100}, "validate_prop4", "tol_floor"),
     ("bounds", {"n": [3, 5]}, "survival_bounds", "c"),
-    ("cond-mean", {"n": [3, 5]}, "conditioned_mean_bound", "degree"),
     ("dist", {"n": 5, "degree": 8}, "compose_coeffs", "rel_tail"),
     ("dist", {"n": 5, "degree": 8}, "compose_coeffs", "budget"),
 ]
@@ -614,7 +613,6 @@ MALFORMED = list(_malformed()) + [
     ("dist", "below-minimum", {"n": 3, "degree": -4}),
     ("pgf", "above-maximum", {"n": 2, "s": 0.5, "order": 3}),
     ("tree-validate", "below-minimum", {"n": 1, "samples": 0}),
-    ("cond-mean", "below-minimum", {"n": 2, "degree": 0}),
     ("check", "scalar-for-list", {"horizons": 5}),
     ("cond-mean", "overflowing", {"n": 1e400}),
     ("bounds", "string-number", {"n": 2, "c": "z"}),
@@ -809,7 +807,7 @@ FULL = {
     "agree": {"horizon": 2, "reps": 10, "cap": 50},
     "tree-sample": {"n": 2, "count": 3, "sampler": "plain", "extra_depth": 1},
     "tree-validate": {"n": 1, "samples": 10, "max_count": 4, "budget": 100, "tol_floor": 0.05},
-    "cond-mean": {"n": [1, 2], "degree": 64},
+    "cond-mean": {"n": [1, 2], "workers": 1},
 }
 ENVIRONMENTS = [
     {"kind": "constant", "law": LAW_A},

@@ -1,5 +1,5 @@
-"""The count contract: every public function takes its generation counts
-and sizes through one check, ``environments._whole``.
+"""The count contract: every public function takes its generation counts,
+sizes and seeds through one check, ``environments._whole``.
 
 A count is an int, a numpy integer or an integral float such as 3.0, and
 each of them gives the result that 3 gives, field for field and type for
@@ -88,17 +88,19 @@ COUNTS = {
     ("late_extinction_bounds", "proxy_horizon"):
         (0, lambda v: late_extinction_bounds(ENV, 0.8, 2, v)),
     ("conditioned_mean_bound", "n"): (1, lambda v: conditioned_mean_bound(ENV, v)),
-    ("conditioned_mean_bound", "degree"): (1, lambda v: conditioned_mean_bound(ENV, 1, v)),
     ("run_path", "horizon"): (0, lambda v: run_path(ENV, v, seed=1)),
     ("run_path", "cap"): (1, lambda v: run_path(ENV, 6, seed=1, cap=v)),
+    ("run_path", "seed"): (0, lambda v: run_path(ENV, 6, seed=v)),
     ("monte_carlo", "horizon"): (0, lambda v: monte_carlo(ENV, v, 40, 1)),
     ("monte_carlo", "reps"): (1, lambda v: monte_carlo(ENV, 4, v, 1)),
     ("monte_carlo", "cap"): (1, lambda v: monte_carlo(ENV, 6, 40, 1, cap=v)),
     ("monte_carlo", "snapshot_times"):
         (1, lambda v: monte_carlo(ENV, 4, 40, 1, snapshot_times=(v, 4))),
+    ("monte_carlo", "master_seed"): (0, lambda v: monte_carlo(ENV, 4, 40, v)),
     ("mode_agreement", "horizon"): (0, lambda v: mode_agreement(ENV, v, 40, 1)),
     ("mode_agreement", "reps"): (1, lambda v: mode_agreement(ENV, 4, v, 1)),
     ("mode_agreement", "cap"): (1, lambda v: mode_agreement(ENV, 6, 40, 1, cap=v)),
+    ("mode_agreement", "master_seed"): (0, lambda v: mode_agreement(ENV, 4, 40, v)),
     ("DefectiveTree.subtree", "child"): (-math.inf, lambda v: FIGURE.subtree(v)),
     ("prefix_key", "h"): (-math.inf, lambda v: prefix_key(FIGURE, v)),
     ("prefix_prob", "h"): (0, lambda v: prefix_prob(ENV, ALIVE, v)),
@@ -121,6 +123,7 @@ COUNTS = {
     ("validate_prop4", "n"): (1, lambda v: validate_prop4(ENV, v, 20)),
     ("validate_prop4", "samples"): (1, lambda v: validate_prop4(ENV, 2, v)),
     ("validate_prop4", "max_count"): (0, lambda v: validate_prop4(ENV, 2, 20, max_count=v)),
+    ("validate_prop4", "master_seed"): (0, lambda v: validate_prop4(ENV, 2, 20, v)),
 }
 
 # count-named parameters that are not a reader's counts: per-step lookups a

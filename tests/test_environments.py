@@ -349,6 +349,15 @@ class TestSerialization:
             for n in (1, 2, 7):
                 assert clone.law(n).pgf(0.6) == env.law(n).pgf(0.6)
 
+    def test_derived_environments_say_they_have_no_literal(self, env_a):
+        for env, tail in ((env_a.shift(2), ".shift(2)"), (env_a.normalized(), ".normalized()")):
+            with pytest.raises(NotImplementedError) as err:
+                env.to_dict()
+            assert str(err.value) == (
+                f"{env_a!r}{tail} has no config literal: only constant, prefix "
+                "and named environments have one"
+            )
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidLawError):
             environment_from_dict({"kind": "mystery"})

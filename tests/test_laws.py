@@ -109,6 +109,18 @@ class TestPgf:
             law.divided_difference(t, s), rel=1e-14
         )
 
+    def test_integral_orders_act_as_ints(self, law_a, law_b):
+        for law in (law_a, law_b):
+            for s in (0.3, np.array([0.2, 0.9])):
+                for order in (0, 1, 2):
+                    want = law.pgf(s, order)
+                    for same in (float(order), np.int64(order)):
+                        got = law.pgf(s, same)
+                        assert type(got) is type(want) and np.array_equal(got, want)
+            for bad in (3, -1, 1.5):
+                with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+                    law.pgf(0.3, bad)
+
     def test_mass_and_moments(self, law_a, law_b):
         assert law_a.mass == pytest.approx(0.9, abs=1e-15)
         assert law_a.mean == pytest.approx(0.9, abs=1e-15)

@@ -29,6 +29,7 @@ from defbranch import (
     Prefix,
     absorption_profile,
     compose_coeffs,
+    conditioned_mean_bound,
     criteria_verdicts,
     growth_rate,
     moments,
@@ -179,6 +180,27 @@ def test_defect_series_of_example_2a_against_mpmath():
                 want.append(total)
     for p, w in zip(got["defect_mean_series"].partials, want):
         assert abs(p - w) <= 1e-12 * w
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 60, 100])
+@pytest.mark.parametrize("name", ["law_a", "law_b"])
+def test_conditioned_mean_against_mpmath(name, n):
+    # E[Z_n | Z_n > 0] = E[Z_n] / P[Z_n > 0]
+    log_surv, log_mean, _ = _oracle(ENVS[name], n)
+    want = mpmath.exp(log_mean - log_surv)
+    assert conditioned_mean_bound(ENVS[name], n).exact == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, want", [
+    (1, 2000.0000000002203), (3, 17983.076589124142), (10, 17983.111660337689),
+])
+def test_conditioned_mean_of_a_heavy_tail(n, want):
+    # f_{0,n} of a linear-fractional law is linear-fractional, with
+    # P[Z_n = k] proportional to P^k for k >= 1, so the conditioned mean
+    # is 1/(1 - P); P is read off the 50-digit product of Moebius matrices.
+    # Survivors hold thousands: no short run of coefficients carries the mean.
+    env = Constant(LinearFractional(0.1, 0.0004, 0.9995))
+    assert conditioned_mean_bound(env, n).exact == pytest.approx(want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
