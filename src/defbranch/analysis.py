@@ -341,9 +341,16 @@ def criteria_verdicts(
 ) -> list[ConditionVerdict]:
     """Evaluate the five criterion series/extremes out to max(horizons).
 
-    Partial sums are exact (log-scale mean products underneath); the
-    verdict comes from the environment's analytic metadata when present,
-    otherwise from the decay slope of the terms across the top two
+    Partial sums are exact: each term is read in log scale, from the
+    environment's ``_criteria_terms``.  A named family (and a shift of
+    one) forms them from its closed-form log d_n with array operations,
+    so they stay exact past the generation where d_n underflows (n = 1074
+    on example-2a).  Every other environment takes the ``_logs`` of its
+    laws' own f[1], defect, f'(1), f''(1) and c8 (one C ``math.log`` per
+    entry).
+
+    The verdict comes from the environment's analytic metadata when
+    present, otherwise from the decay slope of the terms across the top two
     decades: slope < -1.15 reads as convergent, slope > -0.85 with still
     growing partial sums as divergent, anything else is inconclusive.
     Needs at least two distinct horizons, each a count >= 2 (3.0 counts
@@ -369,25 +376,13 @@ def criteria_verdicts(
         with np.errstate(over="ignore"):
             partials[k] = np.cumsum(np.exp(lg, out=lg), out=lg)[at_h].tolist()
 
-    # each column is overwritten in place and dropped after its last use,
-    # so at most five n-length arrays are alive at once
-    w1, defect, mean, second, c8 = env._criteria_columns(n_max)
-    series("one_child_gap", _logs(np.subtract(1.0, w1, out=w1)))
-    del w1
-    lg_mean = _logs(mean)
-    log_mu = _running(lg_mean)  # log mu_0 .. log mu_n
-    del mean
-    lg = _logs(defect)
-    del defect
-    lg += log_mu[:-1]  # defect_i * mu_{i-1}
-    series("defect_mean_series", lg)
-    lg = _logs(second)
-    del second
-    lg -= lg_mean
-    lg -= log_mu[1:]
-    series("var_mean_series", lg)
-    del lg, lg_mean
-    partials["mean_product_infimum"] = _exp(np.minimum.accumulate(log_mu[1:])[at_h]).tolist()
+    # each log column is overwritten in place and dropped after its last use
+    gap, log_mu, lg_defect, lg_var, c8 = env._criteria_terms(n_max)
+    series("one_child_gap", gap)
+    series("defect_mean_series", lg_defect)
+    series("var_mean_series", lg_var)
+    partials["mean_product_infimum"] = _exp(np.minimum.accumulate(log_mu, out=log_mu)[at_h]).tolist()
+    del gap, log_mu, lg_defect, lg_var
     partials["tail_ratio_sup"] = np.maximum.accumulate(c8)[at_h].tolist()
 
     meta = env.series_meta
@@ -409,23 +404,6 @@ def criteria_verdicts(
             )
         )
     return out
-
-
-def _logs(x: np.ndarray) -> np.ndarray:
-    """x with each entry replaced by its ``_log``, in place.
-
-    Per block of 4096 entries, only those > 0 and not 1.0 go through C
-    ``math.log`` (``np.log`` does not always match it in the last bit);
-    the rest are set without a call: -inf where ``_log`` gives -inf (<= 0
-    and NaN), 0.0 for 1.0.  Blocks keep the transient lists short."""
-    for i in range(0, x.size, 4096):
-        blk = x[i:i + 4096]
-        pos = blk > 0.0
-        todo = pos & (blk != 1.0)
-        blk[~pos] = -math.inf
-        blk[blk == 1.0] = 0.0  # before the logs, one of which may be 1.0
-        blk[todo] = list(map(math.log, blk[todo].tolist()))
-    return x
 
 
 def _fit_slope(pairs: list[tuple[int, float]]) -> float | None:

@@ -69,20 +69,34 @@ class Environment:
         same object, or None when the environment has no such tail."""
         return None
 
-    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
-        """(f[1], defect, f'(1), f''(1), c8) of generations 1..n, one
-        array each: ``_series_stats`` of ``law(i)``, the defect its
-        ``defect``.  The arrays are the caller's to overwrite.  Each law is
-        evaluated once per call, its row keyed by the law object."""
+    def _criteria_terms(self, n: int, start: int = 0) -> tuple[np.ndarray, ...]:
+        """The criterion terms of generations i = start+1..start+n, one
+        array each: log(1 - f_i[1]), log mu_i, log(d_i mu_{i-1}),
+        log(f_i''(1) / (f_i'(1) mu_i)) and c8_i, where mu_i is the mean
+        product of generations start+1..i and d_i the law's ``defect``.
+        The four log arrays are the caller's to overwrite.
+
+        Here they are the ``_logs`` of each law's ``_series_stats``, formed
+        in place in one 5-by-n block; each law is evaluated once per call,
+        its row keyed by the law object."""
         seen: dict[OffspringLaw, tuple[float, ...]] = {}
         rows = []
-        for i in range(1, n + 1):
+        for i in range(start + 1, start + n + 1):
             law = self.law(i)
             row = seen.get(law)
             if row is None:
                 row = seen[law] = _series_stats(law)
             rows.append(row)
-        return tuple(np.array(rows, dtype=float).T)
+        w1, defect, log_mu, lg_var, c8 = np.array(rows, dtype=float).T
+        gap = _logs(np.subtract(1.0, w1, out=w1))
+        _logs(log_mu)  # log f_i'(1), summed below
+        _logs(lg_var)
+        lg_var -= log_mu
+        np.cumsum(log_mu, out=log_mu)
+        lg_var -= log_mu
+        lg_defect = _logs(defect)
+        lg_defect[1:] += log_mu[:-1]  # mu_0 = 1
+        return gap, log_mu, lg_defect, lg_var, c8
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -228,6 +242,21 @@ def _power_defect(a: float, neg_b: float, n: int) -> float:
     return a * float(n) ** neg_b
 
 
+def _log_power(log_a: float, b: float, n: np.ndarray) -> np.ndarray:
+    """log_a - b ln n, one entry per n (floats >= 1), as a new array."""
+    out = np.log(n)
+    out *= -b
+    out += log_a
+    return out
+
+
+def _log_power_half_at_1(b: float, n: np.ndarray) -> np.ndarray:
+    """-b ln n, and ln 1/2 at n = 1."""
+    out = _log_power(0.0, b, n)
+    out[n == 1.0] = -math.log(2.0)
+    return out
+
+
 def _d_1a(n: int) -> float:
     return 0.5 if n == 1 else 1.0 / n
 
@@ -247,15 +276,19 @@ def _d_2b(n: int) -> float:
 class _Family(NamedTuple):
     """A family whose law f_n kills with the defect d_n and puts the
     weight c_n = 1 - d_n on m children: f_n(s) = c_n s^m.  ``defect``
-    builds the map n -> d_n, in closed form, from the params once; it
-    must be picklable (a module-level function or a ``functools.partial``
-    of one), since ``NamedFamily`` keeps it.  ``check`` must reject every
-    params for which d_n leaves [0, 1), because ``NamedFamily.law``
-    builds the laws unvalidated."""
+    builds the map n -> d_n, in closed form, from the params once, and
+    ``log_rest`` the map from an array of n to log(d_n / rate^n), so that
+    log d_n = n ln(rate) + log_rest(n) never forms a d_n that underflows;
+    both must be picklable (a module-level function or a
+    ``functools.partial`` of one), since ``NamedFamily`` keeps them.
+    ``check`` must reject every params for which d_n leaves [0, 1),
+    because ``NamedFamily.law`` builds the laws unvalidated."""
 
     defect: Callable[[dict], Callable[[int], float]]  # params -> (n -> d_n)
+    log_rest: Callable[[dict], Callable[[np.ndarray], np.ndarray]]  # params -> (n -> log(d_n / rate^n))
     arity: Callable[[dict], int]  # params -> m
     meta: dict[str, str]  # analytic series tags, see Environment.series_meta
+    rate: float = 1.0  # the geometric factor of d_n: 1/2 for example-2a and 2b
     check: Callable[[dict], None] = lambda params: None  # raises on bad params
 
 
@@ -263,6 +296,7 @@ class _Family(NamedTuple):
 _FAMILIES: dict[str, _Family] = {
     "example-1a": _Family(
         lambda _: _d_1a,
+        lambda _: partial(_log_power_half_at_1, 1.0),
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -273,6 +307,7 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "example-1b": _Family(
         lambda _: _d_1b,
+        lambda _: partial(_log_power_half_at_1, 2.0),
         lambda _: 1,
         {
             **_META_SINGLE_CHILD,
@@ -283,6 +318,7 @@ _FAMILIES: dict[str, _Family] = {
     ),
     "example-2a": _Family(
         lambda _: _d_2a,
+        lambda _: partial(_log_power, 0.0, 1.0),
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -291,9 +327,11 @@ _FAMILIES: dict[str, _Family] = {
             "var_mean_series": "converges",
             "tail_ratio_sup": "converges",
         },
+        rate=0.5,
     ),
     "example-2b": _Family(
         lambda _: _d_2b,
+        lambda _: partial(_log_power, 0.0, 2.0),
         lambda _: 2,
         {
             "one_child_gap": "diverges",
@@ -302,12 +340,14 @@ _FAMILIES: dict[str, _Family] = {
             "var_mean_series": "converges",
             "tail_ratio_sup": "converges",
         },
+        rate=0.5,
     ),
     "power-defect": _Family(
         lambda params: partial(_power_defect, float(params["a"]), -float(params["b"])),
+        lambda params: partial(_log_power, math.log(float(params["a"])), float(params["b"])),
         lambda params: int(params.get("arity", 1)),
         {},
-        _check_power_defect,
+        check=_check_power_defect,
     ),
 }
 
@@ -346,6 +386,7 @@ class NamedFamily(Environment):
         # built once and kept outside the fields, so equality, repr and
         # to_dict still read (family, params) alone
         object.__setattr__(self, "_defect", fam.defect(self.params))
+        object.__setattr__(self, "_log_rest", fam.log_rest(self.params))
         object.__setattr__(self, "_zeros", [0.0] * fam.arity(self.params))
 
     def law(self, n: int) -> OffspringLaw:
@@ -354,22 +395,45 @@ class NamedFamily(Environment):
         d = self._defect(n)
         return FiniteSupport._trusted(self._zeros + [1.0 - d], defect=d)
 
-    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
-        # _series_stats of c s^m in closed form, with the law's operations and
-        # its kept defect d_n, five columns alive at most:
-        # c8 = (m2_tail / m1_tail) / (mean / P[X >= 1]), m2_tail = m^2 c, m1_tail = mean
-        d = np.fromiter(map(self._defect, range(1, n + 1)), float, n)
-        c = 1.0 - d  # c_n = 1 - d_n, the weight law(n) writes
+    def _criteria_terms(self, n: int, start: int = 0) -> tuple[np.ndarray, ...]:
+        # the terms of f_i(s) = c_i s^m in closed form, from
+        # log d_i = i ln r + log_rest(i) (r the family's rate), with numpy
+        # array operations in place, four arrays alive at most:
+        #   L_i = sum_{start<j<=i} log1p(-d_j), log mu_i = (i - start) ln m + L_i,
+        #   log(d_i mu_{i-1}) = log(d_i m^(i-start-1)) + L_{i-1}, with the
+        #   first part in closed form, so that on example-2a (m r = 1) no
+        #   i ln 2 is formed and cancelled;
+        #   1 - f_i[1] is d_i for m = 1, else 1; f''(1) / f'(1) = m - 1; c8 = 1
+        #   for m >= 2 (m^2 c / m c over m c / c), else 0
+        rate = _FAMILIES[self.family].rate
         m = len(self._zeros)
-        mean = m * c
+        ln_r, ln_m = math.log(rate), math.log(m)
+        i = np.arange(start + 1, start + n + 1, dtype=float)
+        rest = self._log_rest(i)
+        lc = i * ln_r
+        lc += rest  # log d_i
+        np.exp(lc, out=lc)
+        np.log1p(np.negative(lc, out=lc), out=lc)
+        np.cumsum(lc, out=lc)  # L_i
+        log_mu = i - start
+        log_mu *= ln_m
+        log_mu += lc
+        lg_defect = np.subtract(i, start + 1, out=i)  # i is not read again
+        lg_defect *= math.log(m * rate)
+        lg_defect += (start + 1) * ln_r
+        lg_defect += rest  # log(d_i m^(i-start-1))
+        gap = rest
         if m == 1:
-            return c, d, mean, np.zeros(n), np.zeros(n)
-        second = (m - 1) * mean
-        c8 = (m * m) * c
-        c8 /= mean
-        c8 /= np.divide(mean, c, out=c)
-        c.fill(0.0)  # f[1] = 0
-        return c, d, mean, second, c8
+            np.copyto(gap, lg_defect)  # log d_i
+        else:
+            gap.fill(0.0)
+        lg_defect[1:] += lc[:-1]
+        lg_var = lc
+        if m == 1:
+            lg_var.fill(-math.inf)  # f''(1) = 0
+        else:
+            np.subtract(math.log(m - 1), log_mu, out=lg_var)
+        return gap, log_mu, lg_defect, lg_var, np.broadcast_to(float(m > 1), (n,))
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -394,8 +458,8 @@ class _Shifted(Environment):
         f = self._base._fixed_from()  # law(n) is the base's law(n + by)
         return None if f is None else max(1, f - self._by)
 
-    def _criteria_columns(self, n: int) -> tuple[np.ndarray, ...]:
-        return tuple(col[self._by:] for col in self._base._criteria_columns(n + self._by))
+    def _criteria_terms(self, n: int, start: int = 0) -> tuple[np.ndarray, ...]:
+        return self._base._criteria_terms(n, start + self._by)
 
     @property
     def series_meta(self) -> dict[str, str]:
@@ -659,6 +723,23 @@ def _mu_at(terms: np.ndarray) -> tuple[float, float]:
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _logs(x: np.ndarray) -> np.ndarray:
+    """x with each entry replaced by its ``_log``, in place.
+
+    Per block of 4096 entries, only those > 0 and not 1.0 go through C
+    ``math.log`` (``np.log`` does not always match it in the last bit);
+    the rest are set without a call: -inf where ``_log`` gives -inf (<= 0
+    and NaN), 0.0 for 1.0.  Blocks keep the transient lists short."""
+    for i in range(0, x.size, 4096):
+        blk = x[i:i + 4096]
+        pos = blk > 0.0
+        todo = pos & (blk != 1.0)
+        blk[~pos] = -math.inf
+        blk[blk == 1.0] = 0.0  # before the logs, one of which may be 1.0
+        blk[todo] = list(map(math.log, blk[todo].tolist()))
+    return x
 
 
 def _logsumexp(v: np.ndarray) -> float:

@@ -412,7 +412,17 @@ class FiniteSupport(OffspringLaw):
         return FiniteSupport._trusted(w.tolist(), defect=0.0)
 
     def to_dict(self) -> dict:
-        return {"kind": "finite", "weights": [float(x) for x in self.weights]}
+        """The literal ``law_from_dict`` rebuilds this law from; refused
+        where the rebuilt law would kill with another defect (a law built
+        with its defect kept, whose weights round it)."""
+        out = {"kind": "finite", "weights": [float(x) for x in self.weights]}
+        rebuilt = FiniteSupport(out["weights"]).defect
+        if rebuilt != self.defect:
+            raise NotImplementedError(
+                f"{self!r} has no config literal: its weights give the defect {rebuilt!r},"
+                f" not its own {self.defect!r}"
+            )
+        return out
 
     def __repr__(self) -> str:
         return f"FiniteSupport({np.array2string(self.weights, separator=', ')})"

@@ -3,17 +3,22 @@
 The oracles here recompute quantities by routes deliberately different
 from the package internals: term-by-term pgf sums, dictionary dynamic
 programming over population sizes, grid-plus-bisection fixed points,
-and Moebius fits for composed linear-fractional laws.
+Moebius fits for composed linear-fractional laws, and 30-digit mpmath
+runs of the named families' criterion series.
 """
 from __future__ import annotations
 
+import functools
+import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from defbranch import (
+    CRITERIA,
     Constant,
     Environment,
     FiniteSupport,
@@ -239,6 +244,102 @@ def fit_lf(f0: float, fh: float, f1: float) -> tuple[float, float, float]:
     r = (f1 - f0) * (1.0 - p) / p
     q = f0 - r
     return q, r, p
+
+
+def mp_defect(env: NamedFamily):
+    """n -> d_n of a named family, formed in mpmath at the working
+    precision from the family's definition (see ``NamedFamily``)."""
+    one, half = mpmath.mpf(1), mpmath.mpf(0.5)
+    if env.family == "power-defect":
+        a, b = mpmath.mpf(env.params["a"]), mpmath.mpf(env.params["b"])
+        return lambda n: a * mpmath.power(n, -b)
+    return {
+        "example-1a": lambda n: half if n == 1 else one / n,
+        "example-1b": lambda n: half if n == 1 else one / n**2,
+        "example-2a": lambda n: mpmath.ldexp(one / n, -n),
+        "example-2b": lambda n: mpmath.ldexp(one / n**2, -n),
+    }[env.family]
+
+
+def named_arity(env: NamedFamily) -> int:
+    if env.family == "power-defect":
+        return int(env.params.get("arity", 1))
+    return 1 if env.family in ("example-1a", "example-1b") else 2
+
+
+_FLOAT_MAX = mpmath.mpf(np.finfo(float).max)
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_criteria(family: str, params: tuple, horizons: tuple, start: int) -> dict:
+    env = NamedFamily(family, dict(params))
+    m = named_arity(env)
+    cols: dict[str, list] = {k: [] for k in CRITERIA}
+    with mpmath.workdps(30):
+        defect = mp_defect(env)
+        gap = dm = var = mpmath.mpf(0)
+        mu = inf_mu = mpmath.mpf(1)
+        if m == 1:
+            # 1 - f_i[1] = d_i; mu_i falls, so its infimum is mu_h; f''(1) = 0
+            for i in range(1, horizons[-1] + 1):
+                d = defect(start + i)
+                gap += d
+                t = d * mu
+                dm += t
+                mu -= t  # mu_i = mu_{i-1} (1 - d_i)
+                if i in horizons:
+                    for k, v in zip(CRITERIA, (gap, mu, dm, var, 0)):
+                        cols[k].append(v)
+            return cols
+        # m >= 2: 1 - f_i[1] = 1.  Once the var terms (m - 1) / mu_i have
+        # fallen below 1e-40 of their sum and mu_i stops falling
+        # (m (1 - d_i) >= 1, and d_i falls), no later term moves the var
+        # series; settled, the defect series is past the float range too
+        var_done = settled = False
+        for i in range(1, horizons[-1] + 1):
+            if not settled:
+                d = defect(start + i)
+                t = d * mu
+                dm += t
+                mu = m * (mu - t)  # mu_i = mu_{i-1} m (1 - d_i)
+                inf_mu = mu if i == 1 else min(inf_mu, mu)
+                if not var_done:
+                    var_term = (m - 1) / mu
+                    var += var_term
+                    var_done = var_term < 1e-40 * var and m * (1 - d) >= 1
+                settled = var_done and dm > _FLOAT_MAX
+            if i in horizons:
+                for k, v in zip(CRITERIA, (i, inf_mu, mpmath.inf if settled else dm, var, 1)):
+                    cols[k].append(v)
+    return cols
+
+
+def mp_criteria(env: Environment, horizons: tuple[int, ...]) -> dict[str, list]:
+    """The partials of the five criteria of a named family, or a shift of
+    one, at ``horizons``: the exact family run in 30-digit mpmath, d_n
+    formed in mpmath, one generation at a time.  Sums of 1 - f_i[1],
+    d_i mu_{i-1} and f_i''(1) / (f_i'(1) mu_i) = (m - 1) / mu_i, the
+    running minimum of mu_i and the supremum of c8 (1 for m >= 2, else 0).
+    A defect series past the float range reads inf.  Cached per family,
+    params, horizons and shift."""
+    start = 0
+    if not isinstance(env, NamedFamily):  # a shift: law(n) = base.law(n + by)
+        start, env = env._by, env._base
+    return _mp_criteria(env.family, tuple(sorted(env.params.items())), tuple(horizons), start)
+
+
+def assert_exact_partials(out, env: Environment) -> None:
+    """Every partial of ``out`` (criteria_verdicts on ``env``) within
+    max(1e-12, h * 2^-53) relative of ``mp_criteria``; where the exact
+    partial leaves the float range, inf."""
+    want = mp_criteria(env, out[0].horizons)
+    for v in out:
+        for h, got, exact in zip(v.horizons, v.partials, want[v.criterion]):
+            if float(exact) == math.inf:
+                assert got == math.inf, (v.criterion, h)
+            else:
+                tol = max(1e-12, h * 2.0**-53)
+                assert abs(got - exact) <= tol * exact, (v.criterion, h, got, exact)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ import time
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
-from conftest import Alternating, brute_dist, rand_env
+from conftest import Alternating, assert_exact_partials, brute_dist, mp_defect, named_arity, rand_env
 from defbranch import (
     BudgetError,
     CONVERGES,
@@ -377,33 +378,40 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
+def _assert_matches_per_law_path(env, hs):
+    """Once-per-distinct-law terms (Constant, Prefix) give verdicts equal
+    in every field to the per-generation evaluation of freshly built
+    laws, and partials and slopes equal to the former
+    one-generation-at-a-time loop.  Closed-form terms (named families and
+    their shifts) give the verdicts and tags of freshly built laws, and
+    partials within max(1e-12, h 2^-53) of the exact family."""
+    out = criteria_verdicts(env, hs)
+    rebuilt = criteria_verdicts(_Rebuilt(env), hs)
+    if isinstance(getattr(env, "_base", env), NamedFamily):
+        assert [(v.verdict, v.analytic) for v in out] == [(v.verdict, v.analytic) for v in rebuilt]
+        assert_exact_partials(out, env)
+    else:
+        assert out == rebuilt
+        _assert_matches_loop(out, env, hs)
+
+
 @pytest.mark.parametrize("name", sorted(_CRITERIA_ENVS))
 def test_criteria_columns_match_per_law_path(name):
-    """Closed-form columns (named families) and once-per-distinct-law
-    columns (Constant, Prefix) give verdicts equal in every field to the
-    per-generation evaluation of freshly built laws, and partials and
-    slopes equal to the former one-generation-at-a-time loop."""
-    env = _CRITERIA_ENVS[name]
-    hs = (10, 100, 1000)
-    out = criteria_verdicts(env, hs)
-    assert out == criteria_verdicts(_Rebuilt(env), hs)
-    _assert_matches_loop(out, env, hs)
+    _assert_matches_per_law_path(_CRITERIA_ENVS[name], (10, 100, 1000))
 
 
 @pytest.mark.parametrize("name", sorted(_CRITERIA_ENVS))
 def test_shifted_criteria_columns_are_the_base_columns(name):
-    """A shift reads its base's columns of generations by+1..by+n, equal
-    to the per-law columns of the shifted laws, and its base's tags."""
+    """A shift reads its base's terms of generations by+1..by+n, with mean
+    products counted from generation by, and its base's tags."""
     env = _CRITERIA_ENVS[name].shift(3)
-    hs = (10, 100, 1000)
-    out = criteria_verdicts(env, hs)
-    assert out == criteria_verdicts(_Rebuilt(env), hs)
+    _assert_matches_per_law_path(env, (10, 100, 1000))
     assert env.series_meta == _CRITERIA_ENVS[name].series_meta
 
 
 def test_shifted_family_takes_the_family_tags(monkeypatch):
-    # the partials stall at 0.161 (1 - c_n rounds to 0 past n = 45), where
-    # the slope heuristic reads "converges"; the series diverges
+    # without its tags the partials would read "inconclusive" on the slope
+    # of -1 (d_i mu_{i-1} = Prod_{j<i} (1 - d_j) / (2 i)); the series diverges
     base = NamedFamily("example-2a")
     env = base.shift(3)
 
@@ -415,8 +423,15 @@ def test_shifted_family_takes_the_family_tags(monkeypatch):
     assert all(v.analytic for v in out)
     assert {v.criterion: v.verdict for v in out} == base.series_meta
     n = out[0].horizons[-1]
-    columns = zip(env._criteria_columns(n), base._criteria_columns(n + 3))
-    assert all(col.tobytes() == whole[3:].tobytes() for col, whole in columns)
+    gap, log_mu, lg_defect, lg_var, c8 = env._criteria_terms(n)
+    whole = base._criteria_terms(n + 3)
+    # re-based to generation 3: mu'_i = mu_{i+3} / mu_3
+    log_mu3 = whole[1][2]
+    assert gap.tobytes() == whole[0][3:].tobytes()
+    np.testing.assert_allclose(log_mu, whole[1][3:] - log_mu3, rtol=1e-13)
+    np.testing.assert_allclose(lg_defect, whole[2][3:] - log_mu3, rtol=1e-13)
+    np.testing.assert_allclose(lg_var, whole[3][3:] + log_mu3, rtol=1e-13)
+    assert c8.tobytes() == whole[4][3:].tobytes()
 
 
 def _assert_matches_loop(out, env, hs):
@@ -457,9 +472,11 @@ def test_negative_horizon_is_named(reader):
 
 
 def test_criteria_default_horizons_match_loop():
-    # at 1e5 generations np.log, unlike math.log, moves these partials
-    env = NamedFamily("example-1b")
+    # at 1e5 generations np.log, unlike math.log, moves these partials;
+    # as an explicit prefix, the laws of example-1b take the per-law terms
     hs = (100, 1_000, 10_000, 100_000)
+    base = NamedFamily("example-1b")
+    env = Prefix(tuple(base.law(i) for i in range(1, hs[-1] + 1)), base.law(hs[-1] + 1))
     _assert_matches_loop(criteria_verdicts(env, hs), env, hs)
 
 
@@ -469,7 +486,7 @@ _SPECIAL = [0.0, -0.0, -2.5, math.nan, math.inf, -math.inf, 5e-324, 1.0,
 
 @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 4097, 3 * 4096 + 5])
 def test_logs_is_log_entry_by_entry(size):
-    from defbranch.analysis import _logs
+    from defbranch.environments import _logs
 
     rng = np.random.default_rng(size)
     x = rng.lognormal(0.0, 3.0, size)
@@ -481,40 +498,90 @@ def test_logs_is_log_entry_by_entry(size):
     assert x.tobytes() == want.tobytes()
 
 
-def _per_entry_logs(x):
-    x[:] = [_log(v) for v in x.tolist()]
-    return x
-
-
 _DEFAULT_HORIZON_ENVS = {
     **{f: NamedFamily(f) for f in ("example-1a", "example-1b", "example-2a", "example-2b")},
     **{f"power-defect-{m}": NamedFamily("power-defect", {"a": 0.5, "b": 1.5, "arity": m})
-       for m in (1, 2, 3)},
+       for m in (1, 2, 3, 6)},
     "power-defect-int-b": NamedFamily("power-defect", {"a": 0.25, "b": 2, "arity": 2}),
+}
+
+# the verdicts at the default horizons, in CRITERIA order: the tags of
+# the example families, the slope heuristic's on power-defect
+_C, _D, _I = CONVERGES, DIVERGES, INCONCLUSIVE
+_DEFAULT_HORIZON_VERDICTS = {
+    "example-1a": (_D, _D, _C, _C, _C),
+    "example-1b": (_C, _C, _C, _C, _C),
+    "example-2a": (_D, _C, _D, _C, _C),
+    "example-2b": (_D, _C, _C, _C, _C),
+    "power-defect-1": (_C, _I, _C, _C, _C),
+    "power-defect-2": (_D, _C, _D, _C, _C),
+    "power-defect-3": (_D, _C, _D, _C, _C),
+    "power-defect-6": (_D, _C, _D, _C, _C),
+    "power-defect-int-b": (_D, _C, _D, _C, _C),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_DEFAULT_HORIZON_ENVS))
-def test_criteria_default_horizons_match_per_entry_logs(name, monkeypatch):
+def test_criteria_default_horizons_match_exact_family(name):
+    # d_n underflows past n = 1074 on example-2a and 2b; their log terms do not
     env = _DEFAULT_HORIZON_ENVS[name]
     out = criteria_verdicts(env)
-    monkeypatch.setattr("defbranch.analysis._logs", _per_entry_logs)
-    assert repr(out) == repr(criteria_verdicts(env))
+    assert tuple(v.verdict for v in out) == _DEFAULT_HORIZON_VERDICTS[name]
+    assert all(v.analytic for v in out) == (env.family != "power-defect")
+    assert_exact_partials(out, env)
 
 
 @pytest.mark.parametrize("name", sorted(_DEFAULT_HORIZON_ENVS))
-def test_criteria_columns_write_the_law_coefficient(name):
-    # n = 2000 takes 0.5**n past 1074 and 1075, where it turns subnormal and 0
+def test_criteria_terms_are_the_exact_family_terms(name):
+    # n = 2000 takes 2^-n past 1074 and 1075, where it turns subnormal and 0;
+    # the exact terms of generation i, run in 30-digit mpmath, at every
+    # i <= 20 and at 1070..1080 and 2000
     env = _DEFAULT_HORIZON_ENVS[name]
     n = 2000
-    w1, defect, mean, _, _ = env._criteria_columns(n)
-    laws = [env.law(i) for i in range(1, n + 1)]
-    m = laws[0].weights.size - 1
-    c = np.array([law.weights[-1] for law in laws])
-    assert defect.tobytes() == np.array([law.defect for law in laws]).tobytes()
-    assert mean.tobytes() == (m * c).tobytes()
+    gap, log_mu, lg_defect, lg_var, c8 = env._criteria_terms(n)
+    m = named_arity(env)
+    at = {*range(1, 21), *range(1070, 1081), n}
+    with mpmath.workdps(30):
+        defect, mu = mp_defect(env), mpmath.mpf(1)
+        for i in range(1, n + 1):
+            d = defect(i)
+            if i in at:
+                want = (
+                    mpmath.log(d) if m == 1 else 0.0,
+                    mpmath.log(m * mu * (1 - d)),
+                    mpmath.log(d * mu),
+                    mpmath.log((m - 1) / (m * mu * (1 - d))) if m > 1 else 0.0,
+                )
+                got = (gap[i - 1], log_mu[i - 1], lg_defect[i - 1], lg_var[i - 1] if m > 1 else 0.0)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (i, got, want)
+            mu *= m * (1 - d)
     if m == 1:
-        assert w1.tobytes() == c.tobytes()
+        assert lg_var.tolist() == [-math.inf] * n  # f''(1) = 0
+    assert c8.tolist() == [float(m > 1)] * n
+
+
+class _Untagged(NamedFamily):
+    """A named family without its analytic tags: the slope heuristic decides."""
+
+    @property
+    def series_meta(self) -> dict[str, str]:
+        return {}
+
+
+@pytest.mark.parametrize("family, slope, verdict", [
+    ("example-2a", -1.0, INCONCLUSIVE), ("example-2b", -2.0, CONVERGES),
+])
+def test_untagged_defect_series_reads_the_deep_terms(family, slope, verdict):
+    # d_i mu_{i-1} = Prod_{j<i} (1 - d_j) / (2 i^k), k = 1 and 2: with the
+    # linear d_i, which underflows past i = 1074, the partials of example-2a
+    # stalled at 1.8664282973992037, the slope fit found no finite term and
+    # the heuristic read "converges" on a series that diverges
+    got = {v.criterion: v for v in criteria_verdicts(_Untagged(family))}["defect_mean_series"]
+    assert not got.analytic
+    assert got.verdict == verdict
+    assert got.slope == pytest.approx(slope, abs=1e-9)
+    assert got.partials[-1] > got.partials[-2]
 
 
 def test_defect_series_reads_the_clipped_defect():

@@ -15,6 +15,7 @@ from defbranch import (
     FiniteSupport,
     InvalidLawError,
     LinearFractional,
+    NamedFamily,
     law_from_dict,
 )
 
@@ -67,6 +68,23 @@ class TestConstruction:
             clone = law_from_dict(law.to_dict())
             assert type(clone) is type(law)
             assert clone.pgf(0.37) == law.pgf(0.37)
+
+    def test_dict_keeps_the_defect(self):
+        # a named law keeps its d_2 = 1/8, which its weight 7/8 gives back
+        law = NamedFamily("example-2a").law(2)
+        assert law_from_dict(law.to_dict()).defect == law.defect == 0.125
+
+    def test_dict_refuses_a_defect_its_weights_round(self):
+        # c_60 = 1 - 2^-60 / 60 rounds to 1.0: the literal would build a proper law
+        law = NamedFamily("example-2a").law(60)
+        assert law.defect == 1.4456028966473392e-20
+        assert law_from_dict({"kind": "finite", "weights": law.weights.tolist()}).defect == 0.0
+        with pytest.raises(NotImplementedError) as err:
+            law.to_dict()
+        assert str(err.value) == (
+            "FiniteSupport([0., 0., 1.]) has no config literal: its weights give the defect 0.0,"
+            " not its own 1.4456028966473392e-20"
+        )
 
 
 class TestPgf:

@@ -20,7 +20,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import LAW_A, LAW_B, rand_binary, rand_finite, rand_lf
+from conftest import LAW_A, LAW_B, mp_criteria, rand_binary, rand_finite, rand_lf
 from defbranch import (
     Constant,
     FiniteSupport,
@@ -167,19 +167,16 @@ def test_named_family_mean_against_mpmath():
 
 def test_defect_series_of_example_2a_against_mpmath():
     # sum_{i<=h} d_i mu_{i-1}, d_i = 2^-i / i and mu_i = prod_{j<=i} 2 (1 - d_j),
-    # with d_i formed in mpmath: the check columns read each law's exact d_i
-    hs = (100, 1000)
-    got = {v.criterion: v for v in criteria_verdicts(NamedFamily("example-2a"), hs)}
-    with mpmath.workdps(30):
-        total, mu, want = mpmath.mpf(0), mpmath.mpf(1), []
-        for i in range(1, hs[-1] + 1):
-            d = mpmath.mpf(2) ** -i / i
-            total += d * mu
-            mu *= 2 * (1 - d)
-            if i in hs:
-                want.append(total)
-    for p, w in zip(got["defect_mean_series"].partials, want):
-        assert abs(p - w) <= 1e-12 * w
+    # run in 30-digit mpmath with d_i formed there (conftest.mp_criteria);
+    # past i = 1074 the float d_i underflows, so the check terms are
+    # formed from log d_i = -i ln 2 - ln i
+    env = NamedFamily("example-2a")
+    hs = (100, 1000, 10_000, 100_000)
+    got = {v.criterion: v for v in criteria_verdicts(env, hs)}["defect_mean_series"]
+    want = mp_criteria(env, hs)["defect_mean_series"]
+    assert [round(float(w), 11) for w in want[2:]] == [2.32367560516, 2.79368616410]
+    for h, p, w in zip(hs, got.partials, want):
+        assert abs(p - w) <= max(1e-12, h * 2.0**-53) * w
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 30, 60, 100])
