@@ -1,9 +1,11 @@
 """Series verdicts that decide long-run fate, across environments.
 
 The five convergence checks settle whether a varying environment keeps
-real mass alive forever.  Built-in families carry analytic answers for
-each series; synthetic families fall back to the numeric tail-slope
-heuristic, which reports how fast the partial sums are still moving.
+real mass alive forever.  No finite horizon decides a series, so every
+verdict comes from a rule: a built-in family's from its arity and the
+decay of its defects, a repeated tail's from its tail law.  The partial
+sums and the fitted decay slope of the terms are reported beside each
+verdict as evidence of how fast the sums are still moving.
 """
 from __future__ import annotations
 
@@ -32,19 +34,20 @@ def verdict_table() -> None:
     print("  2b: all listed series converge and survival stays positive.")
 
 
-def slope_heuristic() -> None:
-    print("\nnumeric tail-slope heuristic on the one-child gap series,")
-    print("per-generation defect a*n^-b (terms a*n^-b, so slope = -b):")
-    print(f"  {'b':>4}  {'slope':>8}  verdict")
-    for b in (2.0, 1.0, 0.5):
-        env = NamedFamily("power-defect", {"a": 0.3, "b": b, "arity": 1})
-        v = next(
-            x for x in criteria_verdicts(env, horizons=(100, 1000, 10_000))
-            if x.criterion == "one_child_gap"
-        )
-        slope = "       -" if v.slope is None else f"{v.slope:8.3f}"
-        print(f"  {b:>4}  {slope}  {v.verdict}")
-    print("  b = 1 sits on the boundary and the heuristic declines to call it")
+def power_defect_table() -> None:
+    print("\npower-defect verdicts, per-generation defect a*n^-b with a = 0.3 and")
+    print("m children; beside them the fitted slope of the one-child gap terms")
+    print("(a*n^-b for m = 1, so slope = -b), shown as evidence only:")
+    heads = ("gap", "mean", "defect", "var", "tail")  # the CRITERIA, in order
+    print(f"  {'m':>2}  {'b':>4}  {'slope':>8}" + "".join(f"{h:>9}" for h in heads))
+    for m in (1, 2):
+        for b in (2.0, 1.0, 0.5):
+            env = NamedFamily("power-defect", {"a": 0.3, "b": b, "arity": m})
+            out = criteria_verdicts(env, horizons=(100, 1000, 10_000))
+            slope = "       -" if out[0].slope is None else f"{out[0].slope:8.3f}"
+            print(f"  {m:>2}  {b:>4}  {slope}" + "".join(f"{v.verdict[:4]:>9}" for v in out))
+    print("  b = 1 sits on the boundary: the slope reads -1, and the rule")
+    print("  decides the gap series diverges, as the sum of 1/n does")
 
 
 def partial_sums() -> None:
@@ -61,5 +64,5 @@ def partial_sums() -> None:
 
 if __name__ == "__main__":
     verdict_table()
-    slope_heuristic()
+    power_defect_table()
     partial_sums()

@@ -310,9 +310,6 @@ CONVERGES = "converges"
 DIVERGES = "diverges"
 INCONCLUSIVE = "inconclusive"
 
-_SLOPE_CONV = -1.15
-_SLOPE_DIV = -0.85
-
 
 @dataclass(frozen=True)
 class ConditionVerdict:
@@ -321,10 +318,13 @@ class ConditionVerdict:
     partials holds the partial sums (series criteria) or the running
     infimum / supremum at each horizon.  For min/max criteria
     "converges" means the condition holds (infimum positive, supremum
-    finite).  slope is the fitted log-log decay rate of the terms over
-    the top two horizon decades, None when not applicable.  analytic is
-    True when the verdict came from environment metadata rather than
-    the slope heuristic.
+    finite).  The verdict is decided by rule, never read off the
+    partials: a named family's from its (m, rate, b), a repeated tail's
+    from its tail law (``Environment.series_meta``).  analytic is True
+    when such a rule decided it; an environment with neither reads
+    "inconclusive" with analytic False.  The partials and slope, the
+    fitted log-log decay rate of the terms over the top two horizon
+    decades (None when not applicable), are evidence only.
     """
 
     criterion: str
@@ -349,10 +349,13 @@ def criteria_verdicts(
     laws' own f[1], defect, f'(1), f''(1) and c8 (one C ``math.log`` per
     entry).
 
-    The verdict comes from the environment's analytic metadata when
-    present, otherwise from the decay slope of the terms across the top two
-    decades: slope < -1.15 reads as convergent, slope > -0.85 with still
-    growing partial sums as divergent, anything else is inconclusive.
+    The verdict is the environment's ``series_meta`` tag: a named family
+    (and a shift of one) decides each series from its arity m and the
+    decay rate^n n^-b of d_n, and an environment with a repeated tail law
+    from that law's f[1], mean, defect and f''(1), since a finite head
+    changes no series' convergence.  Without a tag the verdict reads
+    "inconclusive", with ``analytic`` False; no finite horizon decides a
+    series, so the partials and slope are reported as evidence only.
     Needs at least two distinct horizons, each a count >= 2 (3.0 counts
     as 3, see ``environments._whole``); a repeated horizon counts once, so
     ``horizons`` and ``partials`` pair up entry by entry.
@@ -386,24 +389,17 @@ def criteria_verdicts(
     partials["tail_ratio_sup"] = np.maximum.accumulate(c8)[at_h].tolist()
 
     meta = env.series_meta
-    out = []
-    for k in CRITERIA:
-        slope = _fit_slope(samples[k]) if k in samples else None
-        if k in meta:
-            verdict, analytic = meta[k], True
-        else:
-            verdict, analytic = _heuristic(k, partials[k], slope), False
-        out.append(
-            ConditionVerdict(
-                criterion=k,
-                horizons=hs,
-                partials=tuple(partials[k]),
-                slope=slope,
-                verdict=verdict,
-                analytic=analytic,
-            )
+    return [
+        ConditionVerdict(
+            criterion=k,
+            horizons=hs,
+            partials=tuple(partials[k]),
+            slope=_fit_slope(samples[k]) if k in samples else None,
+            verdict=meta.get(k, INCONCLUSIVE),
+            analytic=k in meta,
         )
-    return out
+        for k in CRITERIA
+    ]
 
 
 def _fit_slope(pairs: list[tuple[int, float]]) -> float | None:
@@ -413,34 +409,6 @@ def _fit_slope(pairs: list[tuple[int, float]]) -> float | None:
     x = np.array([p[0] for p in pts])
     y = np.array([p[1] for p in pts])
     return float(np.polyfit(x, y, 1)[0])
-
-
-def _heuristic(criterion: str, partials: list[float], slope: float | None) -> str:
-    if criterion == "mean_product_infimum":
-        # stabilised and positive reads as holding; a full decade of
-        # further decay between the last horizons reads as failing
-        if partials[-1] <= 0.0:
-            return DIVERGES
-        if partials[-2] > 0.0:
-            drop = partials[-2] / partials[-1]
-            if drop < 1.0 + 1e-9:
-                return CONVERGES
-            if drop > 10.0:
-                return DIVERGES
-        return INCONCLUSIVE
-    if criterion == "tail_ratio_sup":
-        return CONVERGES if partials[-1] == partials[-2] else INCONCLUSIVE
-    if math.isinf(partials[-1]):
-        return DIVERGES
-    if slope is None:
-        # no positive terms left: a flat tail means the series stopped growing
-        return CONVERGES if partials[-1] == partials[-2] else INCONCLUSIVE
-    if slope < _SLOPE_CONV:
-        return CONVERGES
-    still_growing = partials[-1] - partials[-2] > max(1e-12, 1e-9 * abs(partials[-1]))
-    if slope > _SLOPE_DIV and still_growing:
-        return DIVERGES
-    return INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

@@ -100,14 +100,28 @@ class Environment:
 
     @property
     def series_meta(self) -> dict[str, str]:
-        """Analytic convergence tags for criterion series, when known.
-
-        Maps criterion id -> "converges" | "diverges".  For infimum /
-        supremum criteria "converges" means the condition holds (infimum
-        positive, supremum finite).  Empty when nothing is known; the
-        numeric slope heuristic then decides.
-        """
-        return {}
+        """Criterion id -> "converges" | "diverges", decided by rule; for
+        the infimum and supremum "converges" means the condition holds.
+        Here the rule of a repeated tail law L = ``law(_fixed_from())``,
+        since a finite head changes no series' convergence (every valid
+        law has a positive mean and a finite c8), read on the floats every
+        reader uses: one_child_gap converges iff L[1] == 1,
+        mean_product_infimum holds iff f'(1) >= 1, defect_mean_series
+        converges iff L has no defect or f'(1) < 1, var_mean_series
+        converges iff f''(1) == 0 or f'(1) > 1, and tail_ratio_sup holds.
+        Empty without a repeated tail: the verdicts read "inconclusive"."""
+        first = self._fixed_from()
+        if first is None:
+            return {}
+        tail = self.law(first)
+        mean = tail.mean
+        return _tags(
+            one_child_gap=tail.weight(1) == 1.0,
+            mean_product_infimum=mean >= 1.0,
+            defect_mean_series=tail.defect == 0.0 or mean < 1.0,
+            var_mean_series=tail.second_factorial == 0.0 or mean > 1.0,
+            tail_ratio_sup=True,
+        )
 
     def shift(self, by: int) -> "Environment":
         """Environment seen from generation ``by``: law(n) = self.law(n + by)."""
@@ -176,12 +190,9 @@ def _series_stats(law: OffspringLaw) -> tuple[float, float, float, float, float]
     return law.weight(1), law.defect, law.mean, law.second_factorial, law.regularity().c8
 
 
-_META_SINGLE_CHILD = {
-    # single-child families: no mass at {2,3,...}, so the second-moment
-    # series and the tail-ratio supremum are trivially fine
-    "var_mean_series": "converges",
-    "tail_ratio_sup": "converges",
-}
+def _tags(**holds: bool) -> dict[str, str]:
+    """Criterion id -> "converges" where it holds, else "diverges"."""
+    return {k: "converges" if v else "diverges" for k, v in holds.items()}
 
 
 def _is_num(x) -> bool:
@@ -282,14 +293,37 @@ class _Family(NamedTuple):
     both must be picklable (a module-level function or a
     ``functools.partial`` of one), since ``NamedFamily`` keeps them.
     ``check`` must reject every params for which d_n leaves [0, 1),
-    because ``NamedFamily.law`` builds the laws unvalidated."""
+    because ``NamedFamily.law`` builds the laws unvalidated.
+
+    ``decay`` maps the params to b, where d_n is of order rate^n n^-b
+    (rate <= 1), and ``_family_tags`` decides the series from (m, rate, b).
+    With light = (rate < 1 or b > 1), Sum d_n is finite, and the product
+    in mu_n = m^n Prod_{j<=n} (1 - d_j) has a positive limit, iff light.
+    So one_child_gap (terms d_n for m = 1, else 1) converges iff m == 1
+    and light; mean_product_infimum holds iff m > 1 or light;
+    defect_mean_series converges iff m == 1 (partials 1 - mu_n), or
+    m rate < 1, or m rate == 1 and b > 1 (terms of order (m rate)^n n^-b);
+    var_mean_series (terms (m - 1) / mu_n) converges, and tail_ratio_sup
+    (c8 is 0 for m = 1, else 1) holds."""
 
     defect: Callable[[dict], Callable[[int], float]]  # params -> (n -> d_n)
     log_rest: Callable[[dict], Callable[[np.ndarray], np.ndarray]]  # params -> (n -> log(d_n / rate^n))
     arity: Callable[[dict], int]  # params -> m
-    meta: dict[str, str]  # analytic series tags, see Environment.series_meta
+    decay: Callable[[dict], float]  # params -> b
     rate: float = 1.0  # the geometric factor of d_n: 1/2 for example-2a and 2b
     check: Callable[[dict], None] = lambda params: None  # raises on bad params
+
+
+def _family_tags(m: int, rate: float, b: float) -> dict[str, str]:
+    """The criterion tags of a named family, by ``_Family``'s rule."""
+    light = rate < 1.0 or b > 1.0
+    return _tags(
+        one_child_gap=m == 1 and light,
+        mean_product_infimum=m > 1 or light,
+        defect_mean_series=m == 1 or m * rate < 1.0 or (m * rate == 1.0 and b > 1.0),
+        var_mean_series=True,
+        tail_ratio_sup=True,
+    )
 
 
 # The one list of named families (NamedFamily documents each law).
@@ -298,55 +332,33 @@ _FAMILIES: dict[str, _Family] = {
         lambda _: _d_1a,
         lambda _: partial(_log_power_half_at_1, 1.0),
         lambda _: 1,
-        {
-            **_META_SINGLE_CHILD,
-            "one_child_gap": "diverges",
-            "mean_product_infimum": "diverges",
-            "defect_mean_series": "converges",
-        },
+        lambda _: 1.0,
     ),
     "example-1b": _Family(
         lambda _: _d_1b,
         lambda _: partial(_log_power_half_at_1, 2.0),
         lambda _: 1,
-        {
-            **_META_SINGLE_CHILD,
-            "one_child_gap": "converges",
-            "mean_product_infimum": "converges",
-            "defect_mean_series": "converges",
-        },
+        lambda _: 2.0,
     ),
     "example-2a": _Family(
         lambda _: _d_2a,
         lambda _: partial(_log_power, 0.0, 1.0),
         lambda _: 2,
-        {
-            "one_child_gap": "diverges",
-            "mean_product_infimum": "converges",
-            "defect_mean_series": "diverges",
-            "var_mean_series": "converges",
-            "tail_ratio_sup": "converges",
-        },
+        lambda _: 1.0,
         rate=0.5,
     ),
     "example-2b": _Family(
         lambda _: _d_2b,
         lambda _: partial(_log_power, 0.0, 2.0),
         lambda _: 2,
-        {
-            "one_child_gap": "diverges",
-            "mean_product_infimum": "converges",
-            "defect_mean_series": "converges",
-            "var_mean_series": "converges",
-            "tail_ratio_sup": "converges",
-        },
+        lambda _: 2.0,
         rate=0.5,
     ),
     "power-defect": _Family(
         lambda params: partial(_power_defect, float(params["a"]), -float(params["b"])),
         lambda params: partial(_log_power, math.log(float(params["a"])), float(params["b"])),
         lambda params: int(params.get("arity", 1)),
-        {},
+        lambda params: float(params["b"]),
         check=_check_power_defect,
     ),
 }
@@ -437,7 +449,8 @@ class NamedFamily(Environment):
 
     @property
     def series_meta(self) -> dict[str, str]:
-        return dict(_FAMILIES[self.family].meta)
+        fam = _FAMILIES[self.family]
+        return _family_tags(len(self._zeros), fam.rate, fam.decay(self.params))
 
     def to_dict(self) -> dict:
         out: dict = {"kind": "named", "id": self.family}

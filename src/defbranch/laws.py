@@ -60,6 +60,10 @@ DELTA = -1
 # Slack for "sums to at most one" style mass checks on user input.
 MASS_TOL = 1e-9
 
+# the types of False and True, which ``order in (0, 1, 2)`` lets through
+# as 0 and 1: ``pgf`` refuses them
+_BOOLS = frozenset((bool, np.bool_))
+
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_MAX_ITER = 200
 
@@ -334,7 +338,7 @@ class FiniteSupport(OffspringLaw):
         return cum, list(range(len(cum))) + [DELTA]
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
-        if order not in (0, 1, 2):
+        if order.__class__ in _BOOLS or order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         x = float(s) if isinstance(s, float) else np.asarray(s, dtype=float)
         try:
@@ -453,7 +457,7 @@ class LinearFractional(OffspringLaw):
             raise InvalidLawError("total mass q + r/(1-p) exceeds 1")
 
     def pgf(self, s: ArrayLike, order: int = 0) -> ArrayLike:
-        if order not in (0, 1, 2):
+        if order.__class__ in _BOOLS or order not in (0, 1, 2):
             raise ValueError("order must be 0, 1 or 2")
         x = float(s) if isinstance(s, float) else np.asarray(s, dtype=float)
         while True:

@@ -283,23 +283,26 @@ class TestCriteria:
         # growing mean products: the infimum is the first value, positive
         assert v2b["mean_product_infimum"].verdict == CONVERGES
 
-    def test_slope_heuristic_power_defect(self):
+    def test_power_defect_gap_by_rule(self):
+        # the verdict comes from b; the slope of the terms is reported beside it
         fast = NamedFamily("power-defect", {"a": 0.5, "b": 2.0})
         slow = NamedFamily("power-defect", {"a": 0.5, "b": 0.5})
         vf = {v.criterion: v for v in criteria_verdicts(fast, horizons=(100, 1000, 10000))}
         vs = {v.criterion: v for v in criteria_verdicts(slow, horizons=(100, 1000, 10000))}
         gap_f = vf["one_child_gap"]
         gap_s = vs["one_child_gap"]
-        assert not gap_f.analytic and not gap_s.analytic
+        assert gap_f.analytic and gap_s.analytic
         assert gap_f.verdict == CONVERGES
         assert gap_f.slope == pytest.approx(-2.0, abs=0.1)
         assert gap_s.verdict == DIVERGES
         assert gap_s.slope == pytest.approx(-0.5, abs=0.1)
 
-    def test_borderline_is_inconclusive(self):
+    def test_borderline_gap_diverges(self):
+        # sum a/n diverges: no finite horizon shows it, the rule does
         edge = NamedFamily("power-defect", {"a": 0.5, "b": 1.0})
         v = {x.criterion: x for x in criteria_verdicts(edge, horizons=(100, 1000, 10000))}
-        assert v["one_child_gap"].verdict == INCONCLUSIVE
+        assert v["one_child_gap"].verdict == DIVERGES
+        assert v["one_child_gap"].analytic
 
     def test_partials_monotone(self, env_2a):
         out = criteria_verdicts(env_2a, horizons=(10, 100, 1000))
@@ -410,8 +413,8 @@ def test_shifted_criteria_columns_are_the_base_columns(name):
 
 
 def test_shifted_family_takes_the_family_tags(monkeypatch):
-    # without its tags the partials would read "inconclusive" on the slope
-    # of -1 (d_i mu_{i-1} = Prod_{j<i} (1 - d_j) / (2 i)); the series diverges
+    # without its tags it would read "inconclusive"; the series, of terms
+    # d_i mu_{i-1} = Prod_{j<i} (1 - d_j) / (2 i), diverges
     base = NamedFamily("example-2a")
     env = base.shift(3)
 
@@ -505,15 +508,15 @@ _DEFAULT_HORIZON_ENVS = {
     "power-defect-int-b": NamedFamily("power-defect", {"a": 0.25, "b": 2, "arity": 2}),
 }
 
-# the verdicts at the default horizons, in CRITERIA order: the tags of
-# the example families, the slope heuristic's on power-defect
-_C, _D, _I = CONVERGES, DIVERGES, INCONCLUSIVE
+# the verdicts at the default horizons, in CRITERIA order: each family's
+# tags, decided from its (m, rate, b)
+_C, _D = CONVERGES, DIVERGES
 _DEFAULT_HORIZON_VERDICTS = {
     "example-1a": (_D, _D, _C, _C, _C),
     "example-1b": (_C, _C, _C, _C, _C),
     "example-2a": (_D, _C, _D, _C, _C),
     "example-2b": (_D, _C, _C, _C, _C),
-    "power-defect-1": (_C, _I, _C, _C, _C),
+    "power-defect-1": (_C, _C, _C, _C, _C),
     "power-defect-2": (_D, _C, _D, _C, _C),
     "power-defect-3": (_D, _C, _D, _C, _C),
     "power-defect-6": (_D, _C, _D, _C, _C),
@@ -527,7 +530,7 @@ def test_criteria_default_horizons_match_exact_family(name):
     env = _DEFAULT_HORIZON_ENVS[name]
     out = criteria_verdicts(env)
     assert tuple(v.verdict for v in out) == _DEFAULT_HORIZON_VERDICTS[name]
-    assert all(v.analytic for v in out) == (env.family != "power-defect")
+    assert all(v.analytic for v in out)
     assert_exact_partials(out, env)
 
 
@@ -562,24 +565,22 @@ def test_criteria_terms_are_the_exact_family_terms(name):
 
 
 class _Untagged(NamedFamily):
-    """A named family without its analytic tags: the slope heuristic decides."""
+    """A named family without its tags: every verdict reads "inconclusive"."""
 
     @property
     def series_meta(self) -> dict[str, str]:
         return {}
 
 
-@pytest.mark.parametrize("family, slope, verdict", [
-    ("example-2a", -1.0, INCONCLUSIVE), ("example-2b", -2.0, CONVERGES),
-])
-def test_untagged_defect_series_reads_the_deep_terms(family, slope, verdict):
+@pytest.mark.parametrize("family, slope", [("example-2a", -1.0), ("example-2b", -2.0)])
+def test_untagged_defect_series_reads_the_deep_terms(family, slope):
     # d_i mu_{i-1} = Prod_{j<i} (1 - d_j) / (2 i^k), k = 1 and 2: with the
     # linear d_i, which underflows past i = 1074, the partials of example-2a
-    # stalled at 1.8664282973992037, the slope fit found no finite term and
-    # the heuristic read "converges" on a series that diverges
+    # stalled at 1.8664282973992037 and the slope fit found no finite term;
+    # the evidence is reported, and no verdict is read off it
     got = {v.criterion: v for v in criteria_verdicts(_Untagged(family))}["defect_mean_series"]
     assert not got.analytic
-    assert got.verdict == verdict
+    assert got.verdict == INCONCLUSIVE
     assert got.slope == pytest.approx(slope, abs=1e-9)
     assert got.partials[-1] > got.partials[-2]
 
@@ -591,6 +592,105 @@ def test_defect_series_reads_the_clipped_defect():
     got = {v.criterion: v for v in criteria_verdicts(Constant(law))}["defect_mean_series"]
     assert got.verdict == CONVERGES
     assert set(got.partials) == {0.0}
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5])
+@pytest.mark.parametrize("b", [0.5, 0.9, 1, 1.1, 1.2, 1.5, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_power_defect_verdicts_are_the_closed_forms(m, b, a):
+    # d_n = a n^-b, f_n(s) = (1 - d_n) s^m: sum d_n < inf iff b > 1, and
+    # mu_n = m^n Prod_{j<=n} (1 - d_j); the variance terms are (m - 1) / mu_n
+    out = criteria_verdicts(NamedFamily("power-defect", {"a": a, "b": b, "arity": m}))
+    want = {
+        "one_child_gap": m == 1 and b > 1,
+        "mean_product_infimum": m >= 2 or b > 1,
+        "defect_mean_series": m == 1,
+        "var_mean_series": True,
+        "tail_ratio_sup": True,
+    }
+    assert {v.criterion: v.verdict for v in out} == {
+        k: CONVERGES if holds else DIVERGES for k, holds in want.items()
+    }
+    assert all(v.analytic for v in out)
+
+
+def _on_012(mean: float, defect: float) -> FiniteSupport:
+    """The law on {0, 1, 2} with f[1] = 0.1, this float mean and defect."""
+    w2 = (mean - 0.1) / 2
+    law = FiniteSupport([1.0 - defect - 0.1 - w2, 0.1, w2])
+    assert law.mean == mean and law.defect == pytest.approx(defect, abs=1e-15)
+    return law
+
+
+_HEAD = (LinearFractional(0.2, 0.3, 0.4), FiniteSupport([0.1, 0.0, 0.0, 0.9]), FiniteSupport([0.6, 0.3]))
+_DUST = FiniteSupport([0.4933539714095708, 0.012292057180858407, 0.4943539714095707])
+
+# (tail law, verdicts in CRITERIA order) of each repeated tail, by hand:
+# the gap series adds 1 - f[1] each generation; the mean products sink to
+# 0 iff f'(1) < 1; with a defect the defect series is geometric iff
+# f'(1) < 1; with f''(1) > 0 the variance series is geometric iff f'(1) > 1
+_TAIL_VERDICTS = {
+    "mean-1-1e-3": (_on_012(1 - 1e-3, 0.0), (_D, _D, _C, _D, _C)),
+    "mean-1-1e-5": (_on_012(1 - 1e-5, 0.0), (_D, _D, _C, _D, _C)),
+    "mean-1": (_on_012(1.0, 0.0), (_D, _C, _C, _D, _C)),
+    "mean-1+1e-5": (_on_012(1 + 1e-5, 0.0), (_D, _C, _C, _C, _C)),
+    "mean-1+1e-3": (_on_012(1 + 1e-3, 0.0), (_D, _C, _C, _C, _C)),
+    "mean-1-1e-3-defect": (_on_012(1 - 1e-3, 0.05), (_D, _D, _C, _D, _C)),
+    "mean-1-1e-5-defect": (_on_012(1 - 1e-5, 0.05), (_D, _D, _C, _D, _C)),
+    "mean-1-defect": (_on_012(1.0, 0.05), (_D, _C, _D, _D, _C)),
+    "mean-1+1e-5-defect": (_on_012(1 + 1e-5, 0.05), (_D, _C, _D, _C, _C)),
+    "mean-1+1e-3-defect": (_on_012(1 + 1e-3, 0.05), (_D, _C, _D, _C, _C)),
+    # the slope fit read the defect series of this law "diverges" and its
+    # infimum "inconclusive" at the default horizons: the series is
+    # geometric, with sum about 10^4, and the infimum is 0
+    "mean-0.99999-defect-0.1": (_on_012(0.99999, 0.1), (_D, _D, _C, _D, _C)),
+    "single-child": (FiniteSupport([0.0, 1.0]), (_C, _C, _C, _C, _C)),
+    "lf-defect": (LinearFractional(0.1, 0.4, 0.5), (_D, _D, _C, _D, _C)),  # mean 0.8
+    "lf-proper": (LinearFractional(0.0, 0.25, 0.75), (_D, _C, _C, _C, _C)),  # mean 3
+    # 1 - mass is 1.1e-16 and the law's defect 0.0; mean 1.001
+    "dust": (_DUST, (_D, _C, _C, _C, _C)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_VERDICTS))
+def test_repeated_tail_verdicts_by_rule(name):
+    tail, want = _TAIL_VERDICTS[name]
+    # a head, or a shift into or past it, changes no series' convergence
+    prefix = Prefix(_HEAD, tail)
+    for env in (Constant(tail), Constant(tail).shift(3), prefix, prefix.shift(2), prefix.shift(5)):
+        out = criteria_verdicts(env, (10, 100))
+        assert tuple(v.verdict for v in out) == want, env
+        assert all(v.analytic for v in out), env
+
+
+# a normalized environment's tail is the tail law divided by its mass
+_NORMALIZED_VERDICTS = {
+    "mean-1-defect": (_D, _C, _C, _C, _C),  # mean 1 / 0.95
+    "mean-1-1e-5-defect": (_D, _C, _C, _C, _C),  # mean (1 - 1e-5) / 0.95
+    "mean-0.99999-defect-0.1": (_D, _C, _C, _C, _C),  # mean 0.99999 / 0.9
+    "lf-defect": (_D, _D, _C, _D, _C),  # mean 0.8 / 0.9
+    "mean-1": (_D, _C, _C, _D, _C),  # proper: the law itself
+    "single-child": (_C, _C, _C, _C, _C),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NORMALIZED_VERDICTS))
+def test_normalized_repeated_tail_verdicts_by_rule(name):
+    tail, _ = _TAIL_VERDICTS[name]
+    want = _NORMALIZED_VERDICTS[name]
+    for env in (Constant(tail).normalized(), Prefix(_HEAD, tail).normalized().shift(4)):
+        out = criteria_verdicts(env, (10, 100))
+        assert tuple(v.verdict for v in out) == want, env
+        assert all(v.analytic for v in out), env
+
+
+def test_unruled_environment_is_inconclusive():
+    # no tags and no repeated tail: the partials are reported, no verdict
+    env = Alternating(FiniteSupport([0.45, 0.0, 0.45]), LinearFractional(0.1, 0.4, 0.5))
+    out = criteria_verdicts(env, (10, 100))
+    assert [v.verdict for v in out] == [INCONCLUSIVE] * len(CRITERIA)
+    assert not any(v.analytic for v in out)
+    assert all(len(v.partials) == 2 for v in out)
 
 
 def test_criteria_verdicts_memory_peak():

@@ -135,9 +135,11 @@ class TestPgf:
                     for same in (float(order), np.int64(order)):
                         got = law.pgf(s, same)
                         assert type(got) is type(want) and np.array_equal(got, want)
-            for bad in (3, -1, 1.5):
-                with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
-                    law.pgf(0.3, bad)
+            # False and True equal 0 and 1, but are no orders
+            for bad in (3, -1, 1.5, True, False, np.True_, np.False_):
+                for s in (0.3, np.array([0.2, 0.9])):
+                    with pytest.raises(ValueError, match="order must be 0, 1 or 2"):
+                        law.pgf(s, bad)
 
     def test_mass_and_moments(self, law_a, law_b):
         assert law_a.mass == pytest.approx(0.9, abs=1e-15)

@@ -358,7 +358,9 @@ SHIFTED_ENVS = {
 SHIFTED_READERS = {
     "moments": moments,
     "scan": absorption_scan,
-    "criteria": lambda env, n: [dataclasses.astuple(v) for v in criteria_verdicts(env, (2, n))],
+    # the evidence: Unsplit hides the tail law the verdicts are decided from
+    "criteria": lambda env, n: [(v.criterion, v.horizons, v.partials, v.slope)
+                                for v in criteria_verdicts(env, (2, n))],
 }
 
 
@@ -369,6 +371,9 @@ def test_shifted_split_matches_the_loop(env, first, n):
         for name, reader in SHIFTED_READERS.items():
             got, want = _fields(reader, env, n), _fields(reader, Unsplit(env), n)
             assert got == want, name
+    if n > 2:
+        verdicts = [(v.verdict, v.analytic) for v in criteria_verdicts(env, (2, n))]
+        assert verdicts == [(v.verdict, True) for v in criteria_verdicts(env._base, (2, n))]
 
 
 @pytest.mark.parametrize("env, first", SHIFTED_ENVS.values(), ids=SHIFTED_ENVS.keys())
